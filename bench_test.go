@@ -9,13 +9,13 @@ package rankedtriang
 // rendered tables.
 
 import (
+	"context"
 	"io"
 	"math/rand"
 	"testing"
 	"time"
 
 	"repro/internal/ckk"
-	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/exp"
 	"repro/internal/gen"
@@ -211,13 +211,13 @@ func BenchmarkSolverInit(b *testing.B) {
 	g := benchGraph(16, 0.25, 7)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.NewSolver(g, cost.Width{})
+		mustSolver(g, cost.Width{})
 	}
 }
 
 func BenchmarkMinTriangWidth(b *testing.B) {
 	g := benchGraph(16, 0.25, 7)
-	s := core.NewSolver(g, cost.Width{})
+	s := mustSolver(g, cost.Width{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := s.MinTriang(nil); err != nil {
@@ -229,13 +229,13 @@ func BenchmarkMinTriangWidth(b *testing.B) {
 func BenchmarkRankedDelay(b *testing.B) {
 	// Cost of one Next() call after warm-up — the paper's "delay".
 	g := benchGraph(14, 0.3, 7)
-	s := core.NewSolver(g, cost.Width{})
-	e := s.Enumerate()
+	s := mustSolver(g, cost.Width{})
+	e := s.EnumerateContext(context.Background())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, ok := e.Next(); !ok {
 			b.StopTimer()
-			e = s.Enumerate()
+			e = s.EnumerateContext(context.Background())
 			b.StartTimer()
 		}
 	}
@@ -285,7 +285,7 @@ func (s slowCost) Eval(g *graph.Graph, bags []VertexSet) float64 {
 func BenchmarkAblationCombinableFastPath(b *testing.B) {
 	g := benchGraph(14, 0.3, 7)
 	b.Run("fast", func(b *testing.B) {
-		s := core.NewSolver(g, cost.FillIn{})
+		s := mustSolver(g, cost.FillIn{})
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := s.MinTriang(nil); err != nil {
@@ -294,7 +294,7 @@ func BenchmarkAblationCombinableFastPath(b *testing.B) {
 		}
 	})
 	b.Run("generic", func(b *testing.B) {
-		s := core.NewSolver(g, slowCost{cost.FillIn{}})
+		s := mustSolver(g, slowCost{cost.FillIn{}})
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := s.MinTriang(nil); err != nil {

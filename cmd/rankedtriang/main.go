@@ -53,11 +53,13 @@ func main() {
 		fatal(err)
 	}
 
-	var solver *core.Solver
+	var opts core.Options
 	if *bound >= 0 {
-		solver = core.NewBoundedSolver(g, c, *bound)
-	} else {
-		solver = core.NewSolver(g, c)
+		opts.WidthBound = bound
+	}
+	solver, err := core.New(context.Background(), g, c, opts)
+	if err != nil {
+		fatal(err)
 	}
 	if *stats {
 		fmt.Printf("graph: %d vertices, %d edges\n", g.NumVertices(), g.NumEdges())
@@ -83,7 +85,7 @@ func enumerateTriangulations(solver *core.Solver, g *graph.Graph, k int, orbits 
 		// always sound here.
 		e = core.NewOrbitBackend(solver, nil).EnumerateContext(context.Background())
 	} else {
-		e = solver.Enumerate()
+		e = solver.EnumerateContext(context.Background())
 	}
 	for i := 1; k == 0 || i <= k; i++ {
 		r, ok := e.Next()

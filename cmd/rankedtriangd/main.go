@@ -49,9 +49,6 @@ func main() {
 		prefetchAhead = flag.Int("prefetch-ahead", 0, "ranks the speculative producer runs ahead of the fastest cursor per stream; 0 = default (64), negative disables prefetch")
 		prefetchBytes = flag.Int64("prefetch-bytes", 0, "per-stream byte ceiling on speculative lookahead; 0 = default (8 MiB), negative = no ceiling")
 		pprofAddr     = flag.String("pprof", "", "serve net/http/pprof on this side listener (e.g. localhost:6060); empty disables")
-		fullResolve   = flag.Bool("full-resolve", false, "disable the incremental DP: every branch re-solves from scratch (A/B debugging; identical output)")
-		noDecompose   = flag.Bool("no-decompose", false, "disable the clique-separator atom decomposition: always solve the whole graph monolithically (A/B debugging)")
-		noCanon       = flag.Bool("no-canon", false, "disable isomorphism-canonical cache keys: isomorphic submissions with different vertex numberings no longer share solvers/streams (A/B debugging; identical responses)")
 		backend       = flag.String("backend", "dp", "default enumeration backend: dp (ranked-exact), mis (unordered, no init cost), mis-scored (heuristic best-first) or auto (separator probe); overridable per request via ?backend=")
 		probeBudget   = flag.Int("backend-probe-budget", core.DefaultProbeBudget, "separator budget the auto backend policy probes under before falling back to mis")
 		orbits        = flag.Bool("orbits", false, "orbit-reduced enumeration by default: one representative per automorphism orbit, stamped with orbit_size; overridable per request via ?orbits=")
@@ -78,9 +75,6 @@ func main() {
 		SolveWorkers:       *solveWorkers,
 		PrefetchAhead:      *prefetchAhead,
 		PrefetchBytes:      *prefetchBytes,
-		FullResolve:        *fullResolve,
-		NoDecompose:        *noDecompose,
-		NoCanon:            *noCanon,
 		DefaultBackend:     *backend,
 		BackendProbeBudget: *probeBudget,
 		DefaultOrbits:      *orbits,

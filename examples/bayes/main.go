@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -49,8 +50,12 @@ func main() {
 	fmt.Printf("moral graph: %d variables, %d edges\n\n", g.NumVertices(), g.NumEdges())
 
 	// Rank by total junction-tree state space (the inference cost).
+	ctx := context.Background()
 	space := rankedtriang.StateSpace(domains)
-	solver := rankedtriang.NewSolver(g, space)
+	solver, err := rankedtriang.NewSolver(ctx, g, space, rankedtriang.SolverOptions{})
+	if err != nil {
+		panic(err)
+	}
 	best, err := solver.MinTriang(nil)
 	if err != nil {
 		panic(err)
@@ -63,8 +68,11 @@ func main() {
 	// junction tree and measure the spread of their table sizes — the
 	// paper's point that same-width decompositions differ by a lot under
 	// the application's real cost.
-	wSolver := rankedtriang.NewSolver(g, rankedtriang.Width())
-	wEnum := wSolver.Enumerate()
+	wSolver, err := rankedtriang.NewSolver(ctx, g, rankedtriang.Width(), rankedtriang.SolverOptions{})
+	if err != nil {
+		panic(err)
+	}
+	wEnum := wSolver.EnumerateContext(ctx)
 	minWidth := -1
 	worst, bestW := 0.0, 0.0
 	count := 0
@@ -98,7 +106,7 @@ func main() {
 	// noise).
 	fmt.Println("\ntop 5 by state space:")
 	rng := rand.New(rand.NewSource(1))
-	enum := solver.Enumerate()
+	enum := solver.EnumerateContext(ctx)
 	for i := 1; i <= 5; i++ {
 		r, ok := enum.Next()
 		if !ok {

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	rankedtriang "repro"
@@ -23,11 +24,15 @@ func main() {
 	fmt.Printf("grid %dx%d: %d vertices, %d edges (treewidth %d)\n\n",
 		rows, cols, g.NumVertices(), g.NumEdges(), rows)
 
+	ctx := context.Background()
 	for _, bound := range []int{2, 3, 4} {
-		solver := rankedtriang.NewBoundedSolver(g, rankedtriang.FillIn(), bound)
+		solver, err := rankedtriang.NewSolver(ctx, g, rankedtriang.FillIn(), rankedtriang.SolverOptions{WidthBound: &bound})
+		if err != nil {
+			panic(err)
+		}
 		fmt.Printf("width ≤ %d: %d separators, %d PMCs admitted; ",
 			bound, len(solver.MinimalSeparators()), len(solver.PMCs()))
-		enum := solver.Enumerate()
+		enum := solver.EnumerateContext(ctx)
 		count := 0
 		bestFill := -1.0
 		for count < 5000 {
@@ -49,8 +54,12 @@ func main() {
 
 	fmt.Println()
 	fmt.Println("top 3 width-≤3 triangulations by fill, with their clique trees:")
-	solver := rankedtriang.NewBoundedSolver(g, rankedtriang.FillIn(), 3)
-	enum := solver.Enumerate()
+	bound := 3
+	solver, err := rankedtriang.NewSolver(ctx, g, rankedtriang.FillIn(), rankedtriang.SolverOptions{WidthBound: &bound})
+	if err != nil {
+		panic(err)
+	}
+	enum := solver.EnumerateContext(ctx)
 	for i := 1; i <= 3; i++ {
 		r, ok := enum.Next()
 		if !ok {

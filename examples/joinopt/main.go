@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -56,7 +57,10 @@ func main() {
 		skew[i] = 1 + 9*rng.Float64()
 	}
 
-	solver := rankedtriang.NewSolver(g, rankedtriang.WidthThenFill())
+	solver, err := rankedtriang.NewSolver(context.Background(), g, rankedtriang.WidthThenFill(), rankedtriang.SolverOptions{})
+	if err != nil {
+		panic(err)
+	}
 	enum := solver.EnumerateProperTDs()
 
 	const budget = 25 // candidate decompositions to inspect

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"time"
@@ -25,14 +26,18 @@ func main() {
 	fmt.Printf("constraint graph: %d vertices, %d edges\n", g.NumVertices(), g.NumEdges())
 	fmt.Printf("greedy min-fill heuristic width: %d\n\n", rankedtriang.HeuristicWidth(g))
 
-	solver := rankedtriang.NewSolver(g, rankedtriang.WidthThenFill())
+	ctx := context.Background()
+	solver, err := rankedtriang.NewSolver(ctx, g, rankedtriang.WidthThenFill(), rankedtriang.SolverOptions{})
+	if err != nil {
+		panic(err)
+	}
 	fmt.Printf("init: %v (%d separators, %d PMCs)\n",
 		solver.InitDuration, len(solver.MinimalSeparators()), len(solver.PMCs()))
 
 	// Sequential vs parallel delay over the first results.
 	const probe = 40
 	seqStart := time.Now()
-	seq := solver.Enumerate()
+	seq := solver.EnumerateContext(ctx)
 	for i := 0; i < probe; i++ {
 		if _, ok := seq.Next(); !ok {
 			break
@@ -41,7 +46,7 @@ func main() {
 	seqTime := time.Since(seqStart)
 
 	parStart := time.Now()
-	par := solver.EnumerateParallel(runtime.NumCPU())
+	par := solver.EnumerateParallelContext(ctx, runtime.NumCPU())
 	for i := 0; i < probe; i++ {
 		if _, ok := par.Next(); !ok {
 			break
@@ -64,7 +69,7 @@ func main() {
 		fmt.Println()
 	}
 	fmt.Println("\nfor comparison, the plain top-4 are often near-identical:")
-	for i, r := range solver.TopK(4) {
+	for i, r := range solver.TopK(ctx, 4, 0) {
 		if i == 0 {
 			fmt.Printf("  #1 (optimum)\n")
 			continue

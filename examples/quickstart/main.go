@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	rankedtriang "repro"
@@ -40,10 +41,14 @@ func main() {
 }
 
 func enumerate(g *rankedtriang.Graph, c rankedtriang.Cost) {
-	solver := rankedtriang.NewSolver(g, c)
+	ctx := context.Background()
+	solver, err := rankedtriang.NewSolver(ctx, g, c, rankedtriang.SolverOptions{})
+	if err != nil {
+		panic(err)
+	}
 	fmt.Printf("init: %d minimal separators, %d potential maximal cliques\n",
 		len(solver.MinimalSeparators()), len(solver.PMCs()))
-	enum := solver.Enumerate()
+	enum := solver.EnumerateContext(ctx)
 	for i := 1; ; i++ {
 		r, ok := enum.Next()
 		if !ok {

@@ -2,20 +2,23 @@ package rankedtriang
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"repro/internal/chordal"
+	"repro/internal/csp"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/heur"
+	"repro/internal/triang"
 )
 
 // TestEndToEndFileFlow exercises the full downstream-user path: write a
-// graph to disk in PACE format, read it back through the facade, run the
-// ranked enumeration, and validate every artifact.
+// graph to disk in PACE format, read it back, run the ranked enumeration
+// through the facade, and validate every artifact.
 func TestEndToEndFileFlow(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "instance.gr")
@@ -34,7 +37,7 @@ func TestEndToEndFileFlow(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	g, err := ReadPACE(f)
+	g, err := graph.ReadPACE(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,8 +45,8 @@ func TestEndToEndFileFlow(t *testing.T) {
 		t.Fatalf("read back %v", g)
 	}
 
-	solver := NewSolver(g, WidthThenFill())
-	enum := solver.Enumerate()
+	solver := mustSolver(g, WidthThenFill())
+	enum := solver.EnumerateContext(context.Background())
 	count := 0
 	prev := -1.0
 	for {
@@ -70,16 +73,9 @@ func TestEndToEndFileFlow(t *testing.T) {
 		t.Fatalf("no results")
 	}
 	// The 3x3 grid has treewidth 3: first result must have width 3.
-	first, _ := MinimumTriangulation(g, Width())
+	first, _ := mustSolver(g, Width()).MinTriang(nil)
 	if first.Tree.Width() != 3 {
 		t.Fatalf("3x3 grid treewidth = %d, want 3", first.Tree.Width())
-	}
-}
-
-func TestGraph6Facade(t *testing.T) {
-	gs, err := ReadGraph6(strings.NewReader("Bw\nD??\n"))
-	if err != nil || len(gs) != 2 {
-		t.Fatalf("graph6 facade: %v %d", err, len(gs))
 	}
 }
 
@@ -88,14 +84,14 @@ func TestHeuristicFacade(t *testing.T) {
 	for trial := 0; trial < 15; trial++ {
 		g := gen.ConnectedGNP(rng, 6+rng.Intn(8), 0.35)
 		hw := HeuristicWidth(g)
-		exact, err := MinimumTriangulation(g, Width())
+		exact, err := mustSolver(g, Width()).MinTriang(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if float64(hw) < exact.Cost {
 			t.Fatalf("heuristic width %d beats exact %v", hw, exact.Cost)
 		}
-		h := HeuristicTriangulation(g)
+		h := triang.LBTriang(g, heur.Order(g, heur.MinFill))
 		if !chordal.IsTriangulationOf(h, g) {
 			t.Fatalf("heuristic triangulation invalid")
 		}
@@ -104,7 +100,7 @@ func TestHeuristicFacade(t *testing.T) {
 
 func TestDiverseTopKFacade(t *testing.T) {
 	g := gen.Cycle(6)
-	s := NewSolver(g, FillIn())
+	s := mustSolver(g, FillIn())
 	div := s.DiverseTopK(3, 10)
 	if len(div) != 3 {
 		t.Fatalf("diverse = %d", len(div))
@@ -119,7 +115,7 @@ func TestInferenceFacade(t *testing.T) {
 	}
 	g := NewGraph(2)
 	g.AddEdge(0, 1)
-	r, err := MinimumTriangulation(g, StateSpace([]int{2, 2}))
+	r, err := mustSolver(g, StateSpace([]int{2, 2})).MinTriang(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,11 +136,11 @@ func TestInferenceFacade(t *testing.T) {
 }
 
 func TestCSPFacade(t *testing.T) {
-	p := NewCSP([]int{2, 2, 2})
+	p := csp.NewProblem([]int{2, 2, 2})
 	for _, e := range [][2]int{{0, 1}, {1, 2}} {
 		p.AllowFunc(e[0], e[1], func(a, b int) bool { return a != b })
 	}
-	r, err := MinimumTriangulation(p.ConstraintGraph(), Width())
+	r, err := mustSolver(p.ConstraintGraph(), Width()).MinTriang(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,8 +162,8 @@ func TestCSPFacade(t *testing.T) {
 
 func TestParallelFacade(t *testing.T) {
 	g := gen.Cycle(6)
-	s := NewSolver(g, FillIn())
-	e := s.EnumerateParallel(3)
+	s := mustSolver(g, FillIn())
+	e := s.EnumerateParallelContext(context.Background(), 3)
 	count := 0
 	for {
 		if _, ok := e.Next(); !ok {

@@ -40,11 +40,11 @@ func BenchmarkAtomsDelay(b *testing.B) {
 			noDec bool
 		}{{"decomposed", false}, {"nodecompose", true}} {
 			b.Run(tc.name+"/"+mode.name, func(b *testing.B) {
-				s, err := New(context.Background(), g, tc.c, Options{NoDecompose: mode.noDec})
+				s, err := New(context.Background(), g, tc.c, Options{noDecompose: mode.noDec})
 				if err != nil {
 					b.Fatal(err)
 				}
-				e := s.Enumerate()
+				e := s.EnumerateContext(context.Background())
 				if _, ok := e.Next(); !ok {
 					b.Fatal("empty enumeration")
 				}
@@ -52,7 +52,7 @@ func BenchmarkAtomsDelay(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					if _, ok := e.Next(); !ok {
 						b.StopTimer()
-						e = s.Enumerate()
+						e = s.EnumerateContext(context.Background())
 						if _, ok := e.Next(); !ok {
 							b.Fatal("empty enumeration")
 						}
@@ -78,7 +78,7 @@ func BenchmarkAtomsInit(b *testing.B) {
 	}{{"decomposed", false}, {"nodecompose", true}} {
 		b.Run(mode.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				s, err := New(context.Background(), g, cost.FillIn{}, Options{NoDecompose: mode.noDec})
+				s, err := New(context.Background(), g, cost.FillIn{}, Options{noDecompose: mode.noDec})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -14,10 +14,10 @@ import (
 
 // This file is the oracle suite for the atom decomposition: on a corpus
 // of random G(n,p), trees-plus-chords and disconnected graphs, the
-// decomposed enumeration must be byte-identical to the NoDecompose
+// decomposed enumeration must be byte-identical to the noDecompose
 // whole-graph enumeration — same count, same cost at every rank, and,
 // after the tie-normalization below, the same triangulation (fill set,
-// bags, separators) at every rank. It mirrors the SetFullResolve oracle
+// bags, separators) at every rank. It mirrors the setFullResolve oracle
 // pattern of incremental_test.go.
 //
 // Within a run of equal-cost results the two machines order ties
@@ -30,7 +30,7 @@ const oracleCap = 6000 // outputs per enumeration; corpora stay well below
 
 func drainAll(t *testing.T, s *Solver) []*Result {
 	t.Helper()
-	e := s.Enumerate()
+	e := s.EnumerateContext(context.Background())
 	var out []*Result
 	for {
 		r, ok := e.Next()
@@ -79,7 +79,7 @@ func bagKeys(r *Result) []string {
 	return out
 }
 
-// checkOracle asserts that the decomposed and NoDecompose enumerations of
+// checkOracle asserts that the decomposed and noDecompose enumerations of
 // g under c (and optional width bound) agree, and that every decomposed
 // result is a well-formed clique tree of its triangulation.
 func checkOracle(t *testing.T, g *graph.Graph, c cost.Cost, bound *int) (decomposed bool) {
@@ -89,7 +89,7 @@ func checkOracle(t *testing.T, g *graph.Graph, c cost.Cost, bound *int) (decompo
 	if err != nil {
 		t.Fatal(err)
 	}
-	mono, err := New(ctx, g, c, Options{WidthBound: bound, NoDecompose: true})
+	mono, err := New(ctx, g, c, Options{WidthBound: bound, noDecompose: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,18 +276,18 @@ func TestAtomOracleBounded(t *testing.T) {
 	}
 }
 
-// TestAtomOracleParallelTopK asserts the parallel decomposed TopKContext
-// emits exactly the sequential prefix — tie order included.
+// TestAtomOracleParallelTopK asserts the parallel decomposed TopK emits
+// exactly the sequential prefix — tie order included.
 func TestAtomOracleParallelTopK(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 6; i++ {
 		g := gen.TreePlusChords(rng, 11, 3)
-		s := NewSolver(g, cost.FillIn{})
+		s := mustNew(g, cost.FillIn{})
 		if !s.Decomposed() {
 			continue
 		}
-		seq := s.TopK(40)
-		par := s.TopKContext(context.Background(), 40, 4)
+		seq := s.TopK(context.Background(), 40, 1)
+		par := s.TopK(context.Background(), 40, 4)
 		if len(seq) != len(par) {
 			t.Fatalf("parallel TopK %d results, sequential %d", len(par), len(seq))
 		}
@@ -307,8 +307,8 @@ func TestAtomOracleConstrained(t *testing.T) {
 	checked := 0
 	for i := 0; i < 10; i++ {
 		g := gen.TreePlusChords(rng, 9, 2)
-		dec := NewSolver(g, cost.FillIn{})
-		mono, _ := New(context.Background(), g, cost.FillIn{}, Options{NoDecompose: true})
+		dec := mustNew(g, cost.FillIn{})
+		mono, _ := New(context.Background(), g, cost.FillIn{}, Options{noDecompose: true})
 		if !dec.Decomposed() {
 			continue
 		}

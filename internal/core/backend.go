@@ -207,10 +207,6 @@ func (m *misEnumerator) Next() (*Result, bool) {
 	}
 }
 
-// Remaining is instrumentation-only; the MIS machine has no meaningful
-// queue-depth analogue of the Lawler–Murty partition count.
-func (m *misEnumerator) Remaining() int { return 0 }
-
 // DefaultProbeBudget is the separator budget SelectBackend probes under
 // when the caller passes no budget. The DP's init cost is driven by
 // |MinSep| (the PMC table is built over it), so "more than a couple

@@ -11,7 +11,7 @@ import (
 )
 
 // BenchmarkBackendCrossover measures the quantity SelectBackend trades on:
-// the ranked DP's full initialization (NewSolverContext + Prepare — exactly
+// the ranked DP's full initialization (New + Prepare — exactly
 // what the service runs inside InitTimeout) against the MIS backends'
 // time-to-first-result, which needs no PMC table at all. Two regimes:
 //
@@ -42,7 +42,7 @@ func BenchmarkBackendCrossover(b *testing.B) {
 		g := tc.make()
 		b.Run(tc.name+"/dp-init", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				s, err := NewSolverContext(context.Background(), g, c)
+				s, err := New(context.Background(), g, c, Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -53,7 +53,7 @@ func BenchmarkBackendCrossover(b *testing.B) {
 		})
 		b.Run(tc.name+"/dp-first", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				s, err := NewSolverContext(context.Background(), g, c)
+				s, err := New(context.Background(), g, c, Options{})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -49,7 +49,7 @@ func drainBackend(t *testing.T, b Backend) map[string]float64 {
 func checkBackendsAgree(t *testing.T, g *graph.Graph, label string) {
 	t.Helper()
 	c := cost.FillIn{}
-	s, err := NewSolverContext(context.Background(), g, c)
+	s, err := New(context.Background(), g, c, Options{})
 	if err != nil {
 		t.Fatalf("%s: solver init: %v", label, err)
 	}

@@ -41,12 +41,12 @@ func BenchmarkEnumerateDelay(b *testing.B) {
 				// incremental constraint-aware DP, and a sparse G(n,p)
 				// instance may otherwise route through the atom
 				// decomposition (BenchmarkAtomsDelay covers that).
-				s, err := New(context.Background(), g, tc.c, Options{NoDecompose: true})
+				s, err := New(context.Background(), g, tc.c, Options{noDecompose: true})
 				if err != nil {
 					b.Fatal(err)
 				}
-				s.SetFullResolve(mode == "fullresolve")
-				e := s.Enumerate()
+				s.setFullResolve(mode == "fullresolve")
+				e := s.EnumerateContext(context.Background())
 				if _, ok := e.Next(); !ok {
 					b.Fatal("empty enumeration")
 				}
@@ -54,7 +54,7 @@ func BenchmarkEnumerateDelay(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					if _, ok := e.Next(); !ok {
 						b.StopTimer()
-						e = s.Enumerate()
+						e = s.EnumerateContext(context.Background())
 						if _, ok := e.Next(); !ok {
 							b.Fatal("empty enumeration")
 						}
@@ -80,7 +80,7 @@ func BenchmarkBranchParallel(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			// Monolithic machine for the same reason as BenchmarkEnumerateDelay:
 			// the branch fan-out being measured lives inside one DP instance.
-			s, err := New(context.Background(), g, cost.FillIn{}, Options{NoDecompose: true})
+			s, err := New(context.Background(), g, cost.FillIn{}, Options{noDecompose: true})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -107,7 +107,7 @@ func BenchmarkBranchParallel(b *testing.B) {
 // unit of work of every Lawler–Murty branch.
 func BenchmarkMinTriangConstrained(b *testing.B) {
 	g := delayBenchGraph(16, 0.25, 7)
-	s := NewSolver(g, cost.Width{})
+	s := mustNew(g, cost.Width{})
 	r, err := s.MinTriang(nil)
 	if err != nil {
 		b.Fatal(err)

@@ -10,15 +10,20 @@ import (
 	"repro/internal/gen"
 )
 
+// TestNewSolverContextBackground checks that a background context never
+// fails and that the lazily built solver it yields matches one built
+// eagerly under a live cancellable context.
 func TestNewSolverContextBackground(t *testing.T) {
 	g := gen.PaperExample()
-	s, err := NewSolverContext(context.Background(), g, cost.Width{})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	s, err := New(ctx, g, cost.Width{}, Options{})
 	if err != nil {
-		t.Fatalf("NewSolverContext: %v", err)
+		t.Fatalf("New: %v", err)
 	}
-	ref := NewSolver(g, cost.Width{})
+	ref := mustNew(g, cost.Width{})
 	if len(s.MinimalSeparators()) != len(ref.MinimalSeparators()) || len(s.PMCs()) != len(ref.PMCs()) {
-		t.Fatalf("context solver differs from plain solver: %d/%d seps, %d/%d pmcs",
+		t.Fatalf("context solver differs from background solver: %d/%d seps, %d/%d pmcs",
 			len(s.MinimalSeparators()), len(ref.MinimalSeparators()), len(s.PMCs()), len(ref.PMCs()))
 	}
 }
@@ -27,19 +32,30 @@ func TestNewSolverContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	g := gen.PaperExample()
-	if s, err := NewSolverContext(ctx, g, cost.Width{}); err == nil {
+	if s, err := New(ctx, g, cost.Width{}, Options{}); err == nil {
 		t.Fatalf("want error from cancelled init, got solver %v", s)
 	} else if err != context.Canceled {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
-	if _, err := NewBoundedSolverContext(ctx, g, cost.Width{}, 3); err == nil {
+	bound := 3
+	if _, err := New(ctx, g, cost.Width{}, Options{WidthBound: &bound}); err == nil {
 		t.Fatal("want error from cancelled bounded init")
+	}
+}
+
+// TestNewNegativeWidthBound pins that a negative width bound is an
+// error, not a panic.
+func TestNewNegativeWidthBound(t *testing.T) {
+	neg := -1
+	s, err := New(context.Background(), gen.Cycle(5), cost.Width{}, Options{WidthBound: &neg})
+	if s != nil || err == nil {
+		t.Fatalf("New with WidthBound -1 = (%v, %v), want (nil, error)", s, err)
 	}
 }
 
 func TestEnumerateContextCancelStopsStream(t *testing.T) {
 	g := gen.PaperExample()
-	s := NewSolver(g, cost.Width{})
+	s := mustNew(g, cost.Width{})
 	ctx, cancel := context.WithCancel(context.Background())
 	e := s.EnumerateContext(ctx)
 	if _, ok := e.Next(); !ok {
@@ -53,8 +69,8 @@ func TestEnumerateContextCancelStopsStream(t *testing.T) {
 
 func TestEnumerateContextMatchesPlainEnumeration(t *testing.T) {
 	g := gen.PaperExample()
-	s := NewSolver(g, cost.FillIn{})
-	plain := s.Enumerate()
+	s := mustNew(g, cost.FillIn{})
+	plain := s.EnumerateContext(context.Background())
 	ctxed := s.EnumerateContext(context.Background())
 	for {
 		a, aok := plain.Next()
@@ -71,11 +87,11 @@ func TestEnumerateContextMatchesPlainEnumeration(t *testing.T) {
 	}
 }
 
-// TestTopKContextWorkersDefault is the regression test for the silent-
+// TestTopKWorkersDefault is the regression test for the silent-
 // serial bug: a worker count of zero (or negative) must mean "use
 // GOMAXPROCS", not "run sequentially", and the emitted prefix must be
 // identical to the sequential run for every normalized count.
-func TestTopKContextWorkersDefault(t *testing.T) {
+func TestTopKWorkersDefault(t *testing.T) {
 	if got := effectiveWorkers(0); got != runtime.GOMAXPROCS(0) {
 		t.Fatalf("effectiveWorkers(0) = %d, want GOMAXPROCS = %d", got, runtime.GOMAXPROCS(0))
 	}
@@ -91,9 +107,9 @@ func TestTopKContextWorkersDefault(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(31))
 	g := gen.GNP(rng, 9, 0.4)
-	s := NewSolver(g, cost.FillIn{})
-	seq := s.TopKContext(context.Background(), 25, 1)
-	def := s.TopKContext(context.Background(), 25, 0)
+	s := mustNew(g, cost.FillIn{})
+	seq := s.TopK(context.Background(), 25, 1)
+	def := s.TopK(context.Background(), 25, 0)
 	if len(seq) != len(def) {
 		t.Fatalf("workers=0 emitted %d results, sequential %d", len(def), len(seq))
 	}

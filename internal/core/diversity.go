@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+
 	"repro/internal/graph"
 )
 
@@ -101,7 +103,7 @@ func (s *Solver) DiverseTopK(k, window int) []*Result {
 	if window < k {
 		window = 4 * k
 	}
-	pool := s.TopK(window)
+	pool := s.TopK(context.TODO(), window, 0)
 	idx := DiverseSelect(s.g, pool, k)
 	out := make([]*Result, len(idx))
 	for i, j := range idx {

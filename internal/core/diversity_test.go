@@ -12,7 +12,7 @@ import (
 // finite enumeration truncates to what exists and still selects k.
 func TestDiverseTopKWindowBeyondStream(t *testing.T) {
 	g := gen.Cycle(6) // Catalan(4) = 14 minimal triangulations
-	s := NewSolver(g, cost.FillIn{})
+	s := mustNew(g, cost.FillIn{})
 	div := s.DiverseTopK(5, 100000)
 	if len(div) != 5 {
 		t.Fatalf("selected %d, want 5", len(div))
@@ -37,9 +37,9 @@ func TestDiverseTopKWindowBeyondStream(t *testing.T) {
 // whole enumeration in rank order — there is nothing to choose between.
 func TestDiverseTopKExceedsTotal(t *testing.T) {
 	g := gen.Cycle(5) // 5 minimal triangulations
-	s := NewSolver(g, cost.FillIn{})
+	s := mustNew(g, cost.FillIn{})
 	div := s.DiverseTopK(9, 50)
-	ranked := s.TopK(5)
+	ranked := s.TopK(context.Background(), 5, 0)
 	if len(div) != 5 {
 		t.Fatalf("selected %d, want all 5", len(div))
 	}
@@ -55,8 +55,8 @@ func TestDiverseTopKExceedsTotal(t *testing.T) {
 // bounded stream's end truncates exactly like an unbounded finite stream.
 func TestDiverseTopKWidthBound(t *testing.T) {
 	g := gen.PaperExample()
-	unbounded := NewSolver(g, cost.Width{})
-	all := unbounded.TopK(1 << 20)
+	unbounded := mustNew(g, cost.Width{})
+	all := unbounded.TopK(context.Background(), 1<<20, 0)
 	minWidth := all[0].Tree.Width()
 	inBound := 0
 	for _, r := range all {
@@ -90,7 +90,7 @@ func TestDiverseTopKWidthBound(t *testing.T) {
 // still reports how much of the unreduced space each pick stands for).
 func TestDiverseSelectOrbitMode(t *testing.T) {
 	g := gen.Cycle(6)
-	s := NewSolver(g, cost.FillIn{})
+	s := mustNew(g, cost.FillIn{})
 	var counters OrbitCounters
 	ob := NewOrbitBackend(s, &counters)
 	e := ob.EnumerateContext(context.Background())

@@ -8,7 +8,7 @@ import (
 )
 
 // Enumerator streams the minimal triangulations of a graph. Obtain one
-// from Solver.Enumerate (non-decreasing cost order) or any other
+// from Solver.EnumerateContext (non-decreasing cost order) or any other
 // core.Backend, and call Next until it reports exhaustion. It fronts one
 // of three machines: the Lawler–Murty RankedTriang of Figure 4 on a
 // monolithic solver, the ranked product-stream merge of the per-atom
@@ -25,7 +25,6 @@ type Enumerator struct {
 // machinery into (see backend.go).
 type extMachine interface {
 	Next() (*Result, bool)
-	Remaining() int
 }
 
 // Next returns the next minimal triangulation, or ok=false when the
@@ -42,21 +41,6 @@ func (e *Enumerator) Next() (*Result, bool) {
 		return e.pm.Next()
 	}
 	return e.lm.Next()
-}
-
-// Remaining reports how many partitions (monolithic) or product-frontier
-// combinations (decomposed) are currently queued. Pure instrumentation
-// for tests and debugging — it is deliberately no longer exposed on the
-// service wire, where it was misleading metadata (neither a bound on
-// remaining results nor a measure of buffered work).
-func (e *Enumerator) Remaining() int {
-	if e.ext != nil {
-		return e.ext.Remaining()
-	}
-	if e.pm != nil {
-		return e.pm.Remaining()
-	}
-	return e.lm.Remaining()
 }
 
 // lmEnumerator is the monolithic machine — the RankedTriang algorithm of
@@ -109,40 +93,29 @@ func (q *partitionQueue) Pop() any {
 	return item
 }
 
-// Enumerate starts RankedTriang⟨κ⟩(G) over the solver's precomputed
-// structures. The first result is a minimum-cost minimal triangulation.
-func (s *Solver) Enumerate() *Enumerator {
-	return s.EnumerateParallel(1)
-}
-
-// EnumerateContext is Enumerate bound to a context: once ctx is cancelled,
-// Next stops solving Lawler–Murty branches and reports exhaustion, so an
-// abandoned enumeration (e.g. a disconnected service session) stops
-// burning CPU. Cancellation truncates the enumeration — results already
-// queued are discarded, not drained.
+// EnumerateContext starts RankedTriang⟨κ⟩(G) over the solver's
+// precomputed structures, sequentially. The first result is a
+// minimum-cost minimal triangulation. Once ctx is cancelled, Next stops
+// solving Lawler–Murty branches and reports exhaustion, so an abandoned
+// enumeration (e.g. a disconnected service session) stops burning CPU.
+// Cancellation truncates the enumeration — results already queued are
+// discarded, not drained. A background context makes every check a no-op.
 func (s *Solver) EnumerateContext(ctx context.Context) *Enumerator {
 	return s.EnumerateParallelContext(ctx, 1)
 }
 
-// EnumerateParallel is Enumerate with the Lawler–Murty branch
-// optimizations solved by a pool of workers — the delay-reduction
-// parallelization the paper sketches in Section 7.1 (footnote 3). The
-// emitted sequence is identical to the sequential enumeration: branches
-// are re-ordered deterministically before entering the queue. The solver's
+// EnumerateParallelContext is EnumerateContext with the Lawler–Murty
+// branch optimizations solved by a pool of workers — the delay-reduction
+// parallelization the paper sketches in Section 7.1 (footnote 3). A
+// worker count of 1 means sequential; zero or negative means GOMAXPROCS.
+// The emitted sequence is identical for every worker count: branches are
+// re-ordered deterministically before entering the queue. The solver's
 // static structures are read-only during enumeration, so the cost function
-// must merely be safe for concurrent Eval calls (all built-ins are).
-func (s *Solver) EnumerateParallel(workers int) *Enumerator {
-	return s.EnumerateParallelContext(context.Background(), workers)
-}
-
-// EnumerateParallelContext is EnumerateParallel bound to a context (see
-// EnumerateContext). A background context makes every check a no-op, so
-// existing callers pay nothing. On a decomposed solver the workers apply
-// inside each atom's Lawler–Murty branch solving.
+// must merely be safe for concurrent Eval calls (all built-ins are). On a
+// decomposed solver the workers apply inside each atom's Lawler–Murty
+// branch solving.
 func (s *Solver) EnumerateParallelContext(ctx context.Context, workers int) *Enumerator {
-	if workers < 1 {
-		workers = 1
-	}
+	workers = effectiveWorkers(workers)
 	if s.dec != nil {
 		return &Enumerator{pm: s.newProductEnumerator(ctx, workers)}
 	}
@@ -253,24 +226,11 @@ func (e *lmEnumerator) Next() (*Result, bool) {
 	return p.res, true
 }
 
-// Remaining reports how many partitions are currently queued (mainly for
-// instrumentation).
-func (e *lmEnumerator) Remaining() int { return len(e.queue) }
-
-// TopK returns up to k minimal triangulations of the solver's graph by
-// increasing cost, solving Lawler–Murty branches over GOMAXPROCS workers
-// — the same default TopKContext applies when its worker count is unset,
-// so the two entry points agree (the emitted prefix is identical for
-// every worker count; only the delay changes). Pass workers=1 to
-// TopKContext for a strictly sequential enumeration.
-func (s *Solver) TopK(k int) []*Result {
-	return s.TopKContext(context.Background(), k, 0)
-}
-
-// effectiveWorkers normalizes a requested branch-solver worker count:
-// positive counts are taken as-is (1 = sequential), zero and negative
-// default to GOMAXPROCS. Callers passing "unset" get the parallel
-// speed-up instead of silently running serially.
+// effectiveWorkers normalizes a requested branch-solver worker count —
+// the one rule every entry point applies: positive counts are taken
+// as-is (1 = sequential), zero and negative default to GOMAXPROCS.
+// Callers passing "unset" get the parallel speed-up instead of silently
+// running serially.
 func effectiveWorkers(workers int) int {
 	if workers <= 0 {
 		return runtime.GOMAXPROCS(0)
@@ -278,13 +238,13 @@ func effectiveWorkers(workers int) int {
 	return workers
 }
 
-// TopKContext returns up to k minimal triangulations by increasing cost,
+// TopK returns up to k minimal triangulations by increasing cost,
 // solving Lawler–Murty branches with the given worker count and stopping
 // early — possibly short of k results — once ctx is cancelled. A worker
 // count of 1 means sequential; zero or negative means GOMAXPROCS. The
 // emitted prefix is identical for every worker count.
-func (s *Solver) TopKContext(ctx context.Context, k, workers int) []*Result {
-	e := s.EnumerateParallelContext(ctx, effectiveWorkers(workers))
+func (s *Solver) TopK(ctx context.Context, k, workers int) []*Result {
+	e := s.EnumerateParallelContext(ctx, workers)
 	var out []*Result
 	for len(out) < k {
 		r, ok := e.Next()

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/cost"
@@ -14,8 +16,8 @@ func TestParallelMatchesSequential(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		g := gen.GNP(rng, 3+rng.Intn(6), 0.4)
 		c := cost.FillIn{}
-		seq := NewSolver(g, c).Enumerate()
-		par := NewSolver(g, c).EnumerateParallel(4)
+		seq := mustNew(g, c).EnumerateContext(context.Background())
+		par := mustNew(g, c).EnumerateParallelContext(context.Background(), 4)
 		for step := 0; ; step++ {
 			rs, okS := seq.Next()
 			rp, okP := par.Next()
@@ -35,25 +37,74 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestParallelWorkerClamping(t *testing.T) {
-	s := NewSolver(gen.Cycle(5), cost.Width{})
-	e := s.EnumerateParallel(0) // clamps to 1
-	n := 0
-	for {
-		if _, ok := e.Next(); !ok {
-			break
-		}
-		n++
+// workersOf reports the branch-solver worker count of every Lawler–Murty
+// machine behind e: the single machine of a monolithic enumeration, or
+// each atom's on a decomposed one.
+func workersOf(e *Enumerator) []int {
+	if e.pm == nil {
+		return []int{e.lm.workers}
 	}
-	if n != 5 {
-		t.Fatalf("C5: %d results, want 5", n)
+	var out []int
+	for _, st := range e.pm.streams {
+		out = append(out, st.e.lm.workers)
+	}
+	return out
+}
+
+// TestParallelWorkerClamping pins the one worker-count rule on both
+// enumerator machines: EnumerateParallelContext takes positive counts
+// as-is and maps zero or negative to GOMAXPROCS, exactly like TopK and
+// the service's SolveWorkers, while EnumerateContext stays sequential.
+// The stream is complete for every count.
+func TestParallelWorkerClamping(t *testing.T) {
+	ctx := context.Background()
+	procs := runtime.GOMAXPROCS(0)
+	for _, tc := range []struct {
+		name       string
+		s          *Solver
+		decomposed bool
+		results    int
+	}{
+		{"C5", mustNew(gen.Cycle(5), cost.Width{}), false, 5},
+		{"paper example", mustNew(gen.PaperExample(), cost.Width{}), true, 2},
+	} {
+		if tc.s.Decomposed() != tc.decomposed {
+			t.Fatalf("%s: Decomposed() = %v, want %v", tc.name, tc.s.Decomposed(), tc.decomposed)
+		}
+		for _, w := range []struct {
+			req, want int
+			e         *Enumerator
+		}{
+			{0, procs, tc.s.EnumerateParallelContext(ctx, 0)},
+			{-2, procs, tc.s.EnumerateParallelContext(ctx, -2)},
+			{1, 1, tc.s.EnumerateParallelContext(ctx, 1)},
+			{3, 3, tc.s.EnumerateParallelContext(ctx, 3)},
+			{1, 1, tc.s.EnumerateContext(ctx)},
+		} {
+			got := workersOf(w.e)
+			if len(got) == 0 {
+				t.Fatalf("%s: enumerator has no Lawler–Murty machine", tc.name)
+			}
+			for _, n := range got {
+				if n != w.want {
+					t.Fatalf("%s: workers %d ran %v, want %d", tc.name, w.req, got, w.want)
+				}
+			}
+			n := 0
+			for _, ok := w.e.Next(); ok; _, ok = w.e.Next() {
+				n++
+			}
+			if n != tc.results {
+				t.Fatalf("%s: workers %d emitted %d results, want %d", tc.name, w.req, n, tc.results)
+			}
+		}
 	}
 }
 
 func TestFillDistance(t *testing.T) {
 	g := gen.PaperExample()
-	s := NewSolver(g, cost.FillIn{})
-	results := s.TopK(2)
+	s := mustNew(g, cost.FillIn{})
+	results := s.TopK(context.Background(), 2, 0)
 	if len(results) != 2 {
 		t.Fatalf("need both paper triangulations")
 	}
@@ -71,7 +122,7 @@ func TestFillDistance(t *testing.T) {
 
 func TestDiverseTopK(t *testing.T) {
 	g := gen.Cycle(7)
-	s := NewSolver(g, cost.FillIn{})
+	s := mustNew(g, cost.FillIn{})
 	div := s.DiverseTopK(4, 0)
 	if len(div) != 4 {
 		t.Fatalf("selected %d", len(div))
@@ -94,7 +145,7 @@ func TestDiverseTopK(t *testing.T) {
 	}
 	// Greedy max-min beats taking the ranked prefix: compare the minimum
 	// pairwise distance of the two sets.
-	prefix := s.TopK(4)
+	prefix := s.TopK(context.Background(), 4, 0)
 	if minPairDist(g, div) < minPairDist(g, prefix) {
 		t.Fatalf("diverse selection worse than ranked prefix: %d < %d",
 			minPairDist(g, div), minPairDist(g, prefix))

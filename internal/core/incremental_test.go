@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -86,9 +87,9 @@ func TestIncrementalMatchesFullResolveMinTriang(t *testing.T) {
 		p := 0.2 + 0.3*rng.Float64()
 		g := gen.ConnectedGNP(rng, n, p)
 		for _, c := range costs {
-			inc := NewSolver(g, c)
-			oracle := NewSolver(g, c)
-			oracle.SetFullResolve(true)
+			inc := mustNew(g, c)
+			oracle := mustNew(g, c)
+			oracle.setFullResolve(true)
 			for trial := 0; trial < 25; trial++ {
 				cons := randomConstraints(rng, inc, true)
 				got, gotErr := inc.MinTriang(cons)
@@ -116,9 +117,9 @@ func TestIncrementalMatchesFullResolveBounded(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		g := gen.ConnectedGNP(rng, 10, 0.35)
 		for _, b := range []int{2, 3, 5} {
-			inc := NewBoundedSolver(g, cost.Width{}, b)
-			oracle := NewBoundedSolver(g, cost.Width{}, b)
-			oracle.SetFullResolve(true)
+			inc := mustBounded(g, cost.Width{}, b)
+			oracle := mustBounded(g, cost.Width{}, b)
+			oracle.setFullResolve(true)
 			for trial := 0; trial < 15; trial++ {
 				cons := randomConstraints(rng, inc, false)
 				got, gotErr := inc.MinTriang(cons)
@@ -159,12 +160,12 @@ func TestEnumerationOrderMatchesOracle(t *testing.T) {
 		n := 7 + rng.Intn(4)
 		g := gen.ConnectedGNP(rng, n, 0.2+0.3*rng.Float64())
 		for _, c := range costs {
-			inc := NewSolver(g, c)
-			oracle := NewSolver(g, c)
-			oracle.SetFullResolve(true)
+			inc := mustNew(g, c)
+			oracle := mustNew(g, c)
+			oracle.setFullResolve(true)
 			const max = 300
-			want := collectEnumeration(oracle.Enumerate(), max)
-			got := collectEnumeration(inc.Enumerate(), max)
+			want := collectEnumeration(oracle.EnumerateContext(context.Background()), max)
+			got := collectEnumeration(inc.EnumerateContext(context.Background()), max)
 			if len(got) != len(want) {
 				t.Fatalf("seed %d cost %s: incremental emitted %d results, oracle %d",
 					seed, c.Name(), len(got), len(want))
@@ -175,7 +176,7 @@ func TestEnumerationOrderMatchesOracle(t *testing.T) {
 						seed, c.Name(), i, got[i], want[i])
 				}
 			}
-			par := collectEnumeration(inc.EnumerateParallel(4), max)
+			par := collectEnumeration(inc.EnumerateParallelContext(context.Background(), 4), max)
 			if len(par) != len(want) {
 				t.Fatalf("seed %d cost %s: parallel emitted %d results, oracle %d",
 					seed, c.Name(), len(par), len(want))
@@ -196,11 +197,11 @@ func TestEnumerationOrderMatchesOracle(t *testing.T) {
 func TestReuseStatsCount(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g := gen.ConnectedGNP(rng, 12, 0.3)
-	s := NewSolver(g, cost.Width{})
+	s := mustNew(g, cost.Width{})
 	if st := s.ReuseStats(); st.ConstrainedSolves != 0 {
 		t.Fatalf("fresh solver reports %d constrained solves", st.ConstrainedSolves)
 	}
-	e := s.Enumerate()
+	e := s.EnumerateContext(context.Background())
 	for i := 0; i < 10; i++ {
 		if _, ok := e.Next(); !ok {
 			break
@@ -228,13 +229,13 @@ func TestLeanSepCovMatchesOracle(t *testing.T) {
 	for seed := int64(0); seed < 3; seed++ {
 		rng := rand.New(rand.NewSource(200 + seed))
 		g := gen.ConnectedGNP(rng, 9+rng.Intn(3), 0.25+0.2*rng.Float64())
-		lean := NewSolver(g, cost.FillIn{})
+		lean := mustNew(g, cost.FillIn{})
 		lean.covBudget.Store(0)
-		oracle := NewSolver(g, cost.FillIn{})
-		oracle.SetFullResolve(true)
+		oracle := mustNew(g, cost.FillIn{})
+		oracle.setFullResolve(true)
 		const max = 200
-		want := collectEnumeration(oracle.Enumerate(), max)
-		got := collectEnumeration(lean.Enumerate(), max)
+		want := collectEnumeration(oracle.EnumerateContext(context.Background()), max)
+		got := collectEnumeration(lean.EnumerateContext(context.Background()), max)
 		if len(got) != len(want) {
 			t.Fatalf("seed %d: lean emitted %d results, oracle %d", seed, len(got), len(want))
 		}

@@ -223,8 +223,6 @@ func (f *orbitFilter) Next() (*Result, bool) {
 	}
 }
 
-func (f *orbitFilter) Remaining() int { return f.inner.Remaining() }
-
 // stampOrbit returns a shallow copy of r with OrbitSize set. The copy
 // matters: results may be shared through the serving tier's stream cache,
 // and the same solver-produced Result must not be mutated under a reader.

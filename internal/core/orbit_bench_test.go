@@ -66,7 +66,7 @@ func BenchmarkOrbitStream(b *testing.B) {
 			mode := mode
 			fam := fam
 			b.Run(fmt.Sprintf("family=%s/mode=%s", fam.name, mode), func(b *testing.B) {
-				s, err := New(context.Background(), fam.g, cost.FillIn{}, Options{NoDecompose: true})
+				s, err := New(context.Background(), fam.g, cost.FillIn{}, Options{noDecompose: true})
 				if err != nil {
 					b.Fatal(err)
 				}

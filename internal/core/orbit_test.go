@@ -39,11 +39,11 @@ func drainResults(t *testing.T, e *Enumerator) []*Result {
 func checkOrbitInvariant(t *testing.T, g *graph.Graph, label string) {
 	t.Helper()
 	c := cost.FillIn{}
-	s, err := New(context.Background(), g, c, Options{NoDecompose: true})
+	s, err := New(context.Background(), g, c, Options{noDecompose: true})
 	if err != nil {
 		t.Fatalf("%s: solver init: %v", label, err)
 	}
-	full := drainResults(t, s.Enumerate())
+	full := drainResults(t, s.EnumerateContext(context.Background()))
 
 	// Expected orbit structure, computed independently of the filter's
 	// dedup bookkeeping: group the unreduced stream by orbit key.
@@ -185,7 +185,7 @@ func TestOrbitComposesAtomsAndBackends(t *testing.T) {
 				g := gen.GNP(rng, n, p)
 				label := fmt.Sprintf("gnp n=%d p=%v trial=%d", n, p, trial)
 
-				mono, err := New(context.Background(), g, c, Options{NoDecompose: true})
+				mono, err := New(context.Background(), g, c, Options{noDecompose: true})
 				if err != nil {
 					t.Fatalf("%s: monolithic init: %v", label, err)
 				}
@@ -229,11 +229,11 @@ func TestOrbitComposesAtomsAndBackends(t *testing.T) {
 func TestOrbitPrunerSkipsBranches(t *testing.T) {
 	g := gen.Grid(3, 3) // |Aut| = 8
 	c := cost.FillIn{}
-	s, err := New(context.Background(), g, c, Options{NoDecompose: true})
+	s, err := New(context.Background(), g, c, Options{noDecompose: true})
 	if err != nil {
 		t.Fatalf("solver init: %v", err)
 	}
-	full := drainResults(t, s.Enumerate())
+	full := drainResults(t, s.EnumerateContext(context.Background()))
 
 	counters := &OrbitCounters{}
 	ob := NewOrbitBackend(s, counters)
@@ -275,11 +275,11 @@ func TestOrbitPrunerSkipsBranches(t *testing.T) {
 func TestOrbitInexactGroupDegradesToPassthrough(t *testing.T) {
 	g := gen.Cycle(9)
 	c := cost.FillIn{}
-	s, err := New(context.Background(), g, c, Options{NoDecompose: true})
+	s, err := New(context.Background(), g, c, Options{noDecompose: true})
 	if err != nil {
 		t.Fatalf("solver init: %v", err)
 	}
-	full := drainResults(t, s.Enumerate())
+	full := drainResults(t, s.EnumerateContext(context.Background()))
 
 	counters := &OrbitCounters{}
 	ob := &orbitBackend{inner: s, counters: counters}

@@ -244,7 +244,3 @@ func (pe *productEnumerator) Next() (*Result, bool) {
 	}
 	return pe.s.combineResults(parts), true
 }
-
-// Remaining reports the queued frontier size (instrumentation, mirroring
-// the Lawler–Murty queue).
-func (pe *productEnumerator) Remaining() int { return len(pe.queue) }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+
 	"repro/internal/chordal"
 	"repro/internal/td"
 )
@@ -20,7 +22,7 @@ type TDEnumerator struct {
 // EnumerateProperTDs starts the ranked enumeration of the proper tree
 // decompositions of the solver's graph.
 func (s *Solver) EnumerateProperTDs() *TDEnumerator {
-	return &TDEnumerator{inner: s.Enumerate()}
+	return &TDEnumerator{inner: s.EnumerateContext(context.TODO())}
 }
 
 // Next returns the next proper tree decomposition together with the

@@ -16,7 +16,7 @@ func TestProperTDsPaperExample(t *testing.T) {
 	// has exactly 1 — so the paper example has 10 proper tree
 	// decompositions, the width-2 family first.
 	g := gen.PaperExample()
-	s := NewSolver(g, cost.Width{})
+	s := mustNew(g, cost.Width{})
 	e := s.EnumerateProperTDs()
 	var widths []int
 	var tds []*td.Decomposition
@@ -99,7 +99,7 @@ func TestProperTDsAreProper(t *testing.T) {
 	rng := rand.New(rand.NewSource(2121))
 	for trial := 0; trial < 25; trial++ {
 		g := gen.GNP(rng, 3+rng.Intn(4), 0.4)
-		s := NewSolver(g, cost.FillIn{})
+		s := mustNew(g, cost.FillIn{})
 		e := s.EnumerateProperTDs()
 		count := 0
 		lastCost := -1.0
@@ -131,7 +131,7 @@ func TestProperTDsAreProper(t *testing.T) {
 }
 
 func TestProperTDSingleClique(t *testing.T) {
-	s := NewSolver(gen.Complete(4), cost.Width{})
+	s := mustNew(gen.Complete(4), cost.Width{})
 	e := s.EnumerateProperTDs()
 	d, _, ok := e.Next()
 	if !ok || d.NumNodes() != 1 {

@@ -8,6 +8,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"sort"
@@ -101,7 +102,7 @@ type Solver struct {
 	extraMu   sync.Mutex
 	extras    map[string]*extraCov
 
-	fullResolve bool      // solve every block from scratch (oracle/ablation)
+	fullResolve bool      // solve every block from scratch (test oracle)
 	scratch     sync.Pool // *solveScratch, reused across constrained solves
 
 	// Decomposed mode (see DESIGN.md, "Atom decomposition"). When the
@@ -124,10 +125,11 @@ type Solver struct {
 	// InitDuration records the time spent computing separators, PMCs and
 	// the block structure — the "init" column of the paper's Table 2.
 	// Written once during construction and immutable afterwards. For a
-	// decomposed solver built with a cancellable context (or Prepare'd)
-	// it includes the per-atom sub-solver builds; for a lazily built one
+	// decomposed solver built with a cancellable context it includes the
+	// per-atom sub-solver builds; for one built with a background context
 	// it covers only the decomposition, with the deferred build times
-	// reported per atom by AtomInfos.
+	// (paid by the first query or by Prepare) reported per atom by
+	// AtomInfos.
 	InitDuration time.Duration
 }
 
@@ -135,67 +137,43 @@ type Solver struct {
 // the width bound and constraints.
 var ErrNoTriangulation = errors.New("core: no admissible minimal triangulation")
 
-// NewSolver initializes the unbounded solver: it computes MinSep(G),
+// Options configures solver construction beyond the cost function. The
+// zero value is the unbounded solver.
+type Options struct {
+	// WidthBound restricts the solver to triangulations of width at most
+	// *WidthBound — MinTriangB⟨b, κ⟩: only minimal separators of size ≤ b
+	// and potential maximal cliques of size ≤ b+1 participate, so every
+	// produced triangulation has width ≤ b (Theorem 5.6). nil means
+	// unbounded; a negative bound is an error.
+	WidthBound *int
+
+	// noDecompose forces the monolithic whole-graph solver even when the
+	// graph factors into clique-separator atoms. Only the per-atom
+	// sub-solver build and the oracle tests pinning the decomposed
+	// enumeration to the monolithic one set it.
+	noDecompose bool
+}
+
+// New initializes the solver for g under cost c: it computes MinSep(G),
 // PMC(G) and the full-block structure (lines 1–2 of Figure 3). The cost
 // must be a split-monotone bag cost; costs implementing cost.Combinable
 // use the fast combining path.
-func NewSolver(g *graph.Graph, c cost.Cost) *Solver {
-	s, _ := NewSolverContext(context.Background(), g, c)
-	return s
-}
-
-// NewSolverContext is NewSolver with cancellation: initialization aborts
-// with ctx.Err() when ctx is cancelled or times out during the separator,
-// PMC or block computation. The error path returns a nil solver; a
-// background context never fails. Services use this so a disconnected
-// client stops burning initialization CPU.
-func NewSolverContext(ctx context.Context, g *graph.Graph, c cost.Cost) (*Solver, error) {
-	return newSolver(ctx, g, c, -1, false)
-}
-
-// NewBoundedSolverContext is NewBoundedSolver with cancellation (see
-// NewSolverContext).
-func NewBoundedSolverContext(ctx context.Context, g *graph.Graph, c cost.Cost, b int) (*Solver, error) {
-	if b < 0 {
-		panic("core: negative width bound")
-	}
-	return newSolver(ctx, g, c, b, false)
-}
-
-// Options configures solver construction beyond the cost function.
-type Options struct {
-	// WidthBound restricts the solver to triangulations of width at most
-	// *WidthBound (see NewBoundedSolver); nil means unbounded.
-	WidthBound *int
-	// NoDecompose forces the monolithic whole-graph solver even when the
-	// graph factors into clique-separator atoms. This is the ablation and
-	// oracle knob for the atom decomposition: the enumeration output is
-	// identical either way up to cost ties (property-tested), only the
-	// delay and initialization cost differ.
-	NoDecompose bool
-}
-
-// New is the fully configurable constructor behind NewSolver and friends.
+//
+// Initialization aborts with ctx.Err() when ctx is cancelled or times out
+// during the separator, PMC or block computation, returning a nil solver;
+// a background context never fails. When the graph splits on clique
+// minimal separators and the cost declares an atom-wise merge rule, the
+// solver routes through the atom decomposition; a cancellable ctx builds
+// the per-atom sub-solvers eagerly under it, a background one lazily on
+// the first query (see Prepare).
 func New(ctx context.Context, g *graph.Graph, c cost.Cost, opts Options) (*Solver, error) {
 	bound := -1
 	if opts.WidthBound != nil {
 		if *opts.WidthBound < 0 {
-			panic("core: negative width bound")
+			return nil, fmt.Errorf("core: negative width bound %d", *opts.WidthBound)
 		}
 		bound = *opts.WidthBound
 	}
-	return newSolver(ctx, g, c, bound, opts.NoDecompose)
-}
-
-// NewBoundedSolver initializes MinTriangB⟨b, κ⟩: only minimal separators
-// of size ≤ b and potential maximal cliques of size ≤ b+1 participate, so
-// every produced triangulation has width ≤ b (Theorem 5.6).
-func NewBoundedSolver(g *graph.Graph, c cost.Cost, b int) *Solver {
-	s, _ := NewBoundedSolverContext(context.Background(), g, c, b)
-	return s
-}
-
-func newSolver(ctx context.Context, g *graph.Graph, c cost.Cost, bound int, noDecompose bool) (*Solver, error) {
 	start := time.Now()
 	s := &Solver{g: g, c: c, bound: bound}
 	if comb, ok := c.(cost.Combinable); ok {
@@ -207,7 +185,7 @@ func newSolver(ctx context.Context, g *graph.Graph, c cost.Cost, bound int, noDe
 	// this function is the monolithic path, which sub-solvers also take
 	// (their atoms have no clique separators, so re-decomposing them
 	// would only waste an MCS-M pass).
-	if !noDecompose && g.NumVertices() > 0 {
+	if !opts.noDecompose && g.NumVertices() > 0 {
 		if m, ok := c.(cost.Mergeable); ok && m.MergeKind() != cost.NoMerge {
 			if err := ctx.Err(); err != nil {
 				return nil, err
@@ -215,12 +193,11 @@ func newSolver(ctx context.Context, g *graph.Graph, c cost.Cost, bound int, noDe
 			if dec := atoms.Decompose(g); len(dec.Atoms) > 1 {
 				s.dec = dec
 				s.mergeKind = m.MergeKind()
-				// A cancellable context is a caller that wants the
-				// NewSolverContext abort contract: build the sub-solvers
-				// now, under that context, so no exponential work escapes
-				// it later through a context-free query. A background
-				// context (plain NewSolver) keeps the build lazy — the
-				// first query pays it, in parallel.
+				// A cancellable context is a caller that wants the abort
+				// contract: build the sub-solvers now, under that context,
+				// so no exponential work escapes it later through a
+				// context-free query. A background context keeps the
+				// build lazy — the first query pays it, in parallel.
 				if ctx.Done() != nil {
 					if err := s.ensureSubs(ctx); err != nil {
 						return nil, err
@@ -452,6 +429,11 @@ func (s *Solver) ensureSubs(ctx context.Context) error {
 	if workers > n {
 		workers = n
 	}
+	// Atoms have no clique separators, so sub-solvers skip decomposition.
+	opts := Options{noDecompose: true}
+	if s.bound >= 0 {
+		opts.WidthBound = &s.bound
+	}
 	var wg sync.WaitGroup
 	work := make(chan int)
 	for w := 0; w < workers; w++ {
@@ -464,12 +446,12 @@ func (s *Solver) ensureSubs(ctx context.Context) error {
 					continue
 				}
 				sg := s.g.InducedSubgraph(s.dec.Atoms[i].Vertices)
-				sub, err := newSolver(ctx, sg, s.c, s.bound, true)
+				sub, err := New(ctx, sg, s.c, opts)
 				if err != nil {
 					errs[i] = err
 					continue
 				}
-				sub.SetFullResolve(s.fullResolve)
+				sub.setFullResolve(s.fullResolve)
 				subs[i] = sub
 			}
 		}()
@@ -574,15 +556,15 @@ func (s *Solver) NumFullBlocks() int {
 	return total
 }
 
-// SetFullResolve disables (true) or re-enables (false) incremental reuse:
+// setFullResolve disables (true) or re-enables (false) incremental reuse:
 // with full resolve on, every constrained call re-runs the whole DP from
-// scratch. This is the oracle the incremental path is property-tested
-// against and the ablation knob for benchmarks; production callers leave
-// it off. Not safe to flip while enumerations are in flight.
-func (s *Solver) SetFullResolve(on bool) {
+// scratch. It is the test hook the incremental path is property-tested
+// against and the ablation for benchmarks. Not safe to flip while
+// enumerations are in flight.
+func (s *Solver) setFullResolve(on bool) {
 	s.fullResolve = on
 	for _, sub := range s.subSolvers() {
-		sub.SetFullResolve(on)
+		sub.setFullResolve(on)
 	}
 }
 

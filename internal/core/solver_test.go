@@ -31,6 +31,26 @@ func oracleBest(g *graph.Graph, c cost.Cost) float64 {
 	return best
 }
 
+// mustNew builds an unbounded solver over a background context, which
+// cannot fail.
+func mustNew(g *graph.Graph, c cost.Cost) *Solver {
+	s, err := New(context.Background(), g, c, Options{})
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
+// mustBounded builds a solver of width bound b ≥ 0 over a background
+// context, which cannot fail.
+func mustBounded(g *graph.Graph, c cost.Cost, b int) *Solver {
+	s, err := New(context.Background(), g, c, Options{WidthBound: &b})
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
 func checkResult(t *testing.T, g *graph.Graph, r *Result) {
 	t.Helper()
 	if !chordal.IsTriangulationOf(r.H, g) {
@@ -68,7 +88,7 @@ func TestMinTriangPaperExample(t *testing.T) {
 	g := gen.PaperExample()
 	// Width: H2 (saturate {u,v}) has cliques of size 3 → width 2.
 	// H1 (saturate {w1,w2,w3}) has width 3. Optimal width = 2.
-	s := NewSolver(g, cost.Width{})
+	s := mustNew(g, cost.Width{})
 	r, err := s.MinTriang(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +98,7 @@ func TestMinTriangPaperExample(t *testing.T) {
 		t.Fatalf("optimal width = %v, want 2", r.Cost)
 	}
 	// Fill: H2 adds 1 edge, H1 adds 3. Optimal fill = 1.
-	s = NewSolver(g, cost.FillIn{})
+	s = mustNew(g, cost.FillIn{})
 	r, err = s.MinTriang(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -94,12 +114,12 @@ func TestMinTriangPaperExample(t *testing.T) {
 
 func TestMinTriangTrivialGraphs(t *testing.T) {
 	// Empty graph.
-	s := NewSolver(graph.New(0), cost.Width{})
+	s := mustNew(graph.New(0), cost.Width{})
 	if _, err := s.MinTriang(nil); err != nil {
 		t.Fatalf("empty graph: %v", err)
 	}
 	// Single vertex.
-	s = NewSolver(graph.New(1), cost.Width{})
+	s = mustNew(graph.New(1), cost.Width{})
 	r, err := s.MinTriang(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -108,7 +128,7 @@ func TestMinTriangTrivialGraphs(t *testing.T) {
 		t.Fatalf("single vertex width = %v", r.Cost)
 	}
 	// Complete graph: itself, width n-1, fill 0.
-	s = NewSolver(gen.Complete(5), cost.FillIn{})
+	s = mustNew(gen.Complete(5), cost.FillIn{})
 	r, err = s.MinTriang(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -117,7 +137,7 @@ func TestMinTriangTrivialGraphs(t *testing.T) {
 		t.Fatalf("K5: cost=%v bags=%d", r.Cost, len(r.Bags))
 	}
 	// Already-chordal graph: zero fill.
-	s = NewSolver(gen.Path(6), cost.FillIn{})
+	s = mustNew(gen.Path(6), cost.FillIn{})
 	r, err = s.MinTriang(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -137,7 +157,7 @@ func TestMinTriangDisconnected(t *testing.T) {
 	g.AddEdge(5, 6)
 	g.AddEdge(6, 3) // C4 in the other component
 	for _, c := range []cost.Cost{cost.Width{}, cost.FillIn{}} {
-		s := NewSolver(g, c)
+		s := mustNew(g, c)
 		r, err := s.MinTriang(nil)
 		if err != nil {
 			t.Fatalf("%s: %v", c.Name(), err)
@@ -161,7 +181,7 @@ func TestMinTriangMatchesOracleRandom(t *testing.T) {
 		n := 2 + rng.Intn(6)
 		g := gen.GNP(rng, n, 0.2+rng.Float64()*0.6)
 		for _, c := range costs {
-			s := NewSolver(g, c)
+			s := mustNew(g, c)
 			r, err := s.MinTriang(nil)
 			if err != nil {
 				t.Fatalf("trial %d %s: %v (edges=%v)", trial, c.Name(), err, g.Edges())
@@ -192,8 +212,8 @@ func TestGenericPathMatchesCombinable(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		g := gen.GNP(rng, 2+rng.Intn(6), 0.4)
 		for _, base := range []cost.Cost{cost.Width{}, cost.FillIn{}} {
-			fast, err1 := NewSolver(g, base).MinTriang(nil)
-			slow, err2 := NewSolver(g, genericOnly{base}).MinTriang(nil)
+			fast, err1 := mustNew(g, base).MinTriang(nil)
+			slow, err2 := mustNew(g, genericOnly{base}).MinTriang(nil)
 			if (err1 == nil) != (err2 == nil) {
 				t.Fatalf("path disagreement on feasibility")
 			}
@@ -209,7 +229,7 @@ func TestGenericPathMatchesCombinable(t *testing.T) {
 
 func TestMinTriangWithConstraints(t *testing.T) {
 	g := gen.PaperExample()
-	s := NewSolver(g, cost.Width{})
+	s := mustNew(g, cost.Width{})
 	s1 := vset.Of(6, 3, 4, 5) // S1 = {w1,w2,w3}
 	s2 := vset.Of(6, 0, 1)    // S2 = {u,v}
 
@@ -259,7 +279,7 @@ func TestConstraintsMatchOracle(t *testing.T) {
 		} else {
 			cons = &cost.Constraints{Exclude: []vset.Set{sep}}
 		}
-		s := NewSolver(g, cost.FillIn{})
+		s := mustNew(g, cost.FillIn{})
 		r, err := s.MinTriang(cons)
 
 		best := math.Inf(1)
@@ -297,7 +317,7 @@ func TestBoundedWidthSolver(t *testing.T) {
 		n := 3 + rng.Intn(5)
 		g := gen.GNP(rng, n, 0.3+rng.Float64()*0.4)
 		for b := 1; b < n; b++ {
-			s := NewBoundedSolver(g, cost.FillIn{}, b)
+			s := mustBounded(g, cost.FillIn{}, b)
 			r, err := s.MinTriang(nil)
 
 			best := math.Inf(1)
@@ -334,7 +354,7 @@ func TestSolverAccessors(t *testing.T) {
 	// The paper example has a cut vertex (v), so the default solver routes
 	// through the atom decomposition; its separator and PMC aggregates
 	// must still be exactly MinSep(G) and PMC(G).
-	s := NewSolver(g, cost.Width{})
+	s := mustNew(g, cost.Width{})
 	if !s.Decomposed() {
 		t.Fatalf("paper example should decompose (v is a cut vertex)")
 	}
@@ -368,12 +388,12 @@ func TestSolverAccessors(t *testing.T) {
 		t.Fatalf("AtomInfos blocks sum %d != NumFullBlocks %d", sum, s.NumFullBlocks())
 	}
 
-	mono, err := New(context.Background(), g, cost.Width{}, Options{NoDecompose: true})
+	mono, err := New(context.Background(), g, cost.Width{}, Options{noDecompose: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if mono.Decomposed() {
-		t.Fatalf("NoDecompose solver still decomposed")
+		t.Fatalf("noDecompose solver still decomposed")
 	}
 	if len(mono.MinimalSeparators()) != 3 {
 		t.Fatalf("mono seps = %d", len(mono.MinimalSeparators()))
@@ -388,7 +408,7 @@ func TestSolverAccessors(t *testing.T) {
 
 func enumerateAll(t *testing.T, s *Solver, limit int) []*Result {
 	t.Helper()
-	e := s.Enumerate()
+	e := s.EnumerateContext(context.Background())
 	var out []*Result
 	for {
 		r, ok := e.Next()
@@ -405,7 +425,7 @@ func enumerateAll(t *testing.T, s *Solver, limit int) []*Result {
 func TestEnumeratePaperExample(t *testing.T) {
 	// The paper example has exactly two minimal triangulations: H1, H2.
 	g := gen.PaperExample()
-	s := NewSolver(g, cost.Width{})
+	s := mustNew(g, cost.Width{})
 	results := enumerateAll(t, s, 10)
 	if len(results) != 2 {
 		t.Fatalf("enumerated %d triangulations, want 2", len(results))
@@ -426,7 +446,7 @@ func TestEnumerateCompleteAndOrderedRandom(t *testing.T) {
 		g := gen.GNP(rng, n, 0.2+rng.Float64()*0.6)
 		want := bruteforce.AllMinimalTriangulations(g)
 		c := costs[trial%len(costs)]
-		s := NewSolver(g, c)
+		s := mustNew(g, c)
 		results := enumerateAll(t, s, len(want)+5)
 		if len(results) != len(want) {
 			t.Fatalf("trial %d (%s, n=%d): enumerated %d, oracle %d (edges=%v)",
@@ -466,7 +486,7 @@ func TestEnumerateBoundedWidth(t *testing.T) {
 		n := 3 + rng.Intn(5)
 		g := gen.GNP(rng, n, 0.3+rng.Float64()*0.4)
 		b := 1 + rng.Intn(n-1)
-		s := NewBoundedSolver(g, cost.FillIn{}, b)
+		s := mustBounded(g, cost.FillIn{}, b)
 		results := enumerateAll(t, s, 1000)
 
 		var want []string
@@ -497,8 +517,8 @@ func TestEnumerateBoundedWidth(t *testing.T) {
 
 func TestTopK(t *testing.T) {
 	g := gen.Cycle(6)
-	s := NewSolver(g, cost.FillIn{})
-	top := s.TopK(3)
+	s := mustNew(g, cost.FillIn{})
+	top := s.TopK(context.Background(), 3, 0)
 	if len(top) != 3 {
 		t.Fatalf("TopK returned %d", len(top))
 	}
@@ -514,23 +534,9 @@ func TestTopK(t *testing.T) {
 		}
 	}
 	// Huge k just exhausts.
-	if n := len(s.TopK(100000)); n != 14 {
+	if n := len(s.TopK(context.Background(), 100000, 0)); n != 14 {
 		// C6 has Catalan(4) = 14 minimal triangulations.
 		t.Fatalf("C6 has %d minimal triangulations, want 14", n)
-	}
-}
-
-func TestEnumeratorRemaining(t *testing.T) {
-	s := NewSolver(gen.Cycle(5), cost.Width{})
-	e := s.Enumerate()
-	if e.Remaining() != 1 {
-		t.Fatalf("fresh enumerator should hold exactly the root partition")
-	}
-	if _, ok := e.Next(); !ok {
-		t.Fatalf("C5 has triangulations")
-	}
-	if e.Remaining() == 0 {
-		t.Fatalf("C5 has more than one minimal triangulation")
 	}
 }
 
@@ -549,7 +555,7 @@ func TestEnumerateEmitsAllCostsOracle(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		g := gen.GNP(rng, 3+rng.Intn(4), 0.4)
 		c := cost.FillIn{}
-		s := NewSolver(g, c)
+		s := mustNew(g, c)
 		results := enumerateAll(t, s, 4000)
 		var want []float64
 		for _, h := range bruteforce.AllMinimalTriangulations(g) {

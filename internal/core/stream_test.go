@@ -15,7 +15,7 @@ import (
 // the oracle sequence the shared stream must reproduce.
 func drainEnumerator(s *Solver) []*Result {
 	var out []*Result
-	e := s.Enumerate()
+	e := s.EnumerateContext(context.Background())
 	for {
 		r, ok := e.Next()
 		if !ok {
@@ -23,6 +23,12 @@ func drainEnumerator(s *Solver) []*Result {
 		}
 		out = append(out, r)
 	}
+}
+
+// enumerateFn is the factory a shared stream over s (re)builds its
+// sequential enumeration from.
+func enumerateFn(s *Solver) func() *Enumerator {
+	return func() *Enumerator { return s.EnumerateContext(context.Background()) }
 }
 
 // resultSig is a comparable rendering of one result (cost + sorted bags),
@@ -33,7 +39,7 @@ func resultSig(r *Result) string {
 
 func newStreamSolver(t testing.TB) (*Solver, []*Result) {
 	t.Helper()
-	s := NewSolver(gen.Cycle(7), cost.FillIn{})
+	s := mustNew(gen.Cycle(7), cost.FillIn{})
 	oracle := drainEnumerator(s)
 	if len(oracle) != 42 { // Catalan(5) = 42 polygon triangulations
 		t.Fatalf("C7 oracle: want 42 results, got %d", len(oracle))
@@ -45,7 +51,7 @@ func newStreamSolver(t testing.TB) (*Solver, []*Result) {
 // expects the exact private-enumerator sequence.
 func TestSharedStreamMatchesEnumerator(t *testing.T) {
 	s, oracle := newStreamSolver(t)
-	st := NewSharedStream(s.Enumerate)
+	st := NewSharedStream(enumerateFn(s))
 	ctx := context.Background()
 	for i := 0; ; i++ {
 		r, ok, err := st.At(ctx, i)
@@ -82,7 +88,7 @@ func TestSharedStreamMatchesEnumerator(t *testing.T) {
 // per-rank singleflight must never tear or reorder the buffer.
 func TestSharedStreamConcurrentCursors(t *testing.T) {
 	s, oracle := newStreamSolver(t)
-	st := NewSharedStream(s.Enumerate)
+	st := NewSharedStream(enumerateFn(s))
 	const cursors = 16
 	var wg sync.WaitGroup
 	errs := make(chan error, cursors)
@@ -123,7 +129,7 @@ func TestSharedStreamConcurrentCursors(t *testing.T) {
 // on.
 func TestSharedStreamResetReplaysDeterministically(t *testing.T) {
 	s, oracle := newStreamSolver(t)
-	st := NewSharedStream(s.Enumerate)
+	st := NewSharedStream(enumerateFn(s))
 	ctx := context.Background()
 	for i := 0; i < 10; i++ {
 		if _, ok, err := st.At(ctx, i); !ok || err != nil {
@@ -170,7 +176,7 @@ func TestSharedStreamResetReplaysDeterministically(t *testing.T) {
 // results rather than splicing them at the wrong index).
 func TestSharedStreamResetUnderConcurrency(t *testing.T) {
 	s, oracle := newStreamSolver(t)
-	st := NewSharedStream(s.Enumerate)
+	st := NewSharedStream(enumerateFn(s))
 	const cursors = 8
 	var wg sync.WaitGroup
 	errs := make(chan error, cursors)
@@ -220,7 +226,7 @@ func TestSharedStreamResetUnderConcurrency(t *testing.T) {
 // deterministic rebuild, and byte accounting follows the window.
 func TestSharedStreamTrimOverWindow(t *testing.T) {
 	s, oracle := newStreamSolver(t)
-	st := NewSharedStream(s.Enumerate)
+	st := NewSharedStream(enumerateFn(s))
 	ctx := context.Background()
 	for i := 0; i < 20; i++ {
 		if _, ok, err := st.At(ctx, i); !ok || err != nil {
@@ -261,7 +267,7 @@ func TestSharedStreamTrimOverWindow(t *testing.T) {
 // context error without corrupting the stream for others.
 func TestSharedStreamContextCancellation(t *testing.T) {
 	s, oracle := newStreamSolver(t)
-	st := NewSharedStream(s.Enumerate)
+	st := NewSharedStream(enumerateFn(s))
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, _, err := st.At(cancelled, 0); err == nil {
@@ -304,7 +310,7 @@ func settled(st *SharedStream) int {
 // stops there; the prefetched sequence is byte-identical to the oracle.
 func TestSharedStreamPrefetchRunsAhead(t *testing.T) {
 	s, oracle := newStreamSolver(t)
-	st := NewSharedStream(s.Enumerate)
+	st := NewSharedStream(enumerateFn(s))
 	const ahead = 10
 	st.ConfigurePrefetch(ahead, 0)
 	ctx := context.Background()
@@ -351,7 +357,7 @@ func TestSharedStreamPrefetchRunsAhead(t *testing.T) {
 // at most one in-flight solve), resuming finishes the job.
 func TestSharedStreamPrefetchPauseResume(t *testing.T) {
 	s, oracle := newStreamSolver(t)
-	st := NewSharedStream(s.Enumerate)
+	st := NewSharedStream(enumerateFn(s))
 	st.ConfigurePrefetch(len(oracle)+10, 0) // budget beyond the stream end
 	ctx := context.Background()
 	if _, ok, err := st.At(ctx, 0); !ok || err != nil {
@@ -384,7 +390,7 @@ func TestSharedStreamPrefetchPauseResume(t *testing.T) {
 // for good, while demand-driven At keeps working.
 func TestSharedStreamPrefetchStopTerminates(t *testing.T) {
 	s, oracle := newStreamSolver(t)
-	st := NewSharedStream(s.Enumerate)
+	st := NewSharedStream(enumerateFn(s))
 	st.ConfigurePrefetch(len(oracle)+10, 0)
 	ctx := context.Background()
 	if _, ok, err := st.At(ctx, 0); !ok || err != nil {
@@ -408,7 +414,7 @@ func TestSharedStreamPrefetchStopTerminates(t *testing.T) {
 // ceiling; demand production is not limited by it.
 func TestSharedStreamPrefetchByteCeiling(t *testing.T) {
 	s, oracle := newStreamSolver(t)
-	st := NewSharedStream(s.Enumerate)
+	st := NewSharedStream(enumerateFn(s))
 	per := oracle[0].SizeEstimate()
 	st.ConfigurePrefetch(len(oracle)+10, 5*per)
 	ctx := context.Background()
@@ -432,7 +438,7 @@ func TestSharedStreamPrefetchByteCeiling(t *testing.T) {
 // rank order with prefetch on vs. off. Run with -race in CI.
 func TestSharedStreamPrefetchLifecycleChurn(t *testing.T) {
 	s, oracle := newStreamSolver(t)
-	st := NewSharedStream(s.Enumerate)
+	st := NewSharedStream(enumerateFn(s))
 	st.ConfigurePrefetch(8, 0)
 	const cursors = 6
 	var wg sync.WaitGroup
@@ -515,8 +521,8 @@ func TestSharedStreamPrefetchLifecycleChurn(t *testing.T) {
 // TestResultSizeEstimate sanity-checks the footprint estimator used by
 // the byte-budget stream cache: positive and monotone in result size.
 func TestResultSizeEstimate(t *testing.T) {
-	small := NewSolver(gen.Cycle(5), cost.Width{}).TopK(1)[0]
-	large := NewSolver(gen.Cycle(12), cost.Width{}).TopK(1)[0]
+	small := mustNew(gen.Cycle(5), cost.Width{}).TopK(context.Background(), 1, 0)[0]
+	large := mustNew(gen.Cycle(12), cost.Width{}).TopK(context.Background(), 1, 0)[0]
 	if small.SizeEstimate() <= 0 {
 		t.Fatal("size estimate must be positive")
 	}

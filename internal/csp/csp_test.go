@@ -1,13 +1,25 @@
 package csp
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/gen"
+	"repro/internal/graph"
 )
+
+// mustSolver builds an unbounded solver over a background context, which
+// cannot fail.
+func mustSolver(g *graph.Graph, c cost.Cost) *core.Solver {
+	s, err := core.New(context.Background(), g, c, core.Options{})
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
 
 // bruteCount enumerates all assignments.
 func bruteCount(p *Problem) int64 {
@@ -41,7 +53,7 @@ func bruteCount(p *Problem) int64 {
 func decompose(t *testing.T, p *Problem) *core.Result {
 	t.Helper()
 	g := p.ConstraintGraph()
-	r, err := core.NewSolver(g, cost.TotalStateSpace{Domain: p.Domains}).MinTriang(nil)
+	r, err := mustSolver(g, cost.TotalStateSpace{Domain: p.Domains}).MinTriang(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,8 +160,8 @@ func TestCountSameOverAllRankedDecompositions(t *testing.T) {
 	}
 	want := bruteCount(p)
 	g := p.ConstraintGraph()
-	s := core.NewSolver(g, cost.Width{})
-	e := s.Enumerate()
+	s := mustSolver(g, cost.Width{})
+	e := s.EnumerateContext(context.Background())
 	trees := 0
 	for {
 		r, ok := e.Next()
@@ -225,7 +237,7 @@ func TestPetersenColoringPipeline(t *testing.T) {
 	for _, e := range g.Edges() {
 		p.AllowFunc(e[0], e[1], func(a, b int) bool { return a != b })
 	}
-	r, err := core.NewSolver(p.ConstraintGraph(), cost.Width{}).MinTriang(nil)
+	r, err := mustSolver(p.ConstraintGraph(), cost.Width{}).MinTriang(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -40,13 +41,13 @@ func RunRanked(g *graph.Graph, c cost.Cost, budget time.Duration) EnumRun {
 	start := time.Now()
 	deadline := start.Add(budget)
 	run := EnumRun{Algorithm: "ranked-" + c.Name()}
-	solver := core.NewSolver(g, c)
+	solver, _ := core.New(context.TODO(), g, c, core.Options{}) // an uncancellable context never fails
 	run.Init = solver.InitDuration
 	if time.Now().After(deadline) {
 		run.Total = time.Since(start)
 		return run
 	}
-	e := solver.Enumerate()
+	e := solver.EnumerateContext(context.TODO())
 	for time.Now().Before(deadline) {
 		r, ok := e.Next()
 		if !ok {

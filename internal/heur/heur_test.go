@@ -1,6 +1,7 @@
 package heur
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -58,7 +59,11 @@ func TestHeuristicWidthNeverBeatsExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 25; trial++ {
 		g := gen.ConnectedGNP(rng, 4+rng.Intn(6), 0.4)
-		exact, err := core.NewSolver(g, cost.Width{}).MinTriang(nil)
+		solver, err := core.New(context.Background(), g, cost.Width{}, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		exact, err := solver.MinTriang(nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,12 +1,25 @@
 package hyper
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/cost"
+	"repro/internal/graph"
 	"repro/internal/vset"
 )
+
+// mustSolver builds an unbounded solver over a background context, which
+// cannot fail.
+func mustSolver(g *graph.Graph, c cost.Cost) *core.Solver {
+	s, err := core.New(context.Background(), g, c, core.Options{})
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
 
 // triangleQuery is the classic 3-cycle join R(a,b) ⋈ S(b,c) ⋈ T(c,a).
 func triangleQuery() *Hypergraph {
@@ -93,7 +106,7 @@ func TestHypertreeWidthCostOnTriangleQuery(t *testing.T) {
 	h := triangleQuery()
 	g := h.Primal()
 
-	s := core.NewSolver(g, h.HypertreeWidthCost())
+	s := mustSolver(g, h.HypertreeWidthCost())
 	r, err := s.MinTriang(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +115,7 @@ func TestHypertreeWidthCostOnTriangleQuery(t *testing.T) {
 		t.Fatalf("hypertree width = %v, want 2", r.Cost)
 	}
 
-	s = core.NewSolver(g, h.FractionalHypertreeWidthCost())
+	s = mustSolver(g, h.FractionalHypertreeWidthCost())
 	r, err = s.MinTriang(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -120,7 +133,7 @@ func TestHypertreeWidthAcyclicQuery(t *testing.T) {
 	h.AddEdge(1, 2)
 	h.AddEdge(2, 3)
 	g := h.Primal()
-	s := core.NewSolver(g, h.HypertreeWidthCost())
+	s := mustSolver(g, h.HypertreeWidthCost())
 	r, err := s.MinTriang(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -140,8 +153,8 @@ func TestRankedByFractionalWidth(t *testing.T) {
 	h.AddEdge(2, 3)
 	h.AddEdge(3, 0)
 	g := h.Primal()
-	s := core.NewSolver(g, h.FractionalHypertreeWidthCost())
-	e := s.Enumerate()
+	s := mustSolver(g, h.FractionalHypertreeWidthCost())
+	e := s.EnumerateContext(context.Background())
 	var costs []float64
 	for {
 		r, ok := e.Next()

@@ -1,6 +1,7 @@
 package jt
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -12,6 +13,16 @@ import (
 	"repro/internal/td"
 	"repro/internal/vset"
 )
+
+// mustSolver builds an unbounded solver over a background context, which
+// cannot fail.
+func mustSolver(g *graph.Graph, c cost.Cost) *core.Solver {
+	s, err := core.New(context.Background(), g, c, core.Options{})
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
 
 // bruteJoint computes the exact joint over all variables by enumeration.
 func bruteJoint(m *Model) (z float64, marginals [][]float64) {
@@ -80,7 +91,7 @@ func TestChainInference(t *testing.T) {
 	mustAdd(t, m, []int{1, 2}, []float64{0.7, 0.3, 0.5, 0.5})
 
 	g := moralGraph(m)
-	r, err := core.NewSolver(g, cost.TotalStateSpace{Domain: m.Card}).MinTriang(nil)
+	r, err := mustSolver(g, cost.TotalStateSpace{Domain: m.Card}).MinTriang(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +146,7 @@ func TestRandomModelsAgainstBruteForce(t *testing.T) {
 			mustAdd(t, m, perm, vals)
 		}
 		g := moralGraph(m)
-		r, err := core.NewSolver(g, cost.TotalStateSpace{Domain: card}).MinTriang(nil)
+		r, err := mustSolver(g, cost.TotalStateSpace{Domain: card}).MinTriang(nil)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -179,8 +190,8 @@ func TestInferenceOverEveryRankedTree(t *testing.T) {
 	}
 	g := moralGraph(m)
 	wantZ, _ := bruteJoint(m)
-	s := core.NewSolver(g, cost.TotalStateSpace{Domain: m.Card})
-	e := s.Enumerate()
+	s := mustSolver(g, cost.TotalStateSpace{Domain: m.Card})
+	e := s.EnumerateContext(context.Background())
 	count := 0
 	for {
 		r, ok := e.Next()
@@ -228,7 +239,7 @@ func TestDisconnectedModel(t *testing.T) {
 	mustAdd(t, m, []int{0, 1}, []float64{1, 2, 3, 4}) // sums to 10
 	mustAdd(t, m, []int{2, 3}, []float64{2, 2, 2, 2}) // sums to 8
 	g := moralGraph(m)
-	r, err := core.NewSolver(g, cost.Width{}).MinTriang(nil)
+	r, err := mustSolver(g, cost.Width{}).MinTriang(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +269,7 @@ func TestPipelineWithGeneratedNetwork(t *testing.T) {
 	for v := 0; v < 9; v++ {
 		mustAdd(t, m, []int{v}, []float64{1, 1})
 	}
-	r, err := core.NewSolver(g, cost.TotalStateSpace{Domain: card}).MinTriang(nil)
+	r, err := mustSolver(g, cost.TotalStateSpace{Domain: card}).MinTriang(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

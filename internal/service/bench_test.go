@@ -54,7 +54,7 @@ func BenchmarkSharedStreamFanout(b *testing.B) {
 	const clients = 8
 	const ranks = 100
 	g := gen.Cycle(9) // Catalan(7) = 429 minimal triangulations, no atoms
-	solver, err := core.NewSolverContext(context.Background(), g, cost.FillIn{})
+	solver, err := core.New(context.Background(), g, cost.FillIn{}, core.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -126,10 +126,9 @@ func BenchmarkSharedStreamFanout(b *testing.B) {
 // numberings — the workload label-sensitive keys cannot deduplicate. With
 // canonical keys all N requests collapse onto one solver and one
 // materialized stream (plus a per-client relabel on egress), so the
-// enumeration work approaches the 1× of a solo client; with -no-canon
-// every labeling builds and enumerates privately at N× cost. The whole
-// HTTP enumerate path runs, so solver init is included — canonical keys
-// dedup that too. Compare solves/op across canon, no-canon and solo.
+// enumeration work approaches the 1× of a solo client. The whole HTTP
+// enumerate path runs, so solver init is included — canonical keys dedup
+// that too. Compare solves/op across canon and solo.
 func BenchmarkCanonFanout(b *testing.B) {
 	const clients = 8
 	const ranks = 100
@@ -145,14 +144,14 @@ func BenchmarkCanonFanout(b *testing.B) {
 		bodies[i] = fmt.Sprintf(`{"n": %d, "edges": %s, "cost": "fill", "page_size": %d}`, g.Universe(), edges, ranks)
 	}
 
-	run := func(b *testing.B, nClients int, noCanon bool) {
+	run := func(b *testing.B, nClients int) {
 		b.ReportAllocs()
 		var solves uint64
 		for i := 0; i < b.N; i++ {
 			// A fresh server per iteration: every fan-out starts from a cold
 			// pool and stream store. Sequential solving and no speculation
 			// keep the work accounting deterministic.
-			srv := New(Config{NoCanon: noCanon, MaxConcurrent: clients * 2, SolveWorkers: 1, PrefetchAhead: -1})
+			srv := New(Config{MaxConcurrent: clients * 2, SolveWorkers: 1, PrefetchAhead: -1})
 			var wg sync.WaitGroup
 			for c := 0; c < nClients; c++ {
 				wg.Add(1)
@@ -184,9 +183,8 @@ func BenchmarkCanonFanout(b *testing.B) {
 		b.ReportMetric(float64(solves)/float64(b.N), "solves/op")
 	}
 
-	b.Run("canon", func(b *testing.B) { run(b, clients, false) })
-	b.Run("no-canon", func(b *testing.B) { run(b, clients, true) })
-	b.Run("solo", func(b *testing.B) { run(b, 1, false) })
+	b.Run("canon", func(b *testing.B) { run(b, clients) })
+	b.Run("solo", func(b *testing.B) { run(b, 1) })
 }
 
 // BenchmarkPrefetchReadLatency measures what speculation buys a paced
@@ -201,7 +199,7 @@ func BenchmarkPrefetchReadLatency(b *testing.B) {
 	const think = time.Millisecond
 	run := func(b *testing.B, tune bool) {
 		g := gen.Cycle(9) // 429 minimal triangulations
-		solver, err := core.NewSolverContext(context.Background(), g, cost.FillIn{})
+		solver, err := core.New(context.Background(), g, cost.FillIn{}, core.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -252,7 +250,7 @@ func BenchmarkSolverPoolColdInit(b *testing.B) {
 			g := ng.Graph
 			key := SolverKey{Fingerprint: g.Fingerprint(), Cost: "width", Bound: -1}
 			if _, _, err := pool.Get(context.Background(), key, func(ctx context.Context) (*core.Solver, error) {
-				return core.NewSolverContext(ctx, g, cost.Width{})
+				return core.New(ctx, g, cost.Width{}, core.Options{})
 			}); err != nil {
 				b.Fatal(err)
 			}
@@ -270,7 +268,7 @@ func BenchmarkSolverPoolCachedFetch(b *testing.B) {
 		g := ng.Graph
 		key := SolverKey{Fingerprint: g.Fingerprint(), Cost: "width", Bound: -1}
 		if _, _, err := pool.Get(context.Background(), key, func(ctx context.Context) (*core.Solver, error) {
-			return core.NewSolverContext(ctx, g, cost.Width{})
+			return core.New(ctx, g, cost.Width{}, core.Options{})
 		}); err != nil {
 			b.Fatal(err)
 		}

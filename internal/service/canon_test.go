@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -8,7 +9,6 @@ import (
 	"sort"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -80,7 +80,7 @@ func sortSetList(sets [][]int) [][]int {
 // per-client oracle.
 func soloResults(t *testing.T, g *graph.Graph, c cost.Cost) []TriangulationJSON {
 	t.Helper()
-	e := core.NewSolver(g, c).Enumerate()
+	e := mustSolver(g, c).EnumerateContext(context.Background())
 	var out []TriangulationJSON
 	for i := 0; ; i++ {
 		r, ok := e.Next()
@@ -145,8 +145,8 @@ func TestCanonicalKeyingIsomorphicClients(t *testing.T) {
 	if stats.Streams.Misses != 1 {
 		t.Errorf("isomorphic clients materialized %d streams, want 1", stats.Streams.Misses)
 	}
-	if !stats.Canon.Enabled || stats.Canon.Requests != uint64(len(copies)) {
-		t.Errorf("canon stats: %+v, want enabled with %d requests", stats.Canon, len(copies))
+	if stats.Canon.Requests != uint64(len(copies)) {
+		t.Errorf("canon stats: %+v, want %d requests", stats.Canon, len(copies))
 	}
 	if stats.Canon.Fallbacks != 0 {
 		t.Errorf("canon stats: %d fallbacks on an 8-cycle", stats.Canon.Fallbacks)
@@ -241,26 +241,6 @@ func TestCanonicalKeyingHyperedges(t *testing.T) {
 	}
 	if stats := getStats(t, ts); stats.Streams.Misses != 1 {
 		t.Errorf("isomorphic hypertree requests materialized %d streams, want 1 (hyperedges not canonicalized with the graph?)", stats.Streams.Misses)
-	}
-}
-
-// TestNoCanonDisablesSharing pins the escape hatch: with NoCanon set,
-// isomorphic labelings key separately (pre-canonicalization behavior) and
-// the canon stats report the feature off and untouched.
-func TestNoCanonDisablesSharing(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	copies := gen.IsoCopies(rng, gen.Cycle(6), 2)
-
-	_, ts := newTestServer(t, Config{NoCanon: true})
-	for _, g := range copies {
-		pageBody(t, ts, edgesBody(g, `"cost": "fill", "page_size": 20`), 20)
-	}
-	stats := getStats(t, ts)
-	if stats.Canon.Enabled || stats.Canon.Requests != 0 {
-		t.Errorf("canon stats with NoCanon: %+v, want disabled and zero", stats.Canon)
-	}
-	if stats.Streams.Misses != 2 {
-		t.Errorf("NoCanon isomorphic clients materialized %d streams, want 2 separate", stats.Streams.Misses)
 	}
 }
 

@@ -131,10 +131,8 @@ func (s *Server) compileProblem(req *EnumerateRequest, q url.Values) (*CompiledP
 	// is the per-request egress permutation mapping the shared stream's
 	// canonical labels back to this client's labels; nil means no
 	// relabeling is needed.
-	cp := &CompiledProblem{ClientGraph: g, Graph: g, Hyper: h}
-	if !s.cfg.NoCanon {
-		cp.Graph, cp.Hyper, cp.FromCanon = s.canonicalize(req, g, h)
-	}
+	cp := &CompiledProblem{ClientGraph: g}
+	cp.Graph, cp.Hyper, cp.FromCanon = s.canonicalize(req, g, h)
 	c, costKey, err := buildCost(req, cp.Graph, cp.Hyper)
 	if err != nil {
 		return nil, err
@@ -226,7 +224,7 @@ func (s *Server) buildBackend(ctx context.Context, cp *CompiledProblem) (core.Ba
 		solver, poolHit, err := s.pool.Get(ctx, key, func(bctx context.Context) (*core.Solver, error) {
 			bctx, cancel := context.WithTimeout(bctx, s.cfg.InitTimeout)
 			defer cancel()
-			opts := core.Options{NoDecompose: s.cfg.NoDecompose}
+			var opts core.Options
 			if cp.Bound >= 0 {
 				b := cp.Bound
 				opts.WidthBound = &b
@@ -242,9 +240,6 @@ func (s *Server) buildBackend(ctx context.Context, cp *CompiledProblem) (core.Ba
 			if err := solver.Prepare(bctx); err != nil {
 				return nil, err
 			}
-			// Applied inside the build, before the solver is published to any
-			// other waiter.
-			solver.SetFullResolve(s.cfg.FullResolve)
 			return solver, nil
 		})
 		if err != nil {

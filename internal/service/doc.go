@@ -173,9 +173,7 @@
 // of the DP its constraint pair can affect (dirty_blocks) and reuses the
 // solver's precomputed unconstrained baseline for the rest
 // (reused_blocks); the reuse ratio measures how much enumeration work
-// the incremental DP absorbs. Config.FullResolve disables the reuse
-// server-wide (every branch re-runs the full DP) for A/B debugging — the
-// enumeration output is identical either way.
+// the incremental DP absorbs.
 //
 // Stats also aggregate the clique-separator atom decompositions of the
 // cached solvers:
@@ -185,9 +183,7 @@
 //
 // Graphs that split on clique minimal separators are solved one atom at
 // a time with the ranked streams merged, so initialization and delay
-// depend on the largest atom rather than the whole graph;
-// Config.NoDecompose (-no-decompose) forces the monolithic solver for
-// A/B debugging.
+// depend on the largest atom rather than the whole graph.
 //
 // Stats also report the shared ranked-stream cache:
 //

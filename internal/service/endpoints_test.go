@@ -163,7 +163,7 @@ func TestDiverseResponseMode(t *testing.T) {
 	}
 	// Oracle: the library-level DiverseTopK over the same window picks the
 	// same cost multiset.
-	s := core.NewSolver(g, cost.FillIn{})
+	s := mustSolver(g, cost.FillIn{})
 	want := s.DiverseTopK(3, 12)
 	for i, r := range resp.Results {
 		if r.Cost != want[i].Cost {
@@ -343,11 +343,11 @@ func TestHypergraphEndpointOracle(t *testing.T) {
 
 	oracle := func(c cost.Cost, k int) []float64 {
 		t.Helper()
-		s, err := core.NewSolverContext(context.Background(), h.Primal(), c)
+		s, err := core.New(context.Background(), h.Primal(), c, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		results := s.TopK(k)
+		results := s.TopK(context.Background(), k, 0)
 		costs := make([]float64, len(results))
 		for i, r := range results {
 			costs[i] = r.Cost
@@ -453,11 +453,11 @@ func TestCSPEndpointBayesOracle(t *testing.T) {
 	for _, e := range [][2]int{{0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}, {2, 4}, {2, 5}, {3, 6}, {3, 7}, {2, 7}, {4, 8}, {5, 8}, {6, 9}, {3, 9}} {
 		p.AllowFunc(e[0], e[1], func(a, b int) bool { return true })
 	}
-	s, err := core.NewSolverContext(context.Background(), p.ConstraintGraph(), cost.TotalStateSpace{Domain: domains})
+	s, err := core.New(context.Background(), p.ConstraintGraph(), cost.TotalStateSpace{Domain: domains}, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := s.TopK(5)
+	want := s.TopK(context.Background(), 5, 0)
 	if len(resp.Results) != len(want) {
 		t.Fatalf("%d results, want %d", len(resp.Results), len(want))
 	}

@@ -58,8 +58,8 @@ type poolEntry struct {
 // SolverPool deduplicates and LRU-caches solver initializations.
 // Concurrent Gets for the same key join a single build; when every waiter
 // of an in-flight build cancels, the build context is cancelled and the
-// initialization work stops (core.NewSolverContext observes it). Failed
-// builds are not cached.
+// initialization work stops (core.New observes it). Failed builds are
+// not cached.
 type SolverPool struct {
 	mu      sync.Mutex
 	cap     int

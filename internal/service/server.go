@@ -74,27 +74,6 @@ type Config struct {
 	// store's byte budget governs overall). Zero selects the default
 	// (8 MiB); negative means no per-stream speculation ceiling.
 	PrefetchBytes int64
-	// FullResolve disables the incremental constraint-aware DP on every
-	// solver this server builds: each Lawler–Murty branch re-runs the
-	// whole block DP from scratch. This is a debugging/ablation knob —
-	// the enumeration output is identical either way (property-tested in
-	// core) — so production deployments leave it false.
-	FullResolve bool
-	// NoDecompose disables the clique-separator atom decomposition on
-	// every solver this server builds: graphs are always solved
-	// monolithically. Another ablation knob — the enumeration output is
-	// identical up to cost ties (property-tested in core), but
-	// initialization and per-result delay on clique-separated graphs are
-	// exponentially worse — so production deployments leave it false.
-	NoDecompose bool
-	// NoCanon disables canonical cache keying: solver-pool and
-	// stream-store keys fall back to the label-sensitive fingerprint, so
-	// isomorphic submissions with different vertex numberings build
-	// separate solvers and streams (the pre-PR-8 behavior). An escape
-	// hatch for debugging the canonical labeling or for workloads of
-	// pathological graphs where the labeling search always falls back
-	// anyway; responses are identical either way (oracle-tested).
-	NoCanon bool
 	// DefaultBackend is the enumeration backend for requests that name
 	// none: "dp" (the default — ranked-exact, cost order), "mis"
 	// (unordered CKK separator-graph enumeration, no init cost),
@@ -271,9 +250,8 @@ type canonCounters struct {
 	requests, relabeled, fallbacks, hits atomic.Uint64
 }
 
-func (c *canonCounters) stats(enabled bool) CanonStats {
+func (c *canonCounters) stats() CanonStats {
 	return CanonStats{
-		Enabled:   enabled,
 		Requests:  c.requests.Load(),
 		Relabeled: c.relabeled.Load(),
 		Fallbacks: c.fallbacks.Load(),
@@ -661,7 +639,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Streams:       s.streams.Stats(),
 		Prefetch:      s.prefetchStats(),
 		Backends:      s.backends.stats(),
-		Canon:         s.canon.stats(!s.cfg.NoCanon),
+		Canon:         s.canon.stats(),
 		Orbits:        s.orbits.stats(s.cfg.DefaultOrbits),
 		Workloads:     s.workloads.stats(),
 	})

@@ -84,6 +84,16 @@ func getStats(t *testing.T, ts *httptest.Server) *StatsResponse {
 	return &out
 }
 
+// mustSolver builds an unbounded solver over a background context, which
+// cannot fail.
+func mustSolver(g *graph.Graph, c cost.Cost) *core.Solver {
+	s, err := core.New(context.Background(), g, c, core.Options{})
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	srv := New(cfg)
@@ -383,7 +393,7 @@ func TestPoolSingleflight(t *testing.T) {
 		go func() {
 			_, _, err := pool.Get(context.Background(), key, func(ctx context.Context) (*core.Solver, error) {
 				builds <- struct{}{}
-				return core.NewSolverContext(ctx, g, cost.Width{})
+				return core.New(ctx, g, cost.Width{}, core.Options{})
 			})
 			errc <- err
 		}()
@@ -408,7 +418,7 @@ func TestPoolEviction(t *testing.T) {
 		g := gen.Cycle(n)
 		key := SolverKey{Fingerprint: g.Fingerprint(), Cost: "width", Bound: -1}
 		if _, _, err := pool.Get(context.Background(), key, func(ctx context.Context) (*core.Solver, error) {
-			return core.NewSolverContext(ctx, g, cost.Width{})
+			return core.New(ctx, g, cost.Width{}, core.Options{})
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -496,7 +506,7 @@ func TestStreamTruncation(t *testing.T) {
 func TestNextPageRedelivery(t *testing.T) {
 	m := NewSessionManager(4, time.Minute, nil)
 	defer m.Close()
-	solver := core.NewSolver(gen.Cycle(5), cost.Width{})
+	solver := mustSolver(gen.Cycle(5), cost.Width{})
 	sess, err := m.Create(solver, SolverKey{}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -519,7 +529,7 @@ func TestNextPageRedelivery(t *testing.T) {
 func TestNextPageAfterEviction(t *testing.T) {
 	m := NewSessionManager(4, time.Minute, nil)
 	defer m.Close()
-	solver := core.NewSolver(gen.Cycle(5), cost.Width{})
+	solver := mustSolver(gen.Cycle(5), cost.Width{})
 	sess, err := m.Create(solver, SolverKey{}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -534,7 +544,7 @@ func TestNextPageAfterEviction(t *testing.T) {
 func TestCreateAfterClose(t *testing.T) {
 	m := NewSessionManager(4, time.Minute, nil)
 	m.Close()
-	solver := core.NewSolver(gen.Cycle(4), cost.Width{})
+	solver := mustSolver(gen.Cycle(4), cost.Width{})
 	if _, err := m.Create(solver, SolverKey{}, nil, nil); !errors.Is(err, ErrShuttingDown) {
 		t.Fatalf("want ErrShuttingDown, got %v", err)
 	}
@@ -546,7 +556,7 @@ func TestCreateAfterClose(t *testing.T) {
 // recovering client back to re-fetch pages it already has.
 func TestReplayAnchorOnError(t *testing.T) {
 	m := NewSessionManager(4, time.Minute, nil)
-	solver := core.NewSolver(gen.Cycle(6), cost.Width{})
+	solver := mustSolver(gen.Cycle(6), cost.Width{})
 	sess, err := m.Create(solver, SolverKey{}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -658,9 +668,7 @@ func TestHealthz(t *testing.T) {
 }
 
 // TestStatsSolverReuseCounters checks that /v1/stats surfaces the
-// incremental-DP counters of the cached solvers after an enumeration, and
-// that the FullResolve ablation knob keeps the output identical while
-// reporting a dirty ratio of 100%.
+// incremental-DP counters of the cached solvers after an enumeration.
 func TestStatsSolverReuseCounters(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	g6 := cycleGraph6(t, 6)
@@ -675,28 +683,12 @@ func TestStatsSolverReuseCounters(t *testing.T) {
 	if stats.Solver.ReusedBlocks == 0 {
 		t.Fatal("incremental solver reused no blocks")
 	}
-
-	_, tsFull := newTestServer(t, Config{FullResolve: true})
-	full, _ := postEnumerate(t, tsFull, fmt.Sprintf(`{"graph6": %q, "cost": "fill", "page_size": 100}`, g6))
-	if len(full.Results) != len(first.Results) {
-		t.Fatalf("full-resolve enumeration emitted %d results, incremental %d", len(full.Results), len(first.Results))
-	}
-	for i := range full.Results {
-		if full.Results[i].Cost != first.Results[i].Cost || fmt.Sprint(full.Results[i].Bags) != fmt.Sprint(first.Results[i].Bags) {
-			t.Fatalf("full-resolve result %d differs from incremental", i)
-		}
-	}
-	fullStats := getStats(t, tsFull)
-	if fullStats.Solver.ConstrainedSolves != 0 {
-		t.Fatalf("full-resolve solver should bypass the incremental counters, got %d solves", fullStats.Solver.ConstrainedSolves)
-	}
 }
 
 // TestAtomDecompositionService drives a clique-separated graph through
-// both a default server and a NoDecompose server: the decomposed solver
-// must report its atom shape in the enumerate response and /v1/stats, and
-// the two servers must emit the same enumeration (costs, widths, fills)
-// rank by rank.
+// the server: the decomposed solver must report its atom shape in the
+// enumerate response and /v1/stats. That the decomposed enumeration
+// matches the monolithic one rank by rank is core's atom oracle.
 func TestAtomDecompositionService(t *testing.T) {
 	// Two 4-cycles sharing a cut vertex: two atoms of 4 vertices each.
 	g := graph.New(7)
@@ -724,27 +716,5 @@ func TestAtomDecompositionService(t *testing.T) {
 	}
 	if stats.Atoms.ReadySubSolvers != dec.Solver.Atoms {
 		t.Fatalf("expected all %d sub-solvers ready after paging, got %d", dec.Solver.Atoms, stats.Atoms.ReadySubSolvers)
-	}
-
-	_, tsMono := newTestServer(t, Config{NoDecompose: true})
-	mono, _ := postEnumerate(t, tsMono, body)
-	if mono.Solver.Atoms != 0 {
-		t.Fatalf("NoDecompose server reported atoms: %+v", mono.Solver)
-	}
-	if !dec.Done || !mono.Done {
-		t.Fatalf("enumerations not exhausted in one page: dec=%v mono=%v", dec.Done, mono.Done)
-	}
-	if len(dec.Results) == 0 || len(dec.Results) != len(mono.Results) {
-		t.Fatalf("result counts differ: %d vs %d", len(dec.Results), len(mono.Results))
-	}
-	for i := range dec.Results {
-		d, m := dec.Results[i], mono.Results[i]
-		if d.Cost != m.Cost || d.Width != m.Width || d.Fill != m.Fill {
-			t.Fatalf("rank %d differs: decomposed %+v, monolithic %+v", i, d, m)
-		}
-	}
-	// The aggregated separator/PMC counts must agree across the modes.
-	if dec.Solver.MinimalSeparators != mono.Solver.MinimalSeparators || dec.Solver.PMCs != mono.Solver.PMCs {
-		t.Fatalf("aggregate counts differ: %+v vs %+v", dec.Solver, mono.Solver)
 	}
 }

@@ -40,9 +40,10 @@ type Session struct {
 	g *graph.Graph
 	// fromCanon maps the stream's (canonical) labels back to the client's
 	// labels; nil when the client submitted in canonical labels already or
-	// canonical keying is off. Results are stored canonically — one shared
-	// buffer serves every isomorphic client — and relabeled per cursor on
-	// egress (see Server.handleEnumerate).
+	// the labeling search fell back to label-sensitive keys. Results are
+	// stored canonically — one shared buffer serves every isomorphic
+	// client — and relabeled per cursor on egress (see
+	// Server.handleEnumerate).
 	fromCanon []int
 	mu        sync.Mutex
 	stream    *StreamHandle

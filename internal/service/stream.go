@@ -113,12 +113,13 @@ func NewStreamStore(budgetBytes int64, maxStreams int) *StreamStore {
 
 // Tune configures how this store's streams produce. Each Next of a
 // stream created after Tune fans its independent branch solves over
-// solveWorkers goroutines (<= 1 means sequential; the emitted sequence is
-// identical either way), and its speculative producer runs the
-// enumeration up to prefetchAhead ranks past the fastest cursor, within
-// prefetchBytes of buffered footprint (prefetchAhead <= 0 disables
-// speculation, prefetchBytes <= 0 leaves it byte-unbounded). The zero
-// store — no Tune — is the demand-driven sequential baseline.
+// solveWorkers goroutines (1 means sequential, zero or negative
+// GOMAXPROCS; the emitted sequence is identical either way), and its
+// speculative producer runs the enumeration up to prefetchAhead ranks
+// past the fastest cursor, within prefetchBytes of buffered footprint
+// (prefetchAhead <= 0 disables speculation, prefetchBytes <= 0 leaves it
+// byte-unbounded). A store that was never tuned is demand-driven and
+// solves branches over GOMAXPROCS workers.
 func (st *StreamStore) Tune(solveWorkers, prefetchAhead int, prefetchBytes int64) {
 	st.mu.Lock()
 	defer st.mu.Unlock()

@@ -18,19 +18,20 @@ import (
 	"repro/internal/graph"
 )
 
-// oracleLines renders a solver's full enumeration the way the wire does —
-// the byte-identical reference every shared-stream consumer must match.
-func oracleLines(t *testing.T, solver *core.Solver) []string {
+// oracleLines renders a solver's full enumeration the way the wire does
+// for a client that submitted g: each result relabeled through fromCanon
+// (the egress permutation) — the byte-identical reference every
+// shared-stream consumer must match.
+func oracleLines(t *testing.T, solver *core.Solver, g *graph.Graph, fromCanon []int) []string {
 	t.Helper()
-	g := solver.Graph()
-	e := solver.Enumerate()
+	e := solver.EnumerateContext(context.Background())
 	var out []string
 	for i := 0; ; i++ {
 		r, ok := e.Next()
 		if !ok {
 			return out
 		}
-		b, err := json.Marshal(resultJSON(g, i, r))
+		b, err := json.Marshal(resultJSON(g, i, core.RelabelResult(r, fromCanon)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,7 +44,7 @@ func oracleLines(t *testing.T, solver *core.Solver) []string {
 // for the next consumer.
 func TestStreamStoreSharing(t *testing.T) {
 	store := NewStreamStore(0, 0)
-	solver := core.NewSolver(gen.Cycle(6), cost.Width{})
+	solver := mustSolver(gen.Cycle(6), cost.Width{})
 	key := SolverKey{Fingerprint: "c6", Cost: "width", Bound: -1}
 
 	h1 := store.Acquire(key, solver)
@@ -89,8 +90,8 @@ func TestStreamStoreSharing(t *testing.T) {
 // and replay the identical results.
 func TestStreamStoreEvictionAndRebuild(t *testing.T) {
 	ctx := context.Background()
-	solverA := core.NewSolver(gen.Cycle(8), cost.FillIn{})
-	solverB := core.NewSolver(gen.Cycle(9), cost.FillIn{})
+	solverA := mustSolver(gen.Cycle(8), cost.FillIn{})
+	solverB := mustSolver(gen.Cycle(9), cost.FillIn{})
 	keyA := SolverKey{Fingerprint: "a"}
 	keyB := SolverKey{Fingerprint: "b"}
 
@@ -98,7 +99,7 @@ func TestStreamStoreEvictionAndRebuild(t *testing.T) {
 	// Reads run past a touchStride multiple so the batched accounting has
 	// registered the growth by the end of each phase.
 	const reads = 2*touchStride + 8
-	perResult := solverA.TopK(1)[0].SizeEstimate()
+	perResult := solverA.TopK(context.Background(), 1, 0)[0].SizeEstimate()
 	store := NewStreamStore(int64(reads)*perResult*4/3, 0)
 
 	hA := store.Acquire(keyA, solverA)
@@ -151,8 +152,8 @@ func TestStreamStoreEvictionAndRebuild(t *testing.T) {
 // reader instead (the lone-NDJSON-client memory guarantee).
 func TestStreamStoreSelfTrimBounded(t *testing.T) {
 	ctx := context.Background()
-	solver := core.NewSolver(gen.Cycle(9), cost.FillIn{}) // 429 results
-	perResult := solver.TopK(1)[0].SizeEstimate()
+	solver := mustSolver(gen.Cycle(9), cost.FillIn{}) // 429 results
+	perResult := solver.TopK(context.Background(), 1, 0)[0].SizeEstimate()
 	budget := 10 * perResult
 	store := NewStreamStore(budget, 0)
 	h := store.Acquire(SolverKey{Fingerprint: "c9"}, solver)
@@ -182,8 +183,8 @@ func TestStreamStoreSelfTrimBounded(t *testing.T) {
 // whole prefix, a ping-pong costing more than the memory saved.
 func TestStreamStoreTrimRespectsSlowCursor(t *testing.T) {
 	ctx := context.Background()
-	solver := core.NewSolver(gen.Cycle(9), cost.FillIn{}) // 429 results
-	perResult := solver.TopK(1)[0].SizeEstimate()
+	solver := mustSolver(gen.Cycle(9), cost.FillIn{}) // 429 results
+	perResult := solver.TopK(context.Background(), 1, 0)[0].SizeEstimate()
 	store := NewStreamStore(10*perResult, 0)
 	slow := store.Acquire(SolverKey{Fingerprint: "c9"}, solver)
 	fast := store.Acquire(SolverKey{Fingerprint: "c9"}, solver)
@@ -224,7 +225,7 @@ func TestStreamStoreEntryCap(t *testing.T) {
 	ctx := context.Background()
 	store := NewStreamStore(0, 2)
 	for i := 0; i < 5; i++ {
-		solver := core.NewSolver(gen.Cycle(5), cost.Width{})
+		solver := mustSolver(gen.Cycle(5), cost.Width{})
 		h := store.Acquire(SolverKey{Fingerprint: fmt.Sprintf("g%d", i)}, solver)
 		if _, ok, err := h.At(ctx, 0); !ok || err != nil {
 			t.Fatalf("graph %d: ok=%v err=%v", i, ok, err)
@@ -237,7 +238,7 @@ func TestStreamStoreEntryCap(t *testing.T) {
 	// Referenced entries survive the cap even when it is exceeded.
 	var held []*StreamHandle
 	for i := 0; i < 4; i++ {
-		solver := core.NewSolver(gen.Cycle(5), cost.Width{})
+		solver := mustSolver(gen.Cycle(5), cost.Width{})
 		h := store.Acquire(SolverKey{Fingerprint: fmt.Sprintf("h%d", i)}, solver)
 		if _, ok, err := h.At(ctx, 0); !ok || err != nil {
 			t.Fatalf("held graph %d: ok=%v err=%v", i, ok, err)
@@ -260,7 +261,7 @@ func TestStreamStoreEntryCap(t *testing.T) {
 func TestSessionInfoBufferedAhead(t *testing.T) {
 	m := NewSessionManager(4, time.Minute, nil)
 	defer m.Close()
-	solver := core.NewSolver(gen.Cycle(7), cost.Width{})
+	solver := mustSolver(gen.Cycle(7), cost.Width{})
 	key := SolverKey{Fingerprint: "c7"}
 	warm, err := m.Create(solver, key, nil, nil)
 	if err != nil {
@@ -294,7 +295,7 @@ func TestSessionInfoBufferedAhead(t *testing.T) {
 // back — including after the byte budget evicted the buffer, which must
 // rebuild and serve the same results.
 func TestReplayAcrossPagesAndEviction(t *testing.T) {
-	solver := core.NewSolver(gen.Cycle(8), cost.FillIn{})
+	solver := mustSolver(gen.Cycle(8), cost.FillIn{})
 	key := SolverKey{Fingerprint: "c8"}
 	store := NewStreamStore(0, 0)
 	m := NewSessionManager(4, time.Minute, store)
@@ -365,21 +366,29 @@ func TestReplayAcrossPagesAndEviction(t *testing.T) {
 // see the byte-identical rank order of a solo enumerator. Run with -race
 // in CI.
 func TestSharedStreamFanoutOracle(t *testing.T) {
+	// The server enumerates the canonical form of the submitted C8 and
+	// relabels every result back on egress. The oracle takes the same path
+	// outside the serving tier: a solo enumeration of the canonical form,
+	// each result mapped through the inverse of the canonical permutation.
 	g := gen.Cycle(8) // Catalan(6) = 132 minimal triangulations
-	oracleSolver := core.NewSolver(g, cost.FillIn{})
-	want := oracleLines(t, oracleSolver)
+	canonG, perm, exact := g.CanonicalForm()
+	if !exact {
+		t.Fatal("C8 canonical labeling fell back to the identity")
+	}
+	fromCanon := make([]int, len(perm))
+	for v, p := range perm {
+		fromCanon[p] = v
+	}
+	oracleSolver := mustSolver(canonG, cost.FillIn{})
+	want := oracleLines(t, oracleSolver, g, fromCanon)
 	if len(want) != 132 {
 		t.Fatalf("C8 oracle: want 132 results, got %d", len(want))
 	}
 
 	// A budget of ~25 results over a 132-result stream forces repeated
-	// eviction/rebuild while the fan-out is mid-flight. NoCanon pins the
-	// pre-canonicalization path: this oracle demands the byte-identical
-	// rank order of a solo solve on the submitted labeling, and canonical
-	// keying enumerates a relabeling, which may permute equal-cost ties
-	// (the canonical path has its own tie-aware oracle in canon tests).
-	budget := 25 * oracleSolver.TopK(1)[0].SizeEstimate()
-	_, ts := newTestServer(t, Config{StreamBudgetBytes: budget, MaxConcurrent: 16, MaxSessions: 64, NoCanon: true})
+	// eviction/rebuild while the fan-out is mid-flight.
+	budget := 25 * oracleSolver.TopK(context.Background(), 1, 0)[0].SizeEstimate()
+	_, ts := newTestServer(t, Config{StreamBudgetBytes: budget, MaxConcurrent: 16, MaxSessions: 64})
 	g6 := cycleGraph6(t, 8)
 
 	const pagers, streamers = 8, 4
@@ -546,7 +555,7 @@ func TestStreamStorePrefetchPausesOnLastRelease(t *testing.T) {
 	ctx := context.Background()
 	store := NewStreamStore(0, 0)
 	store.Tune(1, 8, 0)
-	solver := core.NewSolver(gen.Cycle(9), cost.FillIn{}) // 429 results
+	solver := mustSolver(gen.Cycle(9), cost.FillIn{}) // 429 results
 	key := SolverKey{Fingerprint: "c9"}
 
 	h := store.Acquire(key, solver)
@@ -582,9 +591,9 @@ func TestStreamStorePrefetchPausesOnLastRelease(t *testing.T) {
 	waitUntil(t, "re-acquire to resume the producer", func() bool {
 		return store.PrefetchStats().Resumes >= 1
 	})
-	oracle := core.NewSolver(gen.Cycle(9), cost.FillIn{})
+	oracle := mustSolver(gen.Cycle(9), cost.FillIn{})
 	sig := func(r *core.Result) string { return fmt.Sprintf("%g|%v", r.Cost, r.Bags) }
-	e := oracle.Enumerate()
+	e := oracle.EnumerateContext(context.Background())
 	for i := 0; ; i++ {
 		want, wok := e.Next()
 		got, gok, err := h2.At(ctx, i)
@@ -620,9 +629,9 @@ func TestStreamStorePrefetchOracleUnderEviction(t *testing.T) {
 	oracles := make([][]string, len(graphs))
 	solvers := make([]*core.Solver, len(graphs))
 	for i, gr := range graphs {
-		solvers[i] = core.NewSolver(gr.g, cost.FillIn{})
-		o := core.NewSolver(gr.g, cost.FillIn{})
-		e := o.Enumerate()
+		solvers[i] = mustSolver(gr.g, cost.FillIn{})
+		o := mustSolver(gr.g, cost.FillIn{})
+		e := o.EnumerateContext(context.Background())
 		for {
 			r, ok := e.Next()
 			if !ok {
@@ -634,7 +643,7 @@ func TestStreamStorePrefetchOracleUnderEviction(t *testing.T) {
 
 	// ~20 results of budget across two streams of 132 and 429 results
 	// forces repeated eviction/rebuild mid-speculation.
-	budget := 20 * solvers[0].TopK(1)[0].SizeEstimate()
+	budget := 20 * solvers[0].TopK(context.Background(), 1, 0)[0].SizeEstimate()
 	store := NewStreamStore(budget, 0)
 	store.Tune(2, 16, 0)
 
@@ -774,7 +783,7 @@ func TestStatsStreamCounters(t *testing.T) {
 func TestStreamStatsRebuildsMonotoneAcrossDrop(t *testing.T) {
 	ctx := context.Background()
 	store := NewStreamStore(0, 1)
-	solver := core.NewSolver(gen.Cycle(6), cost.Width{})
+	solver := mustSolver(gen.Cycle(6), cost.Width{})
 	keyA := SolverKey{Fingerprint: "a"}
 
 	h := store.Acquire(keyA, solver)
@@ -798,7 +807,7 @@ func TestStreamStatsRebuildsMonotoneAcrossDrop(t *testing.T) {
 	h.Release()
 
 	// Acquiring a second key over the cap drops A's (unreferenced) entry.
-	h2 := store.Acquire(SolverKey{Fingerprint: "b"}, core.NewSolver(gen.Cycle(5), cost.Width{}))
+	h2 := store.Acquire(SolverKey{Fingerprint: "b"}, mustSolver(gen.Cycle(5), cost.Width{}))
 	defer h2.Release()
 	if _, ok, err := h2.At(ctx, 0); !ok || err != nil {
 		t.Fatalf("second stream: ok=%v err=%v", ok, err)
@@ -823,7 +832,7 @@ func TestStreamStoreClosePostAcquireDemandDriven(t *testing.T) {
 	store.Tune(1, 64, 0) // speculation on for streams created from now on
 	store.Close()
 
-	solver := core.NewSolver(gen.Cycle(8), cost.FillIn{})
+	solver := mustSolver(gen.Cycle(8), cost.FillIn{})
 	key := SolverKey{Fingerprint: "post-close"}
 	h := store.Acquire(key, solver)
 	if _, ok, err := h.At(ctx, 0); !ok || err != nil {

@@ -319,7 +319,6 @@ type OrbitModeStats struct {
 // labeling of the same graph built — exactly the cache hits that
 // label-sensitive keying would have missed.
 type CanonStats struct {
-	Enabled   bool   `json:"enabled"`
 	Requests  uint64 `json:"requests"`
 	Relabeled uint64 `json:"relabeled"`
 	Fallbacks uint64 `json:"fallbacks"`

@@ -1,9 +1,21 @@
 package rankedtriang
 
 import (
-	"strings"
+	"context"
 	"testing"
+
+	"repro/internal/cost"
 )
+
+// mustSolver builds an unbounded solver through the facade over a
+// background context, which cannot fail.
+func mustSolver(g *Graph, c Cost) *Solver {
+	s, err := NewSolver(context.Background(), g, c, SolverOptions{})
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
 
 func c4() *Graph {
 	g := NewGraph(4)
@@ -15,8 +27,8 @@ func c4() *Graph {
 }
 
 func TestQuickstartFlow(t *testing.T) {
-	solver := NewSolver(c4(), Width())
-	enum := solver.Enumerate()
+	solver := mustSolver(c4(), Width())
+	enum := solver.EnumerateContext(context.Background())
 	count := 0
 	for {
 		r, ok := enum.Next()
@@ -36,22 +48,13 @@ func TestQuickstartFlow(t *testing.T) {
 	}
 }
 
-func TestOneShotHelpers(t *testing.T) {
-	r, err := MinimumTriangulation(c4(), FillIn())
+func TestBoundedSolverFacade(t *testing.T) {
+	ctx := context.Background()
+	bound := 2
+	s, err := NewSolver(ctx, c4(), Width(), SolverOptions{WidthBound: &bound})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Cost != 1 {
-		t.Fatalf("C4 min fill = %v", r.Cost)
-	}
-	top := TopK(c4(), FillIn(), 5)
-	if len(top) != 2 {
-		t.Fatalf("TopK = %d results", len(top))
-	}
-}
-
-func TestBoundedSolverFacade(t *testing.T) {
-	s := NewBoundedSolver(c4(), Width(), 2)
 	r, err := s.MinTriang(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -60,7 +63,10 @@ func TestBoundedSolverFacade(t *testing.T) {
 		t.Fatalf("width = %d", r.Tree.Width())
 	}
 	// Width bound 1 is infeasible for C4.
-	s = NewBoundedSolver(c4(), Width(), 1)
+	bound = 1
+	if s, err = NewSolver(ctx, c4(), Width(), SolverOptions{WidthBound: &bound}); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := s.MinTriang(nil); err != ErrNoTriangulation {
 		t.Fatalf("want ErrNoTriangulation, got %v", err)
 	}
@@ -68,7 +74,7 @@ func TestBoundedSolverFacade(t *testing.T) {
 
 func TestConstraintsFacade(t *testing.T) {
 	g := c4()
-	s := NewSolver(g, FillIn())
+	s := mustSolver(g, FillIn())
 	diag := NewVertexSet(4, 0, 2)
 	r, err := s.MinTriang((&Constraints{}).WithInclude(diag))
 	if err != nil {
@@ -89,45 +95,12 @@ func TestConstraintsFacade(t *testing.T) {
 func TestCostConstructors(t *testing.T) {
 	g := c4()
 	for _, c := range []Cost{Width(), FillIn(), WidthThenFill(), StateSpace(nil),
-		BagWeightCost("bw", func(_ *Graph, b VertexSet) float64 { return float64(b.Len()) }),
-		EdgeWeightCost("ew", func(u, v int) float64 { return 1 }),
+		cost.WeightedWidth{CostName: "bw", BagWeight: func(_ *Graph, b VertexSet) float64 { return float64(b.Len()) }},
+		cost.WeightedFill{CostName: "ew", EdgeWeight: func(u, v int) float64 { return 1 }},
 	} {
-		if _, err := MinimumTriangulation(g, c); err != nil {
+		if _, err := mustSolver(g, c).MinTriang(nil); err != nil {
 			t.Fatalf("%s: %v", c.Name(), err)
 		}
-	}
-}
-
-func TestReadersFacade(t *testing.T) {
-	g, err := ReadEdgeList(strings.NewReader("a b\nb c\n"))
-	if err != nil || g.NumEdges() != 2 {
-		t.Fatalf("edge list: %v %v", g, err)
-	}
-	g, err = ReadDIMACS(strings.NewReader("p edge 3 2\ne 1 2\ne 2 3\n"))
-	if err != nil || g.NumVertices() != 3 {
-		t.Fatalf("dimacs: %v %v", g, err)
-	}
-	g, err = ReadPACE(strings.NewReader("p tw 3 2\n1 2\n2 3\n"))
-	if err != nil || g.NumVertices() != 3 {
-		t.Fatalf("pace: %v %v", g, err)
-	}
-}
-
-func TestCKKFacade(t *testing.T) {
-	e := NewCKK(c4())
-	count := 0
-	for {
-		r, ok := e.Next()
-		if !ok {
-			break
-		}
-		if r.H == nil || len(r.Seps) == 0 {
-			t.Fatalf("bad CKK result")
-		}
-		count++
-	}
-	if count != 2 {
-		t.Fatalf("CKK found %d, want 2", count)
 	}
 }
 
@@ -137,7 +110,7 @@ func TestHypergraphFacade(t *testing.T) {
 	h.AddEdge(1, 2)
 	h.AddEdge(2, 0)
 	g := h.Primal()
-	r, err := MinimumTriangulation(g, h.HypertreeWidthCost())
+	r, err := mustSolver(g, h.HypertreeWidthCost()).MinTriang(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +120,7 @@ func TestHypergraphFacade(t *testing.T) {
 }
 
 func TestProperTDFacade(t *testing.T) {
-	s := NewSolver(c4(), Width())
+	s := mustSolver(c4(), Width())
 	e := s.EnumerateProperTDs()
 	count := 0
 	for {

@@ -5,13 +5,13 @@ package rankedtriang
 // in the repository; they are skipped under -short.
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"repro/internal/bruteforce"
 	"repro/internal/chordal"
 	"repro/internal/ckk"
-	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/gen"
 	"repro/internal/minsep"
@@ -59,8 +59,8 @@ func TestStressRankedEnumeration(t *testing.T) {
 		g := gen.GNP(rng, n, 0.15+rng.Float64()*0.7)
 		want := bruteforce.AllMinimalTriangulations(g)
 		c := costs[trial%len(costs)]
-		s := core.NewSolver(g, c)
-		e := s.Enumerate()
+		s := mustSolver(g, c)
+		e := s.EnumerateContext(context.Background())
 		seen := map[string]bool{}
 		prev := -1e18
 		for {
@@ -132,7 +132,7 @@ func TestStressWeightedCostsAgainstOracle(t *testing.T) {
 				return total
 			},
 		}
-		r, err := core.NewSolver(g, c).MinTriang(nil)
+		r, err := mustSolver(g, c).MinTriang(nil)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -162,7 +162,7 @@ func TestStressDomainStateSpace(t *testing.T) {
 			domains[i] = 2 + rng.Intn(5)
 		}
 		c := cost.TotalStateSpace{Domain: domains}
-		r, err := core.NewSolver(g, c).MinTriang(nil)
+		r, err := mustSolver(g, c).MinTriang(nil)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
