@@ -18,9 +18,9 @@ import (
 // whole-graph result. Recorded in BENCH_atoms.json; the acceptance bar of
 // ISSUE 3 is ≥ 3x.
 //
-// Solver initialization (including the lazy parallel sub-solver builds,
-// forced by the warm-up Next) runs off the clock; BenchmarkAtomsInit
-// reports it separately.
+// Solver initialization (including the parallel per-atom sub-solver
+// builds in New) runs off the clock; BenchmarkAtomsInit reports it
+// separately.
 func BenchmarkAtomsDelay(b *testing.B) {
 	cases := []struct {
 		name     string
@@ -68,7 +68,7 @@ func BenchmarkAtomsDelay(b *testing.B) {
 // clique-separated family: the decomposition replaces one whole-graph
 // MinSep/PMC/block computation (exponential in the whole graph's
 // separator structure) by one per atom plus a polynomial decomposition
-// pass. Sub-solver builds are forced so both modes pay their full
+// pass. New builds every sub-solver, so both modes pay their full
 // initialization inside the loop.
 func BenchmarkAtomsInit(b *testing.B) {
 	g := gen.CliqueChain(rand.New(rand.NewSource(11)), 4, 8, 2, 0.5)

@@ -145,7 +145,7 @@ func (b *misBackend) EnumerateContext(ctx context.Context) *Enumerator {
 		// Mirror the DP's empty-graph convention (see Solver.MinTriang):
 		// one empty triangulation, no trip through the MIS machinery.
 		m.empty = true
-		return &Enumerator{ext: m}
+		return &Enumerator{m: m}
 	}
 	if b.scored {
 		// The heuristic score of a pending MIS result is the true cost of
@@ -162,10 +162,10 @@ func (b *misBackend) EnumerateContext(ctx context.Context) *Enumerator {
 	} else {
 		m.inner = ckk.New(b.g, nil)
 	}
-	return &Enumerator{ext: m}
+	return &Enumerator{m: m}
 }
 
-// misEnumerator is the ext machine lifting ckk results to core Results.
+// misEnumerator is the machine lifting ckk results to core Results.
 type misEnumerator struct {
 	b     *misBackend
 	ctx   context.Context

@@ -11,8 +11,8 @@ import (
 )
 
 // BenchmarkBackendCrossover measures the quantity SelectBackend trades on:
-// the ranked DP's full initialization (New + Prepare — exactly
-// what the service runs inside InitTimeout) against the MIS backends'
+// the ranked DP's full initialization (New — exactly what the service
+// runs inside InitTimeout) against the MIS backends'
 // time-to-first-result, which needs no PMC table at all. Two regimes:
 //
 //   - gnp26: separator-rich ConnectedGNP(n=26, p=0.35), ~700 minimal
@@ -42,11 +42,7 @@ func BenchmarkBackendCrossover(b *testing.B) {
 		g := tc.make()
 		b.Run(tc.name+"/dp-init", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				s, err := New(context.Background(), g, c, Options{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := s.Prepare(context.Background()); err != nil {
+				if _, err := New(context.Background(), g, c, Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -11,8 +11,8 @@ import (
 )
 
 // TestNewSolverContextBackground checks that a background context never
-// fails and that the lazily built solver it yields matches one built
-// eagerly under a live cancellable context.
+// fails and that the solver it yields matches one built under a live
+// cancellable context.
 func TestNewSolverContextBackground(t *testing.T) {
 	g := gen.PaperExample()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -40,6 +40,29 @@ func TestNewSolverContextCancelled(t *testing.T) {
 	bound := 3
 	if _, err := New(ctx, g, cost.Width{}, Options{WidthBound: &bound}); err == nil {
 		t.Fatal("want error from cancelled bounded init")
+	}
+}
+
+// TestNewBuildsEverySubSolver pins that a decomposed solver is finished
+// when New returns, whatever the context: under a background context
+// every per-atom sub-solver is already built, and the parent's
+// InitDuration covers each of their builds.
+func TestNewBuildsEverySubSolver(t *testing.T) {
+	g := gen.CliqueChain(rand.New(rand.NewSource(3)), 5, 10, 2, 0.5)
+	s, err := New(context.Background(), g, cost.FillIn{}, Options{})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	if !s.Decomposed() || len(s.subs) != s.Atoms().Count() {
+		t.Fatalf("want one sub-solver per atom, got %d for %d atoms", len(s.subs), s.Atoms().Count())
+	}
+	for i, sub := range s.subs {
+		if sub == nil {
+			t.Fatalf("atom %d: sub-solver not built by New", i)
+		}
+		if sub.InitDuration > s.InitDuration {
+			t.Fatalf("atom %d: sub-solver init %v exceeds the parent's %v", i, sub.InitDuration, s.InitDuration)
+		}
 	}
 }
 

@@ -10,20 +10,18 @@ import (
 // Enumerator streams the minimal triangulations of a graph. Obtain one
 // from Solver.EnumerateContext (non-decreasing cost order) or any other
 // core.Backend, and call Next until it reports exhaustion. It fronts one
-// of three machines: the Lawler–Murty RankedTriang of Figure 4 on a
-// monolithic solver, the ranked product-stream merge of the per-atom
-// enumerations on a decomposed solver (product.go), or an alternative
-// backend's machine (backend.go) — which is why the stream cache and
-// serving tiers can treat every backend's output identically.
+// machine: the Lawler–Murty RankedTriang of Figure 4 on a monolithic
+// solver, the ranked product-stream merge of the per-atom enumerations on
+// a decomposed solver (product.go), the MIS walk (backend.go), or the
+// orbit post-filter over any of these (orbit.go) — which is why the
+// stream cache and serving tiers can treat every backend's output
+// identically.
 type Enumerator struct {
-	lm  *lmEnumerator
-	pm  *productEnumerator
-	ext extMachine
+	m machine
 }
 
-// extMachine is the seam alternative backends plug their enumeration
-// machinery into (see backend.go).
-type extMachine interface {
+// machine is one enumeration strategy behind an Enumerator.
+type machine interface {
 	Next() (*Result, bool)
 }
 
@@ -33,15 +31,7 @@ type extMachine interface {
 // initialization size (polynomial delay under poly-MS, Theorem 4.4) — for
 // a decomposed solver, in the initialization size of the atoms. Other
 // backends emit per their Ranked contract.
-func (e *Enumerator) Next() (*Result, bool) {
-	if e.ext != nil {
-		return e.ext.Next()
-	}
-	if e.pm != nil {
-		return e.pm.Next()
-	}
-	return e.lm.Next()
-}
+func (e *Enumerator) Next() (*Result, bool) { return e.m.Next() }
 
 // lmEnumerator is the monolithic machine — the RankedTriang algorithm of
 // Figure 4.
@@ -59,11 +49,6 @@ type lmEnumerator struct {
 	queue   partitionQueue
 	seq     int
 	workers int // parallel branch solving when > 1
-
-	// pruner, when non-nil, drops branches whose constraint set is
-	// Aut(G)-equivalent to an already-admitted one before their solve
-	// (orbit-reduced enumeration; installed by NewOrbitBackend).
-	pruner *orbitPruner
 }
 
 type partition struct {
@@ -117,7 +102,7 @@ func (s *Solver) EnumerateContext(ctx context.Context) *Enumerator {
 func (s *Solver) EnumerateParallelContext(ctx context.Context, workers int) *Enumerator {
 	workers = effectiveWorkers(workers)
 	if s.dec != nil {
-		return &Enumerator{pm: s.newProductEnumerator(ctx, workers)}
+		return &Enumerator{m: s.newProductEnumerator(ctx, workers)}
 	}
 	lm := &lmEnumerator{s: s, ctx: ctx, workers: workers}
 	if ctx.Err() == nil {
@@ -125,7 +110,7 @@ func (s *Solver) EnumerateParallelContext(ctx context.Context, workers int) *Enu
 			lm.push(r, nil)
 		}
 	}
-	return &Enumerator{lm: lm}
+	return &Enumerator{m: lm}
 }
 
 func (e *lmEnumerator) push(r *Result, cc *compiledConstraints) {
@@ -169,20 +154,6 @@ func (e *lmEnumerator) Next() (*Result, bool) {
 		if i+1 < len(fresh) {
 			cc = e.s.extendConstraints(cc, id, true)
 		}
-	}
-	// Orbit mode: drop branches whose constraint set is equivalent, under
-	// an automorphism of G, to one already admitted — their regions are
-	// label-images of regions the admitted branches cover. Runs in the
-	// single-threaded section so admit order (and hence the stream) stays
-	// deterministic.
-	if e.pruner != nil {
-		kept := branches[:0]
-		for _, b := range branches {
-			if e.pruner.admit(b) {
-				kept = append(kept, b)
-			}
-		}
-		branches = kept
 	}
 	results := make([]*Result, len(branches))
 	if e.workers <= 1 || len(branches) <= 1 {

@@ -41,14 +41,17 @@ func TestParallelMatchesSequential(t *testing.T) {
 // machine behind e: the single machine of a monolithic enumeration, or
 // each atom's on a decomposed one.
 func workersOf(e *Enumerator) []int {
-	if e.pm == nil {
-		return []int{e.lm.workers}
+	switch m := e.m.(type) {
+	case *lmEnumerator:
+		return []int{m.workers}
+	case *productEnumerator:
+		var out []int
+		for _, st := range m.streams {
+			out = append(out, workersOf(st.e)...)
+		}
+		return out
 	}
-	var out []int
-	for _, st := range e.pm.streams {
-		out = append(out, st.e.lm.workers)
-	}
-	return out
+	return nil
 }
 
 // TestParallelWorkerClamping pins the one worker-count rule on both

@@ -30,12 +30,15 @@ func drainResults(t *testing.T, e *Enumerator) []*Result {
 	}
 }
 
-// checkOrbitInvariant is the orbit-mode oracle on one graph: the reduced
-// stream must consist of exactly one representative per Aut(G)-orbit of
-// the unreduced stream, each stamped with the orbit's true cardinality
-// and cost. Concretely, keying every unreduced result by its orbit
-// canonical form must reproduce the reduced stream's (key → (size, cost))
-// map exactly, and Σ OrbitSize must equal the unreduced length.
+// checkOrbitInvariant is the orbit-mode oracle on one graph under the
+// fill cost: the reduced stream must be the unreduced stream filtered to
+// the first member of each Aut(G)-orbit, element for element (same
+// triangulation, same cost, same order), each representative stamped
+// with its orbit's true cardinality. Concretely, keying every unreduced
+// result by its orbit canonical form must reproduce the reduced stream's
+// (key → (size, cost)) map exactly, and Σ OrbitSize must equal the
+// unreduced length. The orbit backend is drained sequentially and over
+// GOMAXPROCS branch workers.
 func checkOrbitInvariant(t *testing.T, g *graph.Graph, label string) {
 	t.Helper()
 	c := cost.FillIn{}
@@ -46,72 +49,66 @@ func checkOrbitInvariant(t *testing.T, g *graph.Graph, label string) {
 	full := drainResults(t, s.EnumerateContext(context.Background()))
 
 	// Expected orbit structure, computed independently of the filter's
-	// dedup bookkeeping: group the unreduced stream by orbit key.
+	// dedup bookkeeping: group the unreduced stream by orbit key, and keep
+	// the first member of each orbit in stream order.
 	type orbit struct {
 		size int64
 		cost float64
 	}
 	want := make(map[string]orbit)
+	var firsts []*Result
 	for _, r := range full {
 		key, _, exact := resultOrbitKey(g, r.H)
 		if !exact {
 			t.Fatalf("%s: oracle orbit key fell back on a tiny graph", label)
 		}
 		o, seen := want[key]
-		if seen && o.cost != r.Cost {
+		if !seen {
+			firsts = append(firsts, r)
+		} else if o.cost != r.Cost {
 			t.Fatalf("%s: one orbit, two costs (%v vs %v) — cost not label-invariant?", label, o.cost, r.Cost)
 		}
 		want[key] = orbit{size: o.size + 1, cost: r.Cost}
 	}
 
-	counters := &OrbitCounters{}
-	ob := NewOrbitBackend(s, counters)
-	reduced := drainResults(t, ob.EnumerateContext(context.Background()))
-
-	var sum int64
-	prev := -1.0
-	got := make(map[string]orbit)
-	for _, r := range reduced {
-		if r.OrbitSize < 1 {
-			t.Fatalf("%s: reduced stream emitted OrbitSize %d", label, r.OrbitSize)
+	ob := NewOrbitBackend(s, nil)
+	for _, drain := range []struct {
+		mode string
+		e    *Enumerator
+	}{
+		{"sequential", ob.EnumerateContext(context.Background())},
+		{"parallel", ob.EnumerateParallelContext(context.Background(), 0)},
+	} {
+		reduced := drainResults(t, drain.e)
+		if len(reduced) != len(firsts) {
+			t.Fatalf("%s %s: %d orbit representatives, want %d orbits", label, drain.mode, len(reduced), len(firsts))
 		}
-		sum += r.OrbitSize
-		if r.Cost < prev {
-			t.Fatalf("%s: reduced stream left ranked order (%v after %v)", label, r.Cost, prev)
+		var sum int64
+		for i, r := range reduced {
+			if r.H.EdgeSetKey() != firsts[i].H.EdgeSetKey() || r.Cost != firsts[i].Cost {
+				t.Fatalf("%s %s: representative %d is not the first member of its orbit in the unreduced stream", label, drain.mode, i)
+			}
+			key, _, exact := resultOrbitKey(g, r.H)
+			if !exact {
+				t.Fatalf("%s: orbit key fell back on a tiny graph", label)
+			}
+			if w := want[key]; r.OrbitSize != w.size || r.Cost != w.cost {
+				t.Fatalf("%s %s: orbit reported (size=%d cost=%v), want (size=%d cost=%v)",
+					label, drain.mode, r.OrbitSize, r.Cost, w.size, w.cost)
+			}
+			sum += r.OrbitSize
 		}
-		prev = r.Cost
-		key, _, exact := resultOrbitKey(g, r.H)
-		if !exact {
-			t.Fatalf("%s: orbit key fell back on a tiny graph", label)
-		}
-		if _, dup := got[key]; dup {
-			t.Fatalf("%s: reduced stream emitted two members of one orbit", label)
-		}
-		got[key] = orbit{size: r.OrbitSize, cost: r.Cost}
-	}
-	if sum != int64(len(full)) {
-		t.Fatalf("%s: Σ orbit sizes = %d, unreduced stream length = %d", label, sum, len(full))
-	}
-	if len(got) != len(want) {
-		t.Fatalf("%s: %d orbit representatives, want %d orbits", label, len(got), len(want))
-	}
-	for key, w := range want {
-		gr, ok := got[key]
-		if !ok {
-			t.Fatalf("%s: an orbit of size %d (cost %v) has no representative", label, w.size, w.cost)
-		}
-		if gr.size != w.size || gr.cost != w.cost {
-			t.Fatalf("%s: orbit reported (size=%d cost=%v), want (size=%d cost=%v)",
-				label, gr.size, gr.cost, w.size, w.cost)
+		if sum != int64(len(full)) {
+			t.Fatalf("%s %s: Σ orbit sizes = %d, unreduced stream length = %d", label, drain.mode, sum, len(full))
 		}
 	}
 }
 
 // TestOrbitOracleAllSmallGraphs proves the orbit-mode invariant
-// exhaustively on every graph with up to 6 vertices (the ISSUE's 33k
-// sweep): Σ orbit sizes matches the unreduced stream length and the
-// multiset of (cost, orbit-canonical form, size) is reproduced exactly,
-// with the Lawler–Murty branch pruner active throughout (monolithic DP).
+// exhaustively on every graph with up to 6 vertices (33k graphs): the
+// reduced stream is the first-of-orbit subsequence of the unreduced one,
+// Σ orbit sizes matches the unreduced stream length and the multiset of
+// (cost, orbit-canonical form, size) is reproduced exactly.
 func TestOrbitOracleAllSmallGraphs(t *testing.T) {
 	maxN := 6
 	if testing.Short() {
@@ -166,12 +163,11 @@ func orbitSignature(t *testing.T, g *graph.Graph, b Backend) map[string]string {
 	return out
 }
 
-// TestOrbitComposesAtomsAndBackends is the satellite property test: orbit
-// mode must produce identical orbit-representative multisets — same
-// orbits, same sizes, same costs — whether the inner engine is the
-// monolithic DP (with branch pruning), the atom-decomposed DP (post-filter
-// only), or either MIS backend (post-filter only), on random n=7..8
-// graphs.
+// TestOrbitComposesAtomsAndBackends is the cross-engine property test:
+// orbit mode must produce identical orbit-representative multisets —
+// same orbits, same sizes, same costs — whether the inner engine is the
+// monolithic DP, the atom-decomposed DP, or either MIS backend, on random
+// n=7..8 graphs.
 func TestOrbitComposesAtomsAndBackends(t *testing.T) {
 	trials := 8
 	if testing.Short() {
@@ -216,54 +212,54 @@ func TestOrbitComposesAtomsAndBackends(t *testing.T) {
 	}
 }
 
-// TestOrbitPrunerSkipsBranches pins the perf mechanism itself: on a
-// symmetric input where Aut(G)-equivalent constraint sets arise in the
-// Lawler–Murty tree, the monolithic DP must actually skip branches (not
-// just post-filter results), the reduced stream must be shorter than the
-// unreduced one, and the parallel-worker stream must be byte-identical to
-// the sequential one (pruning happens in the deterministic
-// single-threaded section). The 3×3 grid is the canonical firing input;
-// cycles, notably, never collide (the include-prefix structure of LM
-// constraint sets keeps them pairwise inequivalent there), which is why
-// post-filtering — not pruning — carries the reduction guarantee.
-func TestOrbitPrunerSkipsBranches(t *testing.T) {
-	g := gen.Grid(3, 3) // |Aut| = 8
-	c := cost.FillIn{}
-	s, err := New(context.Background(), g, c, Options{noDecompose: true})
-	if err != nil {
-		t.Fatalf("solver init: %v", err)
-	}
-	full := drainResults(t, s.EnumerateContext(context.Background()))
+// TestOrbitFirstOfOrbitNamedGraphs runs the orbit oracle on symmetric
+// inputs whose Lawler–Murty trees hold Aut(G)-equivalent constraint sets
+// — the 3×3 grid (|Aut| = 8) and the pentagonal prism (C10 with jumps 2
+// and 5, |Aut| = 20) under fill — and checks that the stream is actually
+// reduced, that the counters report the group order, and that a 4-worker
+// drain is identical to the sequential one.
+func TestOrbitFirstOfOrbitNamedGraphs(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		g     *graph.Graph
+		order uint64
+	}{
+		{"grid3x3", gen.Grid(3, 3), 8},
+		{"prism-C5", gen.CirculantGraph(10, []int{2, 5}), 20},
+	} {
+		checkOrbitInvariant(t, tc.g, tc.name)
 
-	counters := &OrbitCounters{}
-	ob := NewOrbitBackend(s, counters)
-	seq := drainResults(t, ob.EnumerateContext(context.Background()))
-	par := drainResults(t, ob.EnumerateParallelContext(context.Background(), 4))
+		s, err := New(context.Background(), tc.g, cost.FillIn{}, Options{noDecompose: true})
+		if err != nil {
+			t.Fatalf("%s: solver init: %v", tc.name, err)
+		}
+		full := drainResults(t, s.EnumerateContext(context.Background()))
+		counters := &OrbitCounters{}
+		ob := NewOrbitBackend(s, counters)
+		seq := drainResults(t, ob.EnumerateContext(context.Background()))
+		par := drainResults(t, ob.EnumerateParallelContext(context.Background(), 4))
 
-	if len(seq) >= len(full) {
-		t.Fatalf("orbit stream not reduced: %d of %d", len(seq), len(full))
-	}
-	var sum int64
-	for _, r := range seq {
-		sum += r.OrbitSize
-	}
-	if sum != int64(len(full)) {
-		t.Fatalf("Σ orbit sizes = %d, unreduced length = %d", sum, len(full))
-	}
-	st := counters.Snapshot()
-	if st.SkippedBranches == 0 {
-		t.Fatalf("pruner skipped no branches on the 3x3 grid (counters: %+v)", st)
-	}
-	if st.MaxGroupOrder != 8 {
-		t.Fatalf("max group order %d, want 8", st.MaxGroupOrder)
-	}
-	if len(par) != len(seq) {
-		t.Fatalf("parallel stream length %d, sequential %d", len(par), len(seq))
-	}
-	for i := range seq {
-		if seq[i].H.EdgeSetKey() != par[i].H.EdgeSetKey() ||
-			seq[i].OrbitSize != par[i].OrbitSize || seq[i].Cost != par[i].Cost {
-			t.Fatalf("parallel stream diverges from sequential at result %d", i)
+		if len(seq) >= len(full) {
+			t.Fatalf("%s: orbit stream not reduced: %d of %d", tc.name, len(seq), len(full))
+		}
+		var sum int64
+		for _, r := range seq {
+			sum += r.OrbitSize
+		}
+		if sum != int64(len(full)) {
+			t.Fatalf("%s: Σ orbit sizes = %d, unreduced length = %d", tc.name, sum, len(full))
+		}
+		if st := counters.Snapshot(); st.MaxGroupOrder != tc.order {
+			t.Fatalf("%s: max group order %d, want %d", tc.name, st.MaxGroupOrder, tc.order)
+		}
+		if len(par) != len(seq) {
+			t.Fatalf("%s: parallel stream length %d, sequential %d", tc.name, len(par), len(seq))
+		}
+		for i := range seq {
+			if seq[i].H.EdgeSetKey() != par[i].H.EdgeSetKey() ||
+				seq[i].OrbitSize != par[i].OrbitSize || seq[i].Cost != par[i].Cost {
+				t.Fatalf("%s: parallel stream diverges from sequential at result %d", tc.name, i)
+			}
 		}
 	}
 }

@@ -169,22 +169,18 @@ type productEnumerator struct {
 	seq     int
 }
 
-// newProductEnumerator starts the decomposed enumeration: sub-solvers are
-// (lazily) initialized, per-atom streams opened, and the all-zeros
-// combination — the global optimum — seeded. A cancelled context or an
-// infeasible atom (possible under a width bound) yields an exhausted
-// enumerator, mirroring the monolithic constructor.
+// newProductEnumerator starts the decomposed enumeration: per-atom
+// streams are opened and the all-zeros combination — the global optimum —
+// seeded. A cancelled context or an infeasible atom (possible under a
+// width bound) yields an exhausted enumerator, mirroring the monolithic
+// constructor.
 func (s *Solver) newProductEnumerator(ctx context.Context, workers int) *productEnumerator {
 	pe := &productEnumerator{s: s, ctx: ctx}
-	if err := s.ensureSubs(ctx); err != nil {
-		return pe
-	}
-	subs := s.subSolvers()
-	pe.streams = make([]*atomStream, len(subs))
-	for i, sub := range subs {
+	pe.streams = make([]*atomStream, len(s.subs))
+	for i, sub := range s.subs {
 		pe.streams[i] = &atomStream{e: sub.EnumerateParallelContext(ctx, workers)}
 	}
-	root := &combo{idx: make([]int, len(subs))}
+	root := &combo{idx: make([]int, len(s.subs))}
 	for i := range pe.streams {
 		if _, ok := pe.streams[i].get(0); !ok {
 			return pe // some atom has no admissible triangulation

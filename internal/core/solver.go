@@ -107,29 +107,23 @@ type Solver struct {
 
 	// Decomposed mode (see DESIGN.md, "Atom decomposition"). When the
 	// graph splits into more than one clique-separator atom and the cost
-	// declares an atom-wise merge rule, the monolithic structures above
-	// stay empty: the solver instead owns one sub-solver per atom, built
-	// lazily and in parallel on first use, and answers enumeration
-	// queries through the ranked product-stream merge of product.go.
+	// declares an atom-wise merge rule, the solver owns one sub-solver per
+	// atom, built in parallel by New, and answers enumeration queries
+	// through the ranked product-stream merge of product.go. Of the
+	// monolithic structures above only seps and pmcs are filled, with the
+	// aggregates over the atoms.
 	dec       *atoms.Decomposition
 	mergeKind cost.MergeKind
-	subMu     sync.Mutex // guards subs/aggSeps/aggPMCs construction
-	subs      []*Solver  // aligned with dec.Atoms; nil until first use
-	aggSeps   []vset.Set // cached MinimalSeparators() aggregate
-	aggPMCs   []vset.Set // cached PMCs() aggregate
+	subs      []*Solver // aligned with dec.Atoms
 
 	statSolves atomic.Uint64 // constrained solves served incrementally
 	statDirty  atomic.Uint64 // blocks re-solved across those calls
 	statReused atomic.Uint64 // blocks reused from the baseline
 
 	// InitDuration records the time spent computing separators, PMCs and
-	// the block structure — the "init" column of the paper's Table 2.
-	// Written once during construction and immutable afterwards. For a
-	// decomposed solver built with a cancellable context it includes the
-	// per-atom sub-solver builds; for one built with a background context
-	// it covers only the decomposition, with the deferred build times
-	// (paid by the first query or by Prepare) reported per atom by
-	// AtomInfos.
+	// the block structure — the "init" column of the paper's Table 2 —
+	// including every per-atom sub-solver build of a decomposed solver.
+	// Written once during construction and immutable afterwards.
 	InitDuration time.Duration
 }
 
@@ -163,9 +157,9 @@ type Options struct {
 // during the separator, PMC or block computation, returning a nil solver;
 // a background context never fails. When the graph splits on clique
 // minimal separators and the cost declares an atom-wise merge rule, the
-// solver routes through the atom decomposition; a cancellable ctx builds
-// the per-atom sub-solvers eagerly under it, a background one lazily on
-// the first query (see Prepare).
+// solver routes through the atom decomposition and builds one sub-solver
+// per atom, in parallel. The returned solver is finished: no query does
+// initialization work.
 func New(ctx context.Context, g *graph.Graph, c cost.Cost, opts Options) (*Solver, error) {
 	bound := -1
 	if opts.WidthBound != nil {
@@ -193,15 +187,8 @@ func New(ctx context.Context, g *graph.Graph, c cost.Cost, opts Options) (*Solve
 			if dec := atoms.Decompose(g); len(dec.Atoms) > 1 {
 				s.dec = dec
 				s.mergeKind = m.MergeKind()
-				// A cancellable context is a caller that wants the abort
-				// contract: build the sub-solvers now, under that context,
-				// so no exponential work escapes it later through a
-				// context-free query. A background context keeps the
-				// build lazy — the first query pays it, in parallel.
-				if ctx.Done() != nil {
-					if err := s.ensureSubs(ctx); err != nil {
-						return nil, err
-					}
+				if err := s.buildSubs(ctx); err != nil {
+					return nil, err
 				}
 				s.InitDuration = time.Since(start)
 				return s, nil
@@ -408,20 +395,11 @@ func (s *Solver) Decomposed() bool { return s.dec != nil }
 // graph, or nil for a monolithic solver.
 func (s *Solver) Atoms() *atoms.Decomposition { return s.dec }
 
-// ensureSubs builds the per-atom sub-solvers on first use, in parallel
-// with up to GOMAXPROCS workers. Failed builds (only possible through ctx
-// cancellation) are not cached, so a later call with a live context
-// retries; concurrent callers serialize on subMu and the winner's build
-// is shared.
-func (s *Solver) ensureSubs(ctx context.Context) error {
-	if s.dec == nil {
-		return nil
-	}
-	s.subMu.Lock()
-	defer s.subMu.Unlock()
-	if s.subs != nil {
-		return nil
-	}
+// buildSubs builds the per-atom sub-solvers in parallel with up to
+// GOMAXPROCS workers and aggregates their separators and PMCs into the
+// solver's own (plus the clique minimal separators of the decomposition,
+// which every minimal triangulation contains). Called only from New.
+func (s *Solver) buildSubs(ctx context.Context) error {
 	n := len(s.dec.Atoms)
 	subs := make([]*Solver, n)
 	errs := make([]error, n)
@@ -441,18 +419,9 @@ func (s *Solver) ensureSubs(ctx context.Context) error {
 		go func() {
 			defer wg.Done()
 			for i := range work {
-				if ctx.Err() != nil {
-					errs[i] = ctx.Err()
-					continue
+				if errs[i] = ctx.Err(); errs[i] == nil {
+					subs[i], errs[i] = New(ctx, s.g.InducedSubgraph(s.dec.Atoms[i].Vertices), s.c, opts)
 				}
-				sg := s.g.InducedSubgraph(s.dec.Atoms[i].Vertices)
-				sub, err := New(ctx, sg, s.c, opts)
-				if err != nil {
-					errs[i] = err
-					continue
-				}
-				sub.setFullResolve(s.fullResolve)
-				subs[i] = sub
 			}
 		}()
 	}
@@ -467,78 +436,36 @@ func (s *Solver) ensureSubs(ctx context.Context) error {
 		}
 	}
 	s.subs = subs
+	for _, sub := range subs {
+		s.seps = append(s.seps, sub.seps...)
+		s.pmcs = append(s.pmcs, sub.pmcs...)
+	}
+	for _, cs := range s.dec.CliqueSeps {
+		if s.bound < 0 || cs.Len() <= s.bound {
+			s.seps = append(s.seps, cs)
+		}
+	}
+	sort.Slice(s.seps, func(i, j int) bool { return s.seps[i].Compare(s.seps[j]) < 0 })
+	sort.Slice(s.pmcs, func(i, j int) bool { return s.pmcs[i].Compare(s.pmcs[j]) < 0 })
 	return nil
 }
 
-// Prepare forces the lazy per-atom sub-solver initialization now, under
-// ctx's budget. Library callers can ignore it (the first query prepares
-// on demand); the service layer calls it inside the pooled build so a
-// decomposed solver's initialization is bounded by the same timeout as a
-// monolithic one. A no-op on monolithic solvers.
-func (s *Solver) Prepare(ctx context.Context) error {
-	return s.ensureSubs(ctx)
-}
-
-// subSolvers returns the built sub-solver list, or nil for a monolithic
-// solver or before the first successful ensureSubs.
-func (s *Solver) subSolvers() []*Solver {
-	s.subMu.Lock()
-	defer s.subMu.Unlock()
-	return s.subs
-}
+// Prepare returns nil: New builds every structure, sub-solvers included.
+// The method remains only because benchrun/trace.go and
+// benchrun/workloads.go still call it.
+func (s *Solver) Prepare(ctx context.Context) error { return nil }
 
 // MinimalSeparators returns the precomputed MinSep(G) (restricted by the
 // width bound for bounded solvers). For a decomposed solver this is the
 // disjoint union of the atoms' minimal separators and the clique minimal
 // separators of the decomposition, in canonical order — the same set the
 // monolithic solver computes directly.
-func (s *Solver) MinimalSeparators() []vset.Set {
-	if s.dec == nil {
-		return s.seps
-	}
-	if err := s.ensureSubs(context.Background()); err != nil {
-		return nil
-	}
-	s.subMu.Lock()
-	defer s.subMu.Unlock()
-	if s.aggSeps == nil {
-		var agg []vset.Set
-		for _, sub := range s.subs {
-			agg = append(agg, sub.seps...)
-		}
-		for _, cs := range s.dec.CliqueSeps {
-			if s.bound < 0 || cs.Len() <= s.bound {
-				agg = append(agg, cs)
-			}
-		}
-		sort.Slice(agg, func(i, j int) bool { return agg[i].Compare(agg[j]) < 0 })
-		s.aggSeps = agg
-	}
-	return s.aggSeps
-}
+func (s *Solver) MinimalSeparators() []vset.Set { return s.seps }
 
 // PMCs returns the precomputed PMC(G) (restricted by the width bound).
 // For a decomposed solver this is the union of the atoms' PMC sets in
 // canonical order.
-func (s *Solver) PMCs() []vset.Set {
-	if s.dec == nil {
-		return s.pmcs
-	}
-	if err := s.ensureSubs(context.Background()); err != nil {
-		return nil
-	}
-	s.subMu.Lock()
-	defer s.subMu.Unlock()
-	if s.aggPMCs == nil {
-		var agg []vset.Set
-		for _, sub := range s.subs {
-			agg = append(agg, sub.pmcs...)
-		}
-		sort.Slice(agg, func(i, j int) bool { return agg[i].Compare(agg[j]) < 0 })
-		s.aggPMCs = agg
-	}
-	return s.aggPMCs
-}
+func (s *Solver) PMCs() []vset.Set { return s.pmcs }
 
 // NumFullBlocks returns the number of full blocks in the DP — summed over
 // the atoms for a decomposed solver.
@@ -546,11 +473,8 @@ func (s *Solver) NumFullBlocks() int {
 	if s.dec == nil {
 		return len(s.blocks) - 1
 	}
-	if err := s.ensureSubs(context.Background()); err != nil {
-		return 0
-	}
 	total := 0
-	for _, sub := range s.subSolvers() {
+	for _, sub := range s.subs {
 		total += sub.NumFullBlocks()
 	}
 	return total
@@ -563,7 +487,7 @@ func (s *Solver) NumFullBlocks() int {
 // enumerations are in flight.
 func (s *Solver) setFullResolve(on bool) {
 	s.fullResolve = on
-	for _, sub := range s.subSolvers() {
+	for _, sub := range s.subs {
 		sub.setFullResolve(on)
 	}
 }
@@ -588,45 +512,11 @@ func (s *Solver) ReuseStats() ReuseStats {
 		DirtyBlocks:       s.statDirty.Load(),
 		ReusedBlocks:      s.statReused.Load(),
 	}
-	for _, sub := range s.subSolvers() {
+	for _, sub := range s.subs {
 		st := sub.ReuseStats()
 		out.ConstrainedSolves += st.ConstrainedSolves
 		out.DirtyBlocks += st.DirtyBlocks
 		out.ReusedBlocks += st.ReusedBlocks
-	}
-	return out
-}
-
-// AtomInfo is a snapshot of one atom's sub-solver, reported by the
-// service layer's /v1/stats.
-type AtomInfo struct {
-	Vertices   int   `json:"vertices"`
-	Ready      bool  `json:"ready"`
-	Separators int   `json:"separators,omitempty"`
-	PMCs       int   `json:"pmcs,omitempty"`
-	FullBlocks int   `json:"full_blocks,omitempty"`
-	InitMillis int64 `json:"init_ms,omitempty"`
-}
-
-// AtomInfos describes the per-atom sub-solvers without forcing their
-// initialization: atoms whose sub-solver has not been built yet report
-// Ready=false and only their vertex count. Nil for monolithic solvers.
-func (s *Solver) AtomInfos() []AtomInfo {
-	if s.dec == nil {
-		return nil
-	}
-	subs := s.subSolvers()
-	out := make([]AtomInfo, len(s.dec.Atoms))
-	for i, a := range s.dec.Atoms {
-		out[i] = AtomInfo{Vertices: a.Vertices.Len()}
-		if subs != nil && subs[i] != nil {
-			sub := subs[i]
-			out[i].Ready = true
-			out[i].Separators = len(sub.seps)
-			out[i].PMCs = len(sub.pmcs)
-			out[i].FullBlocks = sub.NumFullBlocks()
-			out[i].InitMillis = sub.InitDuration.Milliseconds()
-		}
 	}
 	return out
 }
@@ -704,7 +594,7 @@ func (s *Solver) MinTriang(cons *cost.Constraints) (*Result, error) {
 		return &Result{H: s.g.Clone(), Tree: td.New(), Cost: s.evalBags(s.g, nil)}, nil
 	}
 	if s.dec != nil {
-		return s.minTriangAtoms(context.Background(), cons)
+		return s.minTriangAtoms(cons)
 	}
 	return s.minTriangCompiled(s.compileConstraints(cons))
 }
@@ -716,17 +606,13 @@ func (s *Solver) MinTriang(cons *cost.Constraints) (*Result, error) {
 // of independent minimal triangulations of the atoms) plus the merge rule
 // of the cost, under which the union of per-atom optima is a global
 // optimum.
-func (s *Solver) minTriangAtoms(ctx context.Context, cons *cost.Constraints) (*Result, error) {
-	if err := s.ensureSubs(ctx); err != nil {
-		return nil, err
-	}
+func (s *Solver) minTriangAtoms(cons *cost.Constraints) (*Result, error) {
 	perAtom, err := s.splitConstraints(cons)
 	if err != nil {
 		return nil, err
 	}
-	subs := s.subSolvers()
-	parts := make([]*Result, len(subs))
-	for i, sub := range subs {
+	parts := make([]*Result, len(s.subs))
+	for i, sub := range s.subs {
 		r, err := sub.MinTriang(perAtom[i])
 		if err != nil {
 			return nil, ErrNoTriangulation

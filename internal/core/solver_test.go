@@ -376,17 +376,6 @@ func TestSolverAccessors(t *testing.T) {
 	if s.NumFullBlocks() != 5 {
 		t.Fatalf("decomposed full blocks = %d, want 5", s.NumFullBlocks())
 	}
-	infos := s.AtomInfos()
-	sum := 0
-	for _, ai := range infos {
-		if !ai.Ready {
-			t.Fatalf("sub-solver not built after NumFullBlocks: %+v", ai)
-		}
-		sum += ai.FullBlocks
-	}
-	if sum != s.NumFullBlocks() {
-		t.Fatalf("AtomInfos blocks sum %d != NumFullBlocks %d", sum, s.NumFullBlocks())
-	}
 
 	mono, err := New(context.Background(), g, cost.Width{}, Options{noDecompose: true})
 	if err != nil {

@@ -197,10 +197,10 @@ func (st *SharedStream) prefetchWantLocked() bool {
 	return st.pfBytes <= 0 || st.bytes < st.pfBytes
 }
 
-// prefetchLoop is the speculative producer. It acquires production
-// through the same producing/gen protocol as At — one Next in flight
-// stream-wide, stale generations dropped — so speculation is invisible in
-// the emitted sequence and safe against concurrent Reset, TrimOver and
+// prefetchLoop is the speculative producer. It produces through the same
+// produceLocked step as At — one Next in flight stream-wide, stale
+// generations dropped — so speculation is invisible in the emitted
+// sequence and safe against concurrent Reset, TrimOver and
 // eviction-rebuild.
 func (st *SharedStream) prefetchLoop() {
 	for {
@@ -229,37 +229,55 @@ func (st *SharedStream) prefetchLoop() {
 			}
 			st.mu.Lock()
 		}
-		if st.enum == nil {
-			if st.gen > 0 {
-				st.rebuilds++
-			}
-			st.enum = st.factory()
+		st.produceLocked(true)
+	}
+}
+
+// produceLocked is the one production step shared by At and the
+// prefetcher: it builds the enumerator on demand, calls Next outside the
+// lock, commits the result unless a Reset bumped the generation
+// meanwhile, and wakes every waiter. The caller holds st.mu with no
+// producer in flight; produceLocked returns with it released. A demand
+// commit counts DemandSolves, a speculative one PrefetchSolves and the
+// lookahead high-water mark.
+func (st *SharedStream) produceLocked(speculative bool) {
+	if st.enum == nil {
+		if st.gen > 0 {
+			st.rebuilds++
 		}
-		st.producing = true
-		gen, enum := st.gen, st.enum
-		st.mu.Unlock()
+		st.enum = st.factory()
+	}
+	st.producing = true
+	gen, enum := st.gen, st.enum
+	st.mu.Unlock()
 
-		r, ok := enum.Next()
+	r, ok := enum.Next()
 
-		st.mu.Lock()
-		if st.gen == gen {
-			st.producing = false
-			if ok {
-				st.buf = append(st.buf, r)
-				st.bytes += r.SizeEstimate()
+	st.mu.Lock()
+	// On a stale generation the result is simply dropped: Reset already
+	// cleared the producing flag, and a new producer may be mid-flight on
+	// the rebuilt enumerator.
+	if st.gen == gen {
+		st.producing = false
+		if !ok {
+			st.exhausted = true
+		} else {
+			st.buf = append(st.buf, r)
+			st.bytes += r.SizeEstimate()
+			if speculative {
 				st.pfStats.PrefetchSolves++
 				if lead := st.base + len(st.buf) - st.pfDemand; lead > st.pfStats.LookaheadHighWater {
 					st.pfStats.LookaheadHighWater = lead
 				}
 			} else {
-				st.exhausted = true
+				st.pfStats.DemandSolves++
 			}
 		}
-		ch := st.advanced
-		st.advanced = make(chan struct{})
-		st.mu.Unlock()
-		close(ch)
 	}
+	ch := st.advanced
+	st.advanced = make(chan struct{})
+	st.mu.Unlock()
+	close(ch)
 }
 
 // At returns the result of rank i (0-based), producing and buffering
@@ -312,36 +330,7 @@ func (st *SharedStream) At(ctx context.Context, i int) (*Result, bool, error) {
 			}
 			continue
 		}
-		if st.enum == nil {
-			if st.gen > 0 {
-				st.rebuilds++
-			}
-			st.enum = st.factory()
-		}
-		st.producing = true
-		gen, enum := st.gen, st.enum
-		st.mu.Unlock()
-
-		r, ok := enum.Next()
-
-		st.mu.Lock()
-		if st.gen == gen {
-			st.producing = false
-			if ok {
-				st.buf = append(st.buf, r)
-				st.bytes += r.SizeEstimate()
-				st.pfStats.DemandSolves++
-			} else {
-				st.exhausted = true
-			}
-		}
-		// On a stale generation the result is simply dropped: Reset already
-		// cleared the producing flag, and a new producer may be mid-flight
-		// on the rebuilt enumerator.
-		ch := st.advanced
-		st.advanced = make(chan struct{})
-		st.mu.Unlock()
-		close(ch)
+		st.produceLocked(false)
 	}
 }
 

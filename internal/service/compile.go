@@ -145,6 +145,9 @@ func (s *Server) compileProblem(req *EnumerateRequest, q url.Values) (*CompiledP
 		}
 		cp.Bound = *req.Bound
 	}
+	if req.MaxResults < 0 {
+		return nil, errors.New("max_results must be non-negative")
+	}
 	if cp.PageSize, err = clampPageSize(req.PageSize, s.cfg.PageSize); err != nil {
 		return nil, err
 	}
@@ -229,18 +232,7 @@ func (s *Server) buildBackend(ctx context.Context, cp *CompiledProblem) (core.Ba
 				b := cp.Bound
 				opts.WidthBound = &b
 			}
-			solver, err := core.New(bctx, cp.Graph, cp.Cost, opts)
-			if err != nil {
-				return nil, err
-			}
-			// Force the decomposed solver's lazy per-atom initialization here,
-			// inside the timeout-bounded singleflight build, so a huge atom
-			// cannot smuggle unbounded init work past InitTimeout into the
-			// first paging call.
-			if err := solver.Prepare(bctx); err != nil {
-				return nil, err
-			}
-			return solver, nil
+			return core.New(bctx, cp.Graph, cp.Cost, opts)
 		})
 		if err != nil {
 			// Cancelled or out-of-budget initialization is a capacity signal

@@ -178,8 +178,7 @@
 // Stats also aggregate the clique-separator atom decompositions of the
 // cached solvers:
 //
-//	"atoms": {"decomposed_solvers": 3, "total_atoms": 11,
-//	          "largest_atom": 9, "ready_sub_solvers": 11}
+//	"atoms": {"decomposed_solvers": 3, "total_atoms": 11, "largest_atom": 9}
 //
 // Graphs that split on clique minimal separators are solved one atom at
 // a time with the ranked streams merged, so initialization and delay

@@ -205,21 +205,13 @@ func (p *SolverPool) AtomStats() AtomStats {
 	defer p.mu.Unlock()
 	var out AtomStats
 	for e := p.lru.Front(); e != nil; e = e.Next() {
-		solver := e.Value.(*poolEntry).solver
-		infos := solver.AtomInfos()
-		if infos == nil {
+		dec := e.Value.(*poolEntry).solver.Atoms()
+		if dec == nil {
 			continue
 		}
 		out.DecomposedSolvers++
-		out.TotalAtoms += len(infos)
-		for _, ai := range infos {
-			if ai.Vertices > out.LargestAtom {
-				out.LargestAtom = ai.Vertices
-			}
-			if ai.Ready {
-				out.ReadySubSolvers++
-			}
-		}
+		out.TotalAtoms += dec.Count()
+		out.LargestAtom = max(out.LargestAtom, dec.LargestAtom())
 	}
 	return out
 }

@@ -596,8 +596,8 @@ func (s *Server) handleNext(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusNotFound, ErrSessionNotFound)
 			return
 		}
-		// The paging request died; the page is parked for redelivery and
-		// the session stays resumable. The response likely goes nowhere.
+		// The paging request died; the cursor did not advance, so the
+		// session stays resumable. The response likely goes nowhere.
 		writeError(w, http.StatusServiceUnavailable, errors.New("request cancelled"))
 		return
 	}

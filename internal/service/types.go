@@ -210,10 +210,7 @@ type CSPSolutionJSON struct {
 // within the lookahead budget, so it genuinely predicts that the next
 // page is a buffer read; with prefetch off it is nonzero only when other
 // cursors on the same graph, or this session's own interrupted pages,
-// produced ranks ahead. It replaces the old queued_partitions field, which reported the
-// enumerator's internal Lawler–Murty queue depth: an implementation
-// detail that was neither a bound on remaining results nor a measure of
-// buffered work, i.e. misleading wire metadata.
+// produced ranks ahead.
 type SessionInfo struct {
 	Session       string  `json:"session"`
 	Emitted       int     `json:"emitted"`
@@ -223,14 +220,12 @@ type SessionInfo struct {
 
 // AtomStats aggregates the clique-separator decompositions of the cached
 // solvers for GET /v1/stats: how many solvers decomposed, the total atom
-// count across them, the largest atom seen (the quantity that actually
-// bounds the exponential work), and how many per-atom sub-solvers have
-// been lazily initialized so far.
+// count across them, and the largest atom seen (the quantity that
+// actually bounds the exponential work).
 type AtomStats struct {
 	DecomposedSolvers int `json:"decomposed_solvers"`
 	TotalAtoms        int `json:"total_atoms"`
 	LargestAtom       int `json:"largest_atom"`
-	ReadySubSolvers   int `json:"ready_sub_solvers"`
 }
 
 // PrefetchStats is the "prefetch" block of GET /v1/stats: the serving
@@ -299,9 +294,9 @@ type WorkloadStats struct {
 // is on by default, how many enumerate requests ran orbit-reduced, and
 // the aggregated core counters of every orbit backend this server built
 // (core.OrbitStats, flattened) — representatives vs skipped results give
-// the realized stream-length reduction, skipped_branches the constrained
-// solves the Lawler–Murty pruner saved, and the trivial/inexact group
-// counts how often the mode degraded to a passthrough.
+// the realized stream-length reduction, and the trivial/inexact group
+// counts how often the mode degraded to a passthrough. skipped_branches
+// always reads 0 (see core.OrbitStats).
 type OrbitModeStats struct {
 	DefaultOn bool   `json:"default_on"`
 	Requests  uint64 `json:"requests"`
