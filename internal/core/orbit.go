@@ -3,7 +3,7 @@ package core
 import (
 	"context"
 	"math"
-	"math/big"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -21,7 +21,9 @@ import (
 // reduced stream equals the unreduced stream length). It is one
 // post-filter over the inner stream: the representative of an orbit is
 // its first member in the unreduced stream, so the reduced stream is the
-// first-of-orbit subsequence of the unreduced one.
+// first-of-orbit subsequence of the unreduced one. The filter never runs
+// a canonical search: it closes each new orbit once under Aut(G)'s
+// generators and recognises every later member by one map lookup.
 //
 // Soundness requires a label-invariant cost (every member of an orbit
 // then has the same cost, so a representative speaks for its orbit and
@@ -47,9 +49,10 @@ type OrbitCounters struct {
 	Representatives atomic.Uint64
 	SkippedResults  atomic.Uint64
 
-	// InexactResultKeys counts canonical-key searches that blew their
-	// budget: the result was then emitted unreduced rather than risking
-	// an unsound skip.
+	// InexactResultKeys counts results emitted unreduced (OrbitSize 1)
+	// because an orbit closure hit its bound: the result whose closure
+	// overflowed, and every later result not already pending, since the
+	// enumeration closes no more orbits after an overflow.
 	InexactResultKeys atomic.Uint64
 
 	maxGroupOrder atomic.Uint64 // largest |Aut(G)| seen, saturating
@@ -66,8 +69,10 @@ func (c *OrbitCounters) noteGroupOrder(order uint64) {
 }
 
 // OrbitStats is a point-in-time snapshot of OrbitCounters, shaped for
-// the service's /v1/stats payload. SkippedBranches always reads 0: orbit
-// mode prunes no Lawler–Murty branches, and the field remains only
+// the service's /v1/stats payload. On an enumeration that reduces (exact,
+// nontrivial group) every inner result counts once in Representatives,
+// SkippedResults or InexactResultKeys. SkippedBranches always reads 0:
+// orbit mode prunes no Lawler–Murty branches, and the field remains only
 // because benchrun/layers.go reads it for its core.orbit_skipped_branches
 // metric.
 type OrbitStats struct {
@@ -101,6 +106,11 @@ type orbitBackend struct {
 
 	once sync.Once
 	aut  *graph.AutGroup
+
+	// closureBudget bounds each orbit closure and the pending set; 0
+	// selects graph.DefaultCanonBudget. Tests starve it to reach the
+	// degraded path.
+	closureBudget int
 }
 
 // NewOrbitBackend wraps inner so its enumerations emit one representative
@@ -142,68 +152,80 @@ func (b *orbitBackend) EnumerateParallelContext(ctx context.Context, workers int
 	} else {
 		b.counters.noteGroupOrder(math.MaxUint64)
 	}
-	f := &orbitFilter{g: b.inner.Graph(), counters: b.counters}
+	f := &orbitFilter{counters: b.counters}
 	switch {
 	case !aut.Exact():
 		// Degraded mode: the generators found are genuine but may not
-		// generate all of Aut(G), so neither the orbit keys (which decide
-		// equivalence under the FULL group) nor the orbit sizes are
-		// trustworthy. Pass everything through with OrbitSize 1 — Σ orbit
-		// sizes still equals the unreduced length, just without reduction.
+		// generate all of Aut(G), so the orbits they close (and their
+		// sizes) may be too small. Pass everything through with OrbitSize
+		// 1 — Σ orbit sizes still equals the unreduced length, just
+		// without reduction.
 		b.counters.InexactGroups.Add(1)
-		f.passthrough = true
 	case aut.IsTrivial():
-		// Every orbit is a singleton: skip the per-result canonical keying
+		// Every orbit is a singleton: skip the per-result keying
 		// entirely. This is what keeps orbit mode near-free on asymmetric
 		// inputs — one automorphism search at enumeration start, then a
 		// plain passthrough.
 		b.counters.TrivialGroups.Add(1)
-		f.passthrough = true
 	default:
-		f.order = aut.Order()
-		f.seen = make(map[string]struct{})
+		budget := b.closureBudget
+		if budget <= 0 {
+			budget = graph.DefaultCanonBudget
+		}
+		f.keys = newOrbitKeys(b.inner.Graph(), aut, budget)
 	}
 	f.inner = b.inner.EnumerateParallelContext(ctx, workers)
 	return &Enumerator{m: f}
 }
 
-// orbitFilter is the post-filter machine: it keys every emitted
-// triangulation by its Aut(G)-orbit canonical form, suppresses non-first
-// orbit members, and stamps representatives with their orbit size
-// |Aut(G)| / |Stab(H)| (orbit-stabilizer; the stabilizer order falls out
-// of the same canonical search that produces the key).
+// orbitFilter is the post-filter machine. A result whose key is pending
+// is a later member of an orbit already emitted and is suppressed; any
+// other result is the first member of its orbit, so the filter closes its
+// key under the generators, marks every other image pending and stamps
+// the result with the number of distinct images. The generators of an
+// exact group generate all of Aut(G), so that number is the orbit size
+// |Aut(G)| / |Stab(H)|. Only the stream's single producer calls Next, so
+// the filter takes no locks.
 type orbitFilter struct {
-	inner       *Enumerator
-	g           *graph.Graph
-	order       *big.Int // |Aut(G)|; nil in passthrough mode
-	counters    *OrbitCounters
-	seen        map[string]struct{}
-	passthrough bool
+	inner    *Enumerator
+	counters *OrbitCounters
+	keys     *orbitKeys // nil in passthrough mode and once inner is exhausted
 }
 
 func (f *orbitFilter) Next() (*Result, bool) {
 	for {
 		r, ok := f.inner.Next()
 		if !ok {
+			// Release the keys: the serving tier's stream cache keeps the
+			// enumerator of an exhausted stream.
+			f.keys = nil
 			return nil, false
 		}
-		if f.passthrough {
+		k := f.keys
+		if k == nil {
 			return stampOrbit(r, 1), true
 		}
-		key, stab, exact := resultOrbitKey(f.g, r.H)
-		if !exact {
-			// Key search blew its budget: emit unreduced (OrbitSize 1,
-			// not recorded) rather than risk suppressing a whole orbit.
-			f.counters.InexactResultKeys.Add(1)
-			return stampOrbit(r, 1), true
-		}
-		if _, dup := f.seen[key]; dup {
+		k.setKey(r.H)
+		if _, later := k.pending[string(k.key)]; later {
+			delete(k.pending, string(k.key))
 			f.counters.SkippedResults.Add(1)
 			continue
 		}
-		f.seen[key] = struct{}{}
-		f.counters.Representatives.Add(1)
-		return stampOrbit(r, orbitSize(f.order, stab.Order())), true
+		if !k.full {
+			if orbit := k.closeOrbit(string(k.key)); orbit != nil {
+				for _, img := range orbit[1:] {
+					k.pending[img] = struct{}{}
+				}
+				f.counters.Representatives.Add(1)
+				return stampOrbit(r, int64(len(orbit))), true
+			}
+			// Overflow. Keys already pending still suppress their orbits'
+			// members; every other result now passes unreduced, which
+			// keeps Σ OrbitSize equal to the unreduced length.
+			k.full = true
+		}
+		f.counters.InexactResultKeys.Add(1)
+		return stampOrbit(r, 1), true
 	}
 }
 
@@ -216,44 +238,115 @@ func stampOrbit(r *Result, size int64) *Result {
 	return &out
 }
 
-// orbitSize computes |orbit| = |Aut(G)| / |Stab(H)| (exact by Lagrange),
-// saturating at MaxInt64 for astronomically symmetric inputs.
-func orbitSize(autOrder, stabOrder *big.Int) int64 {
-	q := new(big.Int).Quo(autOrder, stabOrder)
-	if !q.IsInt64() {
-		return math.MaxInt64
-	}
-	return q.Int64()
+// orbitKeys is the filter's keying state for one enumeration. The key of
+// a triangulation H is its edge set as a bitset over G's active-vertex
+// pairs — bit i(i-1)/2 + j for active indices j < i — so it is exact and
+// label-sensitive: equal keys mean equal triangulations, and an
+// automorphism maps a key to another by permuting its pairs.
+type orbitKeys struct {
+	verts []int      // active index -> universe vertex
+	pairs [][2]int32 // bit -> its pair (i, j), j < i
+	gens  [][]int    // Aut(G)'s generators in active-index space
+
+	// budget bounds the distinct images of one closure and the pending
+	// set's size; full records that a closure overflowed.
+	budget  int
+	pending map[string]struct{} // unemitted members of emitted orbits
+	full    bool
+
+	key, img []byte // reused bitset buffers
 }
 
-// resultOrbitKey encodes "same triangulation up to Aut(G)" as a
-// colored-graph canonical form: a 2k-vertex layered graph whose A-layer
-// carries G, whose B-layer carries H, and whose only cross edges are the
-// perfect matching identifying the layers, canonicalized under the
-// ordered partition [A, B]. A cell-preserving isomorphism must map the
-// matching to itself (it is the only A–B adjacency), so it acts as one
-// permutation γ on both layers; preserving the A-layer makes γ an
-// automorphism of G, preserving the B-layer makes γ(H) = H'. Hence keys
-// are equal iff the triangulations lie in the same Aut(G)-orbit, and the
-// layered graph's own cell-preserving automorphism group is exactly
-// Stab_{Aut(G)}(H) — the stabilizer the orbit size needs.
-func resultOrbitKey(g *graph.Graph, h *graph.Graph) (string, *graph.AutGroup, bool) {
+func newOrbitKeys(g *graph.Graph, aut *graph.AutGroup, budget int) *orbitKeys {
 	verts := g.Vertices().Slice()
+	index := make([]int, g.Universe())
+	for v := range index {
+		index[v] = -1
+	}
+	for i, v := range verts {
+		index[v] = i
+	}
 	k := len(verts)
-	l := graph.New(2 * k)
-	a := make([]int, k)
-	bb := make([]int, k)
-	for i := 0; i < k; i++ {
-		a[i], bb[i] = i, k+i
-		l.AddEdge(i, k+i)
-		for j := i + 1; j < k; j++ {
-			if g.HasEdge(verts[i], verts[j]) {
-				l.AddEdge(i, j)
-			}
-			if h.HasEdge(verts[i], verts[j]) {
-				l.AddEdge(k+i, k+j)
-			}
+	pairs := make([][2]int32, 0, k*(k-1)/2)
+	for i := 1; i < k; i++ {
+		for j := 0; j < i; j++ {
+			pairs = append(pairs, [2]int32{int32(i), int32(j)})
 		}
 	}
-	return l.CanonicalKeyCells([][]int{a, bb}, 0)
+	gens := make([][]int, len(aut.Generators()))
+	for gi, p := range aut.Generators() {
+		gens[gi] = make([]int, k)
+		for i, v := range verts {
+			gens[gi][i] = index[p[v]]
+		}
+	}
+	n := (len(pairs) + 7) / 8
+	return &orbitKeys{
+		verts:   verts,
+		pairs:   pairs,
+		gens:    gens,
+		budget:  budget,
+		pending: make(map[string]struct{}),
+		key:     make([]byte, n),
+		img:     make([]byte, n),
+	}
+}
+
+// setKey writes h's key into k.key.
+func (k *orbitKeys) setKey(h *graph.Graph) {
+	clear(k.key)
+	for b, pr := range k.pairs {
+		if h.HasEdge(k.verts[pr[0]], k.verts[pr[1]]) {
+			k.key[b/8] |= 1 << (b % 8)
+		}
+	}
+}
+
+// closeOrbit returns the keys of key's orbit under the generators, key
+// first, or nil when the orbit has more than budget members or would push
+// the pending set past budget. It maps at most budget keys through at
+// most log2|Aut(G)| generators each, so it needs no context check.
+func (k *orbitKeys) closeOrbit(key string) []string {
+	orbit := []string{key}
+	seen := map[string]struct{}{key: {}}
+	for next := 0; next < len(orbit); next++ {
+		for _, p := range k.gens {
+			k.image(orbit[next], p)
+			if _, ok := seen[string(k.img)]; ok {
+				continue
+			}
+			if len(orbit) == k.budget {
+				return nil
+			}
+			img := string(k.img)
+			seen[img] = struct{}{}
+			orbit = append(orbit, img)
+		}
+	}
+	if len(k.pending)+len(orbit)-1 > k.budget {
+		return nil
+	}
+	return orbit
+}
+
+// image writes the image of key under the active-index permutation p
+// into k.img.
+func (k *orbitKeys) image(key string, p []int) {
+	clear(k.img)
+	for b := 0; b < len(key); b++ {
+		for w := key[b]; w != 0; w &= w - 1 {
+			pr := k.pairs[8*b+bits.TrailingZeros8(w)]
+			i, j := p[pr[0]], p[pr[1]]
+			if i < j {
+				i, j = j, i
+			}
+			setPairBit(k.img, i, j)
+		}
+	}
+}
+
+// setPairBit sets the bit of the active-index pair (i, j), j < i.
+func setPairBit(set []byte, i, j int) {
+	b := i*(i-1)/2 + j
+	set[b/8] |= 1 << (b % 8)
 }

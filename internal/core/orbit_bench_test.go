@@ -35,20 +35,23 @@ func disjointUnion(a, b *graph.Graph) *graph.Graph {
 }
 
 // BenchmarkOrbitStream measures orbit-reduced enumeration against the
-// unreduced stream on symmetric families (the ISSUE's |Aut(G)| ≥ 8
-// targets: a circulant with |Aut| = 18, a two-copy gen.IsoCopies union
-// with |Aut| = 288, the 3×3 grid with |Aut| = 8) and on an asymmetric
-// G(n,p) control where orbit mode must be near-free (trivial group →
-// one automorphism search, then passthrough). Each iteration drains a
-// fresh enumeration — including the orbit backend's group computation,
-// since the serving tier pays that per stream. Reported metrics:
-// results/op (stream length; the reduction factor is plain/orbit),
-// solves/op (constrained Lawler–Murty solves), and orbitsum/op
-// (Σ OrbitSize — must equal the plain stream length). Real numbers live
-// in BENCH_orbits.json.
+// unreduced stream on symmetric families (a circulant with |Aut| = 18, a
+// two-copy gen.IsoCopies union with |Aut| = 288, the 3×3 grid with
+// |Aut| = 8, and three copies of C5 with |Aut| = 6000, whose 125
+// triangulations form one orbit — the family where per-result keying
+// costs most against the plain drain) and on an asymmetric G(n,p)
+// control where orbit mode must be near-free (trivial group → one
+// automorphism search, then passthrough). Each iteration drains a fresh
+// enumeration — including the orbit backend's group computation, since
+// the serving tier pays that per stream. Reported metrics: results/op
+// (stream length; the reduction factor is plain/orbit), solves/op
+// (constrained Lawler–Murty solves), and orbitsum/op (Σ OrbitSize — must
+// equal the plain stream length). Measured drain times are recorded in
+// DESIGN.md, "Orbit-reduced enumeration".
 func BenchmarkOrbitStream(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	copies := gen.IsoCopies(rng, gen.CirculantGraph(6, []int{1}), 2)
+	c5 := gen.Cycle(5)
 	const uncapped = 1 << 30
 	families := []struct {
 		name string
@@ -58,6 +61,7 @@ func BenchmarkOrbitStream(b *testing.B) {
 		{"circulant9", gen.CirculantGraph(9, []int{1}), uncapped},
 		{"isocopies-2xC6", disjointUnion(copies[0], copies[1]), uncapped},
 		{"grid3x3", gen.Grid(3, 3), uncapped},
+		{"3xC5", disjointUnion(disjointUnion(c5, c5), c5), uncapped},
 		{"gnp12-control", gen.ConnectedGNP(rand.New(rand.NewSource(11)), 12, 0.3), 200},
 	}
 	for _, fam := range families {

@@ -30,6 +30,38 @@ func drainResults(t *testing.T, e *Enumerator) []*Result {
 	}
 }
 
+// resultOrbitKey encodes "same triangulation up to Aut(G)" as a
+// colored-graph canonical form: a 2k-vertex layered graph whose A-layer
+// carries G, whose B-layer carries H, and whose only cross edges are the
+// perfect matching identifying the layers, canonicalized under the
+// ordered partition [A, B]. A cell-preserving isomorphism must map the
+// matching to itself (it is the only A–B adjacency), so it acts as one
+// permutation γ on both layers; preserving the A-layer makes γ an
+// automorphism of G, preserving the B-layer makes γ(H) = H'. Hence keys
+// are equal iff the triangulations lie in the same Aut(G)-orbit, and the
+// layered graph's own cell-preserving automorphism group is exactly
+// Stab_{Aut(G)}(H) — the stabilizer the orbit size needs.
+func resultOrbitKey(g *graph.Graph, h *graph.Graph) (string, *graph.AutGroup, bool) {
+	verts := g.Vertices().Slice()
+	k := len(verts)
+	l := graph.New(2 * k)
+	a := make([]int, k)
+	bb := make([]int, k)
+	for i := 0; i < k; i++ {
+		a[i], bb[i] = i, k+i
+		l.AddEdge(i, k+i)
+		for j := i + 1; j < k; j++ {
+			if g.HasEdge(verts[i], verts[j]) {
+				l.AddEdge(i, j)
+			}
+			if h.HasEdge(verts[i], verts[j]) {
+				l.AddEdge(k+i, k+j)
+			}
+		}
+	}
+	return l.CanonicalKeyCells([][]int{a, bb}, 0)
+}
+
 // checkOrbitInvariant is the orbit-mode oracle on one graph under the
 // fill cost: the reduced stream must be the unreduced stream filtered to
 // the first member of each Aut(G)-orbit, element for element (same
@@ -216,8 +248,10 @@ func TestOrbitComposesAtomsAndBackends(t *testing.T) {
 // inputs whose Lawler–Murty trees hold Aut(G)-equivalent constraint sets
 // — the 3×3 grid (|Aut| = 8) and the pentagonal prism (C10 with jumps 2
 // and 5, |Aut| = 20) under fill — and checks that the stream is actually
-// reduced, that the counters report the group order, and that a 4-worker
-// drain is identical to the sequential one.
+// reduced, that the counters report the group order, that a finished
+// drain releases the filter's keys (the serving tier's stream cache keeps
+// exhausted enumerators), and that a 4-worker drain is identical to the
+// sequential one.
 func TestOrbitFirstOfOrbitNamedGraphs(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -236,7 +270,14 @@ func TestOrbitFirstOfOrbitNamedGraphs(t *testing.T) {
 		full := drainResults(t, s.EnumerateContext(context.Background()))
 		counters := &OrbitCounters{}
 		ob := NewOrbitBackend(s, counters)
-		seq := drainResults(t, ob.EnumerateContext(context.Background()))
+		seqEnum := ob.EnumerateContext(context.Background())
+		if seqEnum.m.(*orbitFilter).keys == nil {
+			t.Fatalf("%s: orbit filter started without keys on a symmetric graph", tc.name)
+		}
+		seq := drainResults(t, seqEnum)
+		if seqEnum.m.(*orbitFilter).keys != nil {
+			t.Fatalf("%s: finished drain still holds the orbit filter's pending keys", tc.name)
+		}
 		par := drainResults(t, ob.EnumerateParallelContext(context.Background(), 4))
 
 		if len(seq) >= len(full) {
@@ -260,6 +301,88 @@ func TestOrbitFirstOfOrbitNamedGraphs(t *testing.T) {
 				seq[i].OrbitSize != par[i].OrbitSize || seq[i].Cost != par[i].Cost {
 				t.Fatalf("%s: parallel stream diverges from sequential at result %d", tc.name, i)
 			}
+		}
+	}
+}
+
+// TestOrbitClosureBudgetDegrades starves the orbit-closure bound on C8
+// under fill (|Aut| = 16; every triangulation has fill 5), so that the
+// first orbit (8 members) closes and a later one (16 members) overflows.
+// From the overflow on the filter closes no more orbits: keys already
+// pending still suppress their orbit's members and every other result
+// passes with OrbitSize 1. The stream must stay ranked, Σ OrbitSize must
+// equal the unreduced length, the results before the overflow must be the
+// unbudgeted reduced stream's prefix, and no orbit closed before the
+// overflow may be emitted twice.
+func TestOrbitClosureBudgetDegrades(t *testing.T) {
+	g := gen.Cycle(8)
+	s, err := New(context.Background(), g, cost.FillIn{}, Options{noDecompose: true})
+	if err != nil {
+		t.Fatalf("solver init: %v", err)
+	}
+	full := drainResults(t, s.EnumerateContext(context.Background()))
+	unbudgeted := drainResults(t, NewOrbitBackend(s, nil).EnumerateContext(context.Background()))
+
+	counters := &OrbitCounters{}
+	e := (&orbitBackend{inner: s, counters: counters, closureBudget: 10}).EnumerateContext(context.Background())
+	var reduced []*Result
+	overflow := -1 // index of the result whose closure overflowed
+	for {
+		r, ok := e.Next()
+		if !ok {
+			break
+		}
+		if overflow < 0 && counters.InexactResultKeys.Load() > 0 {
+			overflow = len(reduced)
+		}
+		reduced = append(reduced, r)
+	}
+	st := counters.Snapshot()
+	if st.InexactResultKeys == 0 || overflow < 0 {
+		t.Fatalf("closure bound 10 never overflowed on C8: %+v", st)
+	}
+	if overflow == 0 {
+		t.Fatalf("closure bound 10 overflowed on the first orbit; the test needs one closed orbit first")
+	}
+	if got := st.Representatives + st.SkippedResults + st.InexactResultKeys; got != uint64(len(full)) {
+		t.Fatalf("counters account for %d results, unreduced stream has %d: %+v", got, len(full), st)
+	}
+
+	var sum int64
+	for i, r := range reduced {
+		if i > 0 && r.Cost < reduced[i-1].Cost {
+			t.Fatalf("degraded stream not ranked at %d: %v after %v", i, r.Cost, reduced[i-1].Cost)
+		}
+		sum += r.OrbitSize
+	}
+	if sum != int64(len(full)) {
+		t.Fatalf("Σ orbit sizes = %d, unreduced length = %d", sum, len(full))
+	}
+	if r := reduced[overflow]; r.OrbitSize != 1 || r.H.EdgeSetKey() != unbudgeted[overflow].H.EdgeSetKey() {
+		t.Fatalf("overflow result %d: size %d, want the unbudgeted representative with size 1", overflow, r.OrbitSize)
+	}
+	closed := make(map[string]bool)
+	for i, r := range reduced[:overflow] {
+		u := unbudgeted[i]
+		if r.H.EdgeSetKey() != u.H.EdgeSetKey() || r.Cost != u.Cost || r.OrbitSize != u.OrbitSize {
+			t.Fatalf("result %d before the overflow differs from the unbudgeted reduced stream", i)
+		}
+		key, _, exact := resultOrbitKey(g, r.H)
+		if !exact {
+			t.Fatalf("oracle orbit key fell back on C8")
+		}
+		if closed[key] {
+			t.Fatalf("result %d repeats an orbit emitted before the overflow", i)
+		}
+		closed[key] = true
+	}
+	for i, r := range reduced[overflow:] {
+		key, _, exact := resultOrbitKey(g, r.H)
+		if !exact {
+			t.Fatalf("oracle orbit key fell back on C8")
+		}
+		if closed[key] {
+			t.Fatalf("result %d after the overflow lies in an orbit that closed before it", overflow+i)
 		}
 	}
 }

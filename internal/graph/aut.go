@@ -12,9 +12,8 @@ import (
 // order computed by a textbook Schreier–Sims stabilizer chain (the
 // orbit-stabilizer theorem applied level by level: |G| is the product of
 // the base-point orbit sizes). The group powers orbit-reduced enumeration
-// in internal/core: collapsing a ranked result stream modulo Aut(G) needs
-// the generators (to decide orbit equivalence) and the order (to report
-// orbit sizes via |orbit| = |Aut(G)| / |stabilizer|).
+// in internal/core, which closes each new orbit of triangulations under
+// the generators and reports the order in its counters.
 
 // AutGroup is (a subgroup of) the automorphism group of a graph, given by
 // generators over the graph's universe {0..n-1}. When Exact is true the
@@ -44,11 +43,21 @@ func (g *Graph) AutomorphismsBudget(maxNodes int) *AutGroup {
 	return aut
 }
 
-// newAutGroup packages generators over {0..n-1}: it builds the vertex
-// orbit partition by union-find over the generator images and computes
-// the group order with a Schreier–Sims stabilizer chain.
+// newAutGroup packages generators over {0..n-1}: it feeds them into a
+// Schreier–Sims stabilizer chain for the group order, keeping only those
+// that enlarge the group generated so far (each at least doubles the
+// order, by Lagrange, so at most log2|G| remain), and builds the vertex
+// orbit partition by union-find over the kept generators' images. It
+// filters gens in place; the caller hands over the slice.
 func newAutGroup(n int, gens [][]int, exact bool) *AutGroup {
-	a := &AutGroup{n: n, generators: gens, exact: exact}
+	chain := newStabChain(n)
+	kept := gens[:0]
+	for _, p := range gens {
+		if chain.extend(0, p) {
+			kept = append(kept, p)
+		}
+	}
+	a := &AutGroup{n: n, generators: kept, exact: exact, order: chain.order()}
 
 	parent := make([]int, n)
 	for v := range parent {
@@ -62,7 +71,7 @@ func newAutGroup(n int, gens [][]int, exact bool) *AutGroup {
 		}
 		return x
 	}
-	for _, p := range gens {
+	for _, p := range kept {
 		for v, pv := range p {
 			ra, rb := find(v), find(pv)
 			if ra != rb {
@@ -87,12 +96,6 @@ func newAutGroup(n int, gens [][]int, exact bool) *AutGroup {
 	for v := 0; v < n; v++ {
 		a.orbitRep[v] = minOf[find(v)]
 	}
-
-	chain := newStabChain(n)
-	for _, p := range gens {
-		chain.extend(0, p)
-	}
-	a.order = chain.order()
 	return a
 }
 
@@ -164,10 +167,12 @@ func (c *stabChain) order() *big.Int {
 // extend adds p as a generator of the level-th stabilizer subgroup (and,
 // transitively, sifts the resulting Schreier generators further down),
 // keeping the chain strong: after every extend, order() is exact for the
-// group generated by everything added so far.
-func (c *stabChain) extend(level int, p []int) {
+// group generated by everything added so far. It reports whether p
+// enlarged that group; a p that already sifts through the chain is a
+// member and changes nothing.
+func (c *stabChain) extend(level int, p []int) bool {
 	if c.sifts(level, p) {
-		return
+		return false
 	}
 	if level == len(c.levels) {
 		beta := -1
@@ -217,6 +222,7 @@ func (c *stabChain) extend(level int, p []int) {
 			c.extend(level+1, u)
 		}
 	}
+	return true
 }
 
 // sifts reports whether p is already a member of the group at the given
@@ -267,10 +273,10 @@ func permIsIdentity(p []int) bool {
 // active vertices: two graphs (over equal universes, with cells of equal
 // sizes in the same order) get equal keys iff some cell-preserving
 // isomorphism maps one to the other. It also returns the group of
-// cell-preserving automorphisms discovered by the search. This is the
-// workhorse of orbit-reduced enumeration in internal/core, which encodes
-// "same triangulation up to Aut(G)" and "same constraint set up to
-// Aut(G)" questions as colored-graph canonical forms via gadget layers.
+// cell-preserving automorphisms discovered by the search. The orbit-mode
+// oracle in internal/core's tests encodes "same triangulation up to
+// Aut(G)" as such a colored-graph canonical form via a gadget layer,
+// independently of the generator closure orbit mode itself runs.
 //
 // Every active vertex must appear in exactly one cell; empty cells are
 // permitted and ignored. When exact is false (budget exhaustion) the key

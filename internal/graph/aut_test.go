@@ -18,7 +18,8 @@ import (
 
 // checkAutOracle compares graph.Automorphisms against the brute-force
 // permutation sweep: exact search, exact group order, identical vertex
-// orbits, and every reported generator a genuine automorphism.
+// orbits, every reported generator a genuine automorphism, and no more
+// generators than log2 of the order.
 func checkAutOracle(t *testing.T, g *graph.Graph, label string) {
 	t.Helper()
 	aut := g.Automorphisms()
@@ -71,6 +72,17 @@ func checkAutOracle(t *testing.T, g *graph.Graph, label string) {
 	}
 	for gi, p := range aut.Generators() {
 		checkIsAutomorphism(t, g, p, fmt.Sprintf("%s generator %d", label, gi))
+	}
+	checkFewGenerators(t, aut, label)
+}
+
+// checkFewGenerators asserts len(Generators()) ≤ log2|group|: every kept
+// generator enlarges the group it joins, so by Lagrange each at least
+// doubles the order.
+func checkFewGenerators(t *testing.T, aut *graph.AutGroup, label string) {
+	t.Helper()
+	if n, limit := len(aut.Generators()), aut.Order().BitLen()-1; n > limit {
+		t.Fatalf("%s: %d generators for a group of order %v (at most %d enlarge it)", label, n, aut.Order(), limit)
 	}
 }
 
@@ -132,10 +144,16 @@ func TestAutomorphismsOracleAllSmallGraphs(t *testing.T) {
 // TestAutomorphismsKnownGroups pins the group order on families where it
 // is known in closed form: Aut(K_n) = S_n, Aut(C_n) = D_n (order 2n),
 // Aut(P_n) = Z_2, Aut(Petersen) = S_5 (order 120), Aut(3×3 grid) = D_4.
+// The generator count stays within log2 of the order even where the
+// search meets many redundant automorphisms (K12, the 10-leaf star).
 func TestAutomorphismsKnownGroups(t *testing.T) {
 	petersen, err := gen.Named("petersen")
 	if err != nil {
 		t.Fatalf("petersen: %v", err)
+	}
+	star := graph.New(11)
+	for leaf := 1; leaf <= 10; leaf++ {
+		star.AddEdge(0, leaf)
 	}
 	cases := []struct {
 		name  string
@@ -144,6 +162,8 @@ func TestAutomorphismsKnownGroups(t *testing.T) {
 	}{
 		{"K5", gen.Complete(5), 120},
 		{"K7", gen.Complete(7), 5040},
+		{"K12", gen.Complete(12), 479001600},
+		{"Star10", star, 3628800},
 		{"C6", gen.Cycle(6), 12},
 		{"C12", gen.Cycle(12), 24},
 		{"P5", gen.Path(5), 2},
@@ -160,6 +180,7 @@ func TestAutomorphismsKnownGroups(t *testing.T) {
 		if aut.Order().Cmp(big.NewInt(tc.order)) != 0 {
 			t.Errorf("%s: group order %v, want %d", tc.name, aut.Order(), tc.order)
 		}
+		checkFewGenerators(t, aut, tc.name)
 	}
 }
 

@@ -294,9 +294,10 @@ type WorkloadStats struct {
 // is on by default, how many enumerate requests ran orbit-reduced, and
 // the aggregated core counters of every orbit backend this server built
 // (core.OrbitStats, flattened) — representatives vs skipped results give
-// the realized stream-length reduction, and the trivial/inexact group
-// counts how often the mode degraded to a passthrough. skipped_branches
-// always reads 0 (see core.OrbitStats).
+// the realized stream-length reduction, the trivial/inexact group counts
+// how often the mode degraded to a passthrough, and inexact_result_keys
+// how many results went out unreduced because an orbit closure hit its
+// bound. skipped_branches always reads 0 (see core.OrbitStats).
 type OrbitModeStats struct {
 	DefaultOn bool   `json:"default_on"`
 	Requests  uint64 `json:"requests"`
