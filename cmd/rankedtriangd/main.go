@@ -45,9 +45,6 @@ func main() {
 		initTimeout   = flag.Duration("init-timeout", 60*time.Second, "per-graph solver initialization budget")
 		streamTimeout = flag.Duration("stream-timeout", 5*time.Minute, "total lifetime budget of one NDJSON stream")
 		streamBudget  = flag.Int64("stream-budget", 64<<20, "byte budget for shared materialized result buffers (LRU-evicted past it)")
-		solveWorkers  = flag.Int("solve-workers", 0, "goroutines solving Lawler–Murty branches per stream Next; 0 = GOMAXPROCS, 1 = sequential (identical output either way)")
-		prefetchAhead = flag.Int("prefetch-ahead", 0, "ranks the speculative producer runs ahead of the fastest cursor per stream; 0 = default (64), negative disables prefetch")
-		prefetchBytes = flag.Int64("prefetch-bytes", 0, "per-stream byte ceiling on speculative lookahead; 0 = default (8 MiB), negative = no ceiling")
 		pprofAddr     = flag.String("pprof", "", "serve net/http/pprof on this side listener (e.g. localhost:6060); empty disables")
 		backend       = flag.String("backend", "dp", "default enumeration backend: dp (ranked-exact), mis (unordered, no init cost), mis-scored (heuristic best-first) or auto (separator probe); overridable per request via ?backend=")
 		probeBudget   = flag.Int("backend-probe-budget", core.DefaultProbeBudget, "separator budget the auto backend policy probes under before falling back to mis")
@@ -72,9 +69,6 @@ func main() {
 		InitTimeout:        *initTimeout,
 		StreamTimeout:      *streamTimeout,
 		StreamBudgetBytes:  *streamBudget,
-		SolveWorkers:       *solveWorkers,
-		PrefetchAhead:      *prefetchAhead,
-		PrefetchBytes:      *prefetchBytes,
 		DefaultBackend:     *backend,
 		BackendProbeBudget: *probeBudget,
 		DefaultOrbits:      *orbits,

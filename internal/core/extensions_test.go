@@ -57,7 +57,7 @@ func workersOf(e *Enumerator) []int {
 // TestParallelWorkerClamping pins the one worker-count rule on both
 // enumerator machines: EnumerateParallelContext takes positive counts
 // as-is and maps zero or negative to GOMAXPROCS, exactly like TopK and
-// the service's SolveWorkers, while EnumerateContext stays sequential.
+// the service's StreamStore.Tune, while EnumerateContext stays sequential.
 // The stream is complete for every count.
 func TestParallelWorkerClamping(t *testing.T) {
 	ctx := context.Background()

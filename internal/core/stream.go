@@ -16,24 +16,13 @@ import (
 // Production is singleflighted per rank: the first caller to request an
 // unbuffered rank drives the underlying Enumerator's Next for exactly one
 // result while every other caller waits on the buffer; nobody ever drives
-// the enumerator concurrently, and no demand-independent goroutine exists
-// by default — an abandoned stream burns no CPU by construction.
-//
-// ConfigurePrefetch arms an optional speculative producer: a background
-// goroutine, started lazily by the first At, that keeps the buffer ahead
-// of the fastest consumer up to a lookahead budget in ranks and bytes. It
-// joins the same per-rank singleflight (so demand and speculation never
-// drive the enumerator concurrently) and works only while demand exists
-// and PausePrefetch has not parked it — the owner is expected to pause it
-// whenever the stream has no live consumers, preserving the no-CPU
-// invariant for abandoned streams.
+// the enumerator concurrently, and the stream owns no goroutine — an
+// abandoned stream burns no CPU by construction.
 //
 // Reset discards the buffer and the enumerator. The next At rebuilds both
 // from the factory and replays the identical prefix (determinism is
 // asserted in tests), which is what lets a byte-budget cache evict a
-// stream's buffer without invalidating the cursors reading it. Reset also
-// clears the demand mark, so an evicted stream stays cold — the
-// prefetcher never re-materializes a buffer nobody asked for again.
+// stream's buffer without invalidating the cursors reading it.
 type SharedStream struct {
 	factory func() *Enumerator
 
@@ -47,35 +36,19 @@ type SharedStream struct {
 	producing bool
 	rebuilds  uint64
 	advanced  chan struct{} // closed and replaced whenever buf/exhausted change
-
-	// Speculative prefetch state (all under mu except pfWake's buffer).
-	pfAhead   int           // lookahead budget in ranks; 0 = prefetch disabled
-	pfBytes   int64         // buffer-footprint ceiling for speculation; <= 0 = none
-	pfDemand  int           // demand high-water mark: max requested rank + 1, this generation
-	pfPaused  bool          // no live consumers; the producer parks
-	pfStopped bool          // terminal: the prefetch goroutine exits and never restarts
-	pfRunning bool          // the prefetch goroutine is live
-	pfWake    chan struct{} // capacity 1; nudges the prefetcher to re-check its condition
-	pfStats   PrefetchStats
+	stats     PrefetchStats
 }
 
-// PrefetchStats is a snapshot of one stream's demand-vs-speculation
-// counters (see SharedStream.PrefetchStats).
+// PrefetchStats is a snapshot of one stream's buffer-read vs solve
+// counters (see SharedStream.PrefetchStats), named after the /v1/stats
+// "prefetch" block they feed.
 type PrefetchStats struct {
 	// Hits counts At calls whose rank was already materialized when they
 	// arrived — pure buffer reads, no solving on the caller's latency path.
 	Hits uint64 `json:"hits"`
 	// DemandSolves counts enumerator Next calls driven by a waiting At
-	// caller; PrefetchSolves counts those driven by the speculative
-	// producer. Their sum is the total production work.
-	DemandSolves   uint64 `json:"demand_solves"`
-	PrefetchSolves uint64 `json:"prefetch_solves"`
-	// Pauses and Resumes count PausePrefetch/ResumePrefetch transitions.
-	Pauses  uint64 `json:"pauses"`
-	Resumes uint64 `json:"resumes"`
-	// LookaheadHighWater is the most ranks the producer has ever been
-	// ahead of the demand mark.
-	LookaheadHighWater int `json:"lookahead_high_water"`
+	// caller — all of the stream's production work.
+	DemandSolves uint64 `json:"demand_solves"`
 }
 
 // NewSharedStream returns a stream over the enumerator the factory builds.
@@ -89,158 +62,22 @@ func NewSharedStream(factory func() *Enumerator) *SharedStream {
 	return &SharedStream{
 		factory:  factory,
 		advanced: make(chan struct{}),
-		pfWake:   make(chan struct{}, 1),
 	}
 }
 
-// ConfigurePrefetch arms the speculative producer: once a consumer has
-// demanded a rank, a background goroutine keeps producing until the
-// buffer reaches ahead ranks past the fastest consumer's demand mark or
-// its footprint reaches maxBytes (<= 0 for no byte ceiling). ahead <= 0
-// leaves prefetching disabled. Configure before the first At; the
-// goroutine itself starts lazily on first demand and joins the per-rank
-// singleflight, so enabling prefetch never changes the emitted sequence —
-// only who pays the solve latency.
-func (st *SharedStream) ConfigurePrefetch(ahead int, maxBytes int64) {
-	st.mu.Lock()
-	st.pfAhead = ahead
-	st.pfBytes = maxBytes
-	st.mu.Unlock()
-	st.wakePrefetch()
-}
-
-// PausePrefetch parks the speculative producer (an in-flight solve
-// completes and commits first). The stream's owner calls this when the
-// last live consumer goes away, so abandoned streams burn no CPU.
-// Demand-driven production through At is unaffected.
-func (st *SharedStream) PausePrefetch() {
-	st.mu.Lock()
-	if !st.pfPaused {
-		st.pfPaused = true
-		if st.pfAhead > 0 {
-			st.pfStats.Pauses++
-		}
-	}
-	st.mu.Unlock()
-	st.wakePrefetch()
-}
-
-// ResumePrefetch reverses PausePrefetch when a consumer re-attaches.
-func (st *SharedStream) ResumePrefetch() {
-	st.mu.Lock()
-	if st.pfPaused {
-		st.pfPaused = false
-		if st.pfAhead > 0 {
-			st.pfStats.Resumes++
-		}
-	}
-	st.mu.Unlock()
-	st.wakePrefetch()
-}
-
-// StopPrefetch terminates the speculative producer for good — the
-// goroutine (if any) exits after at most one in-flight solve and never
-// restarts. For streams leaving their owner's table entirely; a merely
-// idle stream wants PausePrefetch. Idempotent, and At keeps working
-// (demand-driven) afterwards.
-func (st *SharedStream) StopPrefetch() {
-	st.mu.Lock()
-	st.pfStopped = true
-	st.mu.Unlock()
-	st.wakePrefetch()
-}
-
-// PrefetchStats snapshots the demand-vs-speculation counters.
+// PrefetchStats snapshots the buffer-read vs solve counters.
 func (st *SharedStream) PrefetchStats() PrefetchStats {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return st.pfStats
+	return st.stats
 }
 
-// wakePrefetch nudges the prefetch goroutine to re-examine its condition.
-// The channel holds one pending wake; further signals coalesce.
-func (st *SharedStream) wakePrefetch() {
-	select {
-	case st.pfWake <- struct{}{}:
-	default:
-	}
-}
-
-// noteDemandLocked raises the demand high-water mark to cover rank i and
-// lazily starts the prefetch goroutine ("started on first demand"). The
-// caller holds st.mu.
-func (st *SharedStream) noteDemandLocked(i int) {
-	if i+1 > st.pfDemand {
-		st.pfDemand = i + 1
-		st.wakePrefetch()
-	}
-	if st.pfAhead > 0 && !st.pfRunning && !st.pfStopped {
-		st.pfRunning = true
-		go st.prefetchLoop()
-	}
-}
-
-// prefetchWantLocked reports whether the speculative producer should
-// produce the next rank. The caller holds st.mu.
-func (st *SharedStream) prefetchWantLocked() bool {
-	if st.pfAhead <= 0 || st.pfPaused || st.pfStopped || st.exhausted {
-		return false
-	}
-	if st.pfDemand == 0 {
-		// No demand this generation: stay cold. After an eviction Reset
-		// this is what keeps the reclaimed bytes reclaimed.
-		return false
-	}
-	if st.base+len(st.buf) >= st.pfDemand+st.pfAhead {
-		return false
-	}
-	return st.pfBytes <= 0 || st.bytes < st.pfBytes
-}
-
-// prefetchLoop is the speculative producer. It produces through the same
-// produceLocked step as At — one Next in flight stream-wide, stale
-// generations dropped — so speculation is invisible in the emitted
-// sequence and safe against concurrent Reset, TrimOver and
-// eviction-rebuild.
-func (st *SharedStream) prefetchLoop() {
-	for {
-		st.mu.Lock()
-		for {
-			if st.pfStopped {
-				st.pfRunning = false
-				st.mu.Unlock()
-				return
-			}
-			if st.prefetchWantLocked() {
-				if !st.producing {
-					break
-				}
-				// A demand caller is mid-solve; wake when it commits so the
-				// producer role can be taken over without a demand gap.
-				ch := st.advanced
-				st.mu.Unlock()
-				select {
-				case <-ch:
-				case <-st.pfWake:
-				}
-			} else {
-				st.mu.Unlock()
-				<-st.pfWake
-			}
-			st.mu.Lock()
-		}
-		st.produceLocked(true)
-	}
-}
-
-// produceLocked is the one production step shared by At and the
-// prefetcher: it builds the enumerator on demand, calls Next outside the
-// lock, commits the result unless a Reset bumped the generation
-// meanwhile, and wakes every waiter. The caller holds st.mu with no
-// producer in flight; produceLocked returns with it released. A demand
-// commit counts DemandSolves, a speculative one PrefetchSolves and the
-// lookahead high-water mark.
-func (st *SharedStream) produceLocked(speculative bool) {
+// produceLocked is At's production step: it builds the enumerator on
+// demand, calls Next outside the lock, commits the result unless a Reset
+// bumped the generation meanwhile, and wakes every waiter. The caller
+// holds st.mu with no producer in flight; produceLocked returns with it
+// released.
+func (st *SharedStream) produceLocked() {
 	if st.enum == nil {
 		if st.gen > 0 {
 			st.rebuilds++
@@ -264,14 +101,7 @@ func (st *SharedStream) produceLocked(speculative bool) {
 		} else {
 			st.buf = append(st.buf, r)
 			st.bytes += r.SizeEstimate()
-			if speculative {
-				st.pfStats.PrefetchSolves++
-				if lead := st.base + len(st.buf) - st.pfDemand; lead > st.pfStats.LookaheadHighWater {
-					st.pfStats.LookaheadHighWater = lead
-				}
-			} else {
-				st.pfStats.DemandSolves++
-			}
+			st.stats.DemandSolves++
 		}
 	}
 	ch := st.advanced
@@ -294,13 +124,10 @@ func (st *SharedStream) At(ctx context.Context, i int) (*Result, bool, error) {
 			return nil, false, err
 		}
 		st.mu.Lock()
-		// Every pass re-raises the demand mark: a rebuild (below) clears
-		// it, and the prefetcher should help replay the prefix too.
-		st.noteDemandLocked(i)
 		if first {
 			first = false
 			if i >= st.base && i-st.base < len(st.buf) {
-				st.pfStats.Hits++
+				st.stats.Hits++
 			}
 		}
 		if i < st.base {
@@ -330,7 +157,7 @@ func (st *SharedStream) At(ctx context.Context, i int) (*Result, bool, error) {
 			}
 			continue
 		}
-		st.produceLocked(false)
+		st.produceLocked()
 	}
 }
 
@@ -355,11 +182,6 @@ func (st *SharedStream) resetLocked() chan struct{} {
 	st.bytes = 0
 	st.exhausted = false
 	st.producing = false
-	// The demand mark dies with the buffer: an evicted stream must stay
-	// cold until a cursor actually asks again, or eviction would reclaim
-	// nothing. At re-raises it on every pass, so live readers re-arm the
-	// prefetcher for the replay automatically.
-	st.pfDemand = 0
 	ch := st.advanced
 	st.advanced = make(chan struct{})
 	return ch
@@ -387,8 +209,6 @@ func (st *SharedStream) TrimOver(maxBytes int64, below int) {
 	if k > 0 {
 		st.buf = append([]*Result(nil), st.buf[k:]...)
 		st.base += k
-		// Dropping bytes may reopen the speculative byte budget.
-		st.wakePrefetch()
 	}
 }
 

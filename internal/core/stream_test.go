@@ -221,6 +221,75 @@ func TestSharedStreamResetUnderConcurrency(t *testing.T) {
 	}
 }
 
+// TestSharedStreamPrefetchLifecycleChurn drives the buffered results
+// through their whole lifecycle at once: concurrent cursors produce ranks
+// on demand and read each other's buffered ranks while Reset truncates
+// the buffer and TrimOver slides its window forward. Every read must
+// match the oracle, and a final sequential pass over the quiesced stream
+// must too. Run with -race in CI.
+func TestSharedStreamPrefetchLifecycleChurn(t *testing.T) {
+	s, oracle := newStreamSolver(t)
+	st := NewSharedStream(enumerateFn(s))
+	const cursors = 6
+	var wg sync.WaitGroup
+	errs := make(chan error, cursors)
+
+	// Churners: truncation and window slides.
+	var churn sync.WaitGroup
+	churn.Add(2)
+	go func() {
+		defer churn.Done()
+		for i := 0; i < 25; i++ {
+			time.Sleep(400 * time.Microsecond)
+			st.Reset()
+		}
+	}()
+	go func() {
+		defer churn.Done()
+		for i := 0; i < 25; i++ {
+			time.Sleep(300 * time.Microsecond)
+			st.TrimOver(0, 10+i%10)
+		}
+	}()
+
+	for c := 0; c < cursors; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ctx := context.Background()
+			for i := 0; i < len(oracle); i++ {
+				r, ok, err := st.At(ctx, i)
+				if err != nil {
+					errs <- err
+					return
+				}
+				if !ok {
+					errs <- fmt.Errorf("spurious exhaustion at rank %d", i)
+					return
+				}
+				if resultSig(r) != resultSig(oracle[i]) {
+					errs <- fmt.Errorf("rank %d differs under lifecycle churn", i)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	churn.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	// Final sequential pass over a quiesced stream.
+	ctx := context.Background()
+	for i := 0; i < len(oracle); i++ {
+		r, ok, err := st.At(ctx, i)
+		if !ok || err != nil || resultSig(r) != resultSig(oracle[i]) {
+			t.Fatalf("final pass rank %d: ok=%v err=%v", i, ok, err)
+		}
+	}
+}
+
 // TestSharedStreamTrimOverWindow slides the buffer window forward and
 // checks that reads above the window are free, reads below it trigger a
 // deterministic rebuild, and byte accounting follows the window.
@@ -276,246 +345,6 @@ func TestSharedStreamContextCancellation(t *testing.T) {
 	if r, ok, err := st.At(context.Background(), 0); !ok || err != nil || resultSig(r) != resultSig(oracle[0]) {
 		t.Fatalf("stream unusable after a cancelled read: ok=%v err=%v", ok, err)
 	}
-}
-
-// waitFor polls cond for up to two seconds — for asserting that the
-// asynchronous speculative producer eventually reaches a state.
-func waitFor(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s", what)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// settled returns a production count that has stopped changing: two
-// consecutive observations a pause apart agree. Needed before asserting
-// "the producer does NOT go further" — a pause/stop call can still have
-// one in-flight solve that legitimately commits.
-func settled(st *SharedStream) int {
-	for {
-		p := st.Produced()
-		time.Sleep(20 * time.Millisecond)
-		if st.Produced() == p {
-			return p
-		}
-	}
-}
-
-// TestSharedStreamPrefetchRunsAhead: after one demanded rank the
-// speculative producer fills the buffer exactly to demand + lookahead and
-// stops there; the prefetched sequence is byte-identical to the oracle.
-func TestSharedStreamPrefetchRunsAhead(t *testing.T) {
-	s, oracle := newStreamSolver(t)
-	st := NewSharedStream(enumerateFn(s))
-	const ahead = 10
-	st.ConfigurePrefetch(ahead, 0)
-	ctx := context.Background()
-	if st.Produced() != 0 {
-		t.Fatal("prefetch must not run before first demand")
-	}
-	r, ok, err := st.At(ctx, 0)
-	if !ok || err != nil || resultSig(r) != resultSig(oracle[0]) {
-		t.Fatalf("rank 0: ok=%v err=%v", ok, err)
-	}
-	// Demand mark is 1, so the producer should reach exactly 1 + ahead.
-	waitFor(t, "lookahead to fill", func() bool { return st.Produced() >= 1+ahead })
-	if p := settled(st); p != 1+ahead {
-		t.Fatalf("producer overran the lookahead budget: produced %d, want %d", p, 1+ahead)
-	}
-	ps := st.PrefetchStats()
-	if ps.PrefetchSolves < ahead {
-		t.Fatalf("want >= %d prefetch solves, got %+v", ahead, ps)
-	}
-	if ps.LookaheadHighWater != ahead {
-		t.Fatalf("lookahead high water: want %d, got %d", ahead, ps.LookaheadHighWater)
-	}
-	// Ranks inside the lookahead are buffer hits; the full sequence is
-	// byte-identical to the prefetch-off enumeration.
-	hitsBefore := ps.Hits
-	for i := 0; i < len(oracle); i++ {
-		r, ok, err := st.At(ctx, i)
-		if !ok || err != nil {
-			t.Fatalf("rank %d: ok=%v err=%v", i, ok, err)
-		}
-		if resultSig(r) != resultSig(oracle[i]) {
-			t.Fatalf("rank %d differs from the prefetch-off oracle", i)
-		}
-	}
-	if _, ok, err := st.At(ctx, len(oracle)); ok || err != nil {
-		t.Fatalf("past the end: ok=%v err=%v", ok, err)
-	}
-	if ps = st.PrefetchStats(); ps.Hits < hitsBefore+ahead {
-		t.Fatalf("prefetched ranks should read as buffer hits: %+v", ps)
-	}
-}
-
-// TestSharedStreamPrefetchPauseResume: pausing parks the producer (after
-// at most one in-flight solve), resuming finishes the job.
-func TestSharedStreamPrefetchPauseResume(t *testing.T) {
-	s, oracle := newStreamSolver(t)
-	st := NewSharedStream(enumerateFn(s))
-	st.ConfigurePrefetch(len(oracle)+10, 0) // budget beyond the stream end
-	ctx := context.Background()
-	if _, ok, err := st.At(ctx, 0); !ok || err != nil {
-		t.Fatalf("rank 0: ok=%v err=%v", ok, err)
-	}
-	st.PausePrefetch()
-	p := settled(st)
-	if p == len(oracle) && st.Exhausted() {
-		t.Skip("enumeration finished before the pause landed") // tiny-graph race, nothing to assert
-	}
-	time.Sleep(30 * time.Millisecond)
-	if got := st.Produced(); got != p {
-		t.Fatalf("paused producer kept producing: %d -> %d", p, got)
-	}
-	st.ResumePrefetch()
-	waitFor(t, "resume to exhaust the stream", st.Exhausted)
-	ps := st.PrefetchStats()
-	if ps.Pauses != 1 || ps.Resumes != 1 {
-		t.Fatalf("want 1 pause and 1 resume, got %+v", ps)
-	}
-	// The buffer the producer built is still the oracle sequence.
-	for i := range oracle {
-		if r, ok, _ := st.At(ctx, i); !ok || resultSig(r) != resultSig(oracle[i]) {
-			t.Fatalf("rank %d differs after pause/resume", i)
-		}
-	}
-}
-
-// TestSharedStreamPrefetchStopTerminates: StopPrefetch ends speculation
-// for good, while demand-driven At keeps working.
-func TestSharedStreamPrefetchStopTerminates(t *testing.T) {
-	s, oracle := newStreamSolver(t)
-	st := NewSharedStream(enumerateFn(s))
-	st.ConfigurePrefetch(len(oracle)+10, 0)
-	ctx := context.Background()
-	if _, ok, err := st.At(ctx, 0); !ok || err != nil {
-		t.Fatalf("rank 0: ok=%v err=%v", ok, err)
-	}
-	st.StopPrefetch()
-	p := settled(st)
-	time.Sleep(30 * time.Millisecond)
-	if got := st.Produced(); got != p {
-		t.Fatalf("stopped producer kept producing: %d -> %d", p, got)
-	}
-	// Demand production is unaffected — the whole stream is still readable.
-	for i := 0; i < len(oracle); i++ {
-		if r, ok, err := st.At(ctx, i); !ok || err != nil || resultSig(r) != resultSig(oracle[i]) {
-			t.Fatalf("rank %d after stop: ok=%v err=%v", i, ok, err)
-		}
-	}
-}
-
-// TestSharedStreamPrefetchByteCeiling: speculation stops at the byte
-// ceiling; demand production is not limited by it.
-func TestSharedStreamPrefetchByteCeiling(t *testing.T) {
-	s, oracle := newStreamSolver(t)
-	st := NewSharedStream(enumerateFn(s))
-	per := oracle[0].SizeEstimate()
-	st.ConfigurePrefetch(len(oracle)+10, 5*per)
-	ctx := context.Background()
-	if _, ok, err := st.At(ctx, 0); !ok || err != nil {
-		t.Fatalf("rank 0: ok=%v err=%v", ok, err)
-	}
-	waitFor(t, "speculation to reach the ceiling", func() bool { return st.Produced() >= 5 })
-	if p := settled(st); p >= len(oracle)/2 {
-		t.Fatalf("byte ceiling ignored: produced %d of %d", p, len(oracle))
-	}
-	// A demand read deep past the ceiling still works.
-	if r, ok, err := st.At(ctx, 30); !ok || err != nil || resultSig(r) != resultSig(oracle[30]) {
-		t.Fatalf("demand read past ceiling: ok=%v err=%v", ok, err)
-	}
-}
-
-// TestSharedStreamPrefetchLifecycleChurn is the satellite race test:
-// concurrent cursors drive the stream while Reset, TrimOver and
-// pause/resume churn against the speculative producer. Every read must
-// match the oracle, and a final sequential pass must too — byte-identical
-// rank order with prefetch on vs. off. Run with -race in CI.
-func TestSharedStreamPrefetchLifecycleChurn(t *testing.T) {
-	s, oracle := newStreamSolver(t)
-	st := NewSharedStream(enumerateFn(s))
-	st.ConfigurePrefetch(8, 0)
-	const cursors = 6
-	var wg sync.WaitGroup
-	errs := make(chan error, cursors)
-	stop := make(chan struct{})
-
-	// Churners: truncation, window slides, pause/resume flapping.
-	var churn sync.WaitGroup
-	churn.Add(3)
-	go func() {
-		defer churn.Done()
-		for i := 0; i < 25; i++ {
-			time.Sleep(400 * time.Microsecond)
-			st.Reset()
-		}
-	}()
-	go func() {
-		defer churn.Done()
-		for i := 0; i < 25; i++ {
-			time.Sleep(300 * time.Microsecond)
-			st.TrimOver(0, 10+i%10)
-		}
-	}()
-	go func() {
-		defer churn.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			st.PausePrefetch()
-			time.Sleep(200 * time.Microsecond)
-			st.ResumePrefetch()
-			time.Sleep(200 * time.Microsecond)
-		}
-	}()
-
-	for c := 0; c < cursors; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ctx := context.Background()
-			for i := 0; i < len(oracle); i++ {
-				r, ok, err := st.At(ctx, i)
-				if err != nil {
-					errs <- err
-					return
-				}
-				if !ok {
-					errs <- fmt.Errorf("spurious exhaustion at rank %d", i)
-					return
-				}
-				if resultSig(r) != resultSig(oracle[i]) {
-					errs <- fmt.Errorf("rank %d differs under lifecycle churn", i)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	close(stop)
-	churn.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	// Final sequential pass over a quiesced stream.
-	st.ResumePrefetch()
-	ctx := context.Background()
-	for i := 0; i < len(oracle); i++ {
-		r, ok, err := st.At(ctx, i)
-		if !ok || err != nil || resultSig(r) != resultSig(oracle[i]) {
-			t.Fatalf("final pass rank %d: ok=%v err=%v", i, ok, err)
-		}
-	}
-	st.StopPrefetch()
 }
 
 // TestResultSizeEstimate sanity-checks the footprint estimator used by

@@ -6,11 +6,9 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http/httptest"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/cost"
@@ -149,9 +147,10 @@ func BenchmarkCanonFanout(b *testing.B) {
 		var solves uint64
 		for i := 0; i < b.N; i++ {
 			// A fresh server per iteration: every fan-out starts from a cold
-			// pool and stream store. Sequential solving and no speculation
-			// keep the work accounting deterministic.
-			srv := New(Config{MaxConcurrent: clients * 2, SolveWorkers: 1, PrefetchAhead: -1})
+			// pool and stream store. Streams solve only on demand, and each
+			// Next solves the same branches at any worker count, so the work
+			// accounting is deterministic.
+			srv := New(Config{MaxConcurrent: clients * 2})
 			var wg sync.WaitGroup
 			for c := 0; c < nClients; c++ {
 				wg.Add(1)
@@ -185,58 +184,6 @@ func BenchmarkCanonFanout(b *testing.B) {
 
 	b.Run("canon", func(b *testing.B) { run(b, clients) })
 	b.Run("solo", func(b *testing.B) { run(b, 1) })
-}
-
-// BenchmarkPrefetchReadLatency measures what speculation buys a paced
-// consumer: per-rank read latency (p50/p99, reported in ns) of a cursor
-// that thinks for ~1ms between reads — the serving-tier shape, where
-// client round-trips leave the producer idle wall-clock. With prefetch
-// the speculative producer spends that think-time running ahead, so the
-// cursor's reads are buffer hits; the demand baseline solves a
-// Lawler–Murty branch on the latency path of every read.
-func BenchmarkPrefetchReadLatency(b *testing.B) {
-	const ranks = 100
-	const think = time.Millisecond
-	run := func(b *testing.B, tune bool) {
-		g := gen.Cycle(9) // 429 minimal triangulations
-		solver, err := core.New(context.Background(), g, cost.FillIn{}, core.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		key := SolverKey{Fingerprint: g.Fingerprint(), Cost: "fill", Bound: -1}
-		var lat []time.Duration
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			store := NewStreamStore(0, 0) // fresh store: every iteration starts cold
-			if tune {
-				store.Tune(1, ranks+16, 0)
-			}
-			h := store.Acquire(key, solver)
-			// The first read raises the demand mark (starting the producer
-			// when speculation is on); it is cold in both variants and not a
-			// sample.
-			if _, ok, err := h.At(context.Background(), 0); !ok || err != nil {
-				b.Fatalf("rank 0: ok=%v err=%v", ok, err)
-			}
-			for r := 1; r < ranks; r++ {
-				time.Sleep(think)
-				start := time.Now()
-				_, ok, err := h.At(context.Background(), r)
-				lat = append(lat, time.Since(start))
-				if !ok || err != nil {
-					b.Fatalf("rank %d: ok=%v err=%v", r, ok, err)
-				}
-			}
-			h.Release()
-			store.Close()
-		}
-		b.StopTimer()
-		sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-		b.ReportMetric(float64(lat[len(lat)/2]), "p50-ns")
-		b.ReportMetric(float64(lat[len(lat)*99/100]), "p99-ns")
-	}
-	b.Run("prefetch", func(b *testing.B) { run(b, true) })
-	b.Run("demand", func(b *testing.B) { run(b, false) })
 }
 
 // BenchmarkSolverPoolColdInit measures the miss path: full solver

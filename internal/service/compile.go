@@ -279,6 +279,35 @@ func (s *Server) buildBackend(ctx context.Context, cp *CompiledProblem) (core.Ba
 	return backend, dpSolver, hit, 0, nil
 }
 
+// respond serves one compiled problem, after buildBackend, in its
+// response mode: the ?diverse=k portfolio or the first page plus resume
+// token. Every non-streaming endpoint answers through it. The returned
+// results are the response's results in the client's labeling; on error
+// the returned status is the HTTP status to report.
+func (s *Server) respond(ctx context.Context, cp *CompiledProblem, backend core.Backend, dpSolver *core.Solver, hit bool) (*EnumerateResponse, []*core.Result, int, error) {
+	if cp.Diverse > 0 {
+		return s.diverseResponse(ctx, cp, backend, dpSolver, hit)
+	}
+	return s.pagedResponse(ctx, cp, backend, dpSolver, hit)
+}
+
+// responseHeader fills the EnumerateResponse fields both response modes
+// share: what served the problem and the graph it was asked about.
+func responseHeader(cp *CompiledProblem, backend core.Backend, dpSolver *core.Solver, hit bool) *EnumerateResponse {
+	resp := &EnumerateResponse{
+		CacheHit: hit,
+		Cost:     cp.Cost.Name(),
+		Backend:  string(cp.Kind),
+		Ranked:   backend.Ranked(),
+		Orbits:   cp.Orbits,
+		Graph:    &GraphInfo{N: cp.ClientGraph.Universe(), M: cp.ClientGraph.NumEdges(), Fingerprint: cp.Key.Fingerprint},
+	}
+	if dpSolver != nil {
+		resp.Solver = solverInfo(dpSolver)
+	}
+	return resp
+}
+
 // pagedResponse serves one compiled problem as a first page plus resume
 // token — the classic /v1/enumerate response shape, reused verbatim by
 // /v1/batch items and the /v1/hypergraph and /v1/csp endpoints. The
@@ -301,19 +330,9 @@ func (s *Server) pagedResponse(ctx context.Context, cp *CompiledProblem, backend
 		return nil, nil, http.StatusServiceUnavailable, errors.New("request cancelled")
 	}
 	client := sess.egress(results)
-	resp := &EnumerateResponse{
-		Done:     done,
-		CacheHit: hit,
-		Cost:     cp.Cost.Name(),
-		Backend:  string(cp.Kind),
-		Ranked:   backend.Ranked(),
-		Orbits:   cp.Orbits,
-		Graph:    &GraphInfo{N: cp.ClientGraph.Universe(), M: cp.ClientGraph.NumEdges(), Fingerprint: cp.Key.Fingerprint},
-		Results:  pageJSON(cp.ClientGraph, 0, client),
-	}
-	if dpSolver != nil {
-		resp.Solver = solverInfo(dpSolver)
-	}
+	resp := responseHeader(cp, backend, dpSolver, hit)
+	resp.Done = done
+	resp.Results = pageJSON(cp.ClientGraph, 0, client)
 	if !done {
 		resp.Session = sess.Token
 	}
@@ -354,20 +373,10 @@ func (s *Server) diverseResponse(ctx context.Context, cp *CompiledProblem, backe
 		client[i] = r
 		page[i] = resultJSON(cp.ClientGraph, j, r)
 	}
-	resp := &EnumerateResponse{
-		Done:     true,
-		CacheHit: hit,
-		Cost:     cp.Cost.Name(),
-		Backend:  string(cp.Kind),
-		Ranked:   backend.Ranked(),
-		Orbits:   cp.Orbits,
-		Diverse:  cp.Diverse,
-		Window:   len(pool),
-		Graph:    &GraphInfo{N: cp.ClientGraph.Universe(), M: cp.ClientGraph.NumEdges(), Fingerprint: cp.Key.Fingerprint},
-		Results:  page,
-	}
-	if dpSolver != nil {
-		resp.Solver = solverInfo(dpSolver)
-	}
+	resp := responseHeader(cp, backend, dpSolver, hit)
+	resp.Done = true
+	resp.Diverse = cp.Diverse
+	resp.Window = len(pool)
+	resp.Results = page
 	return resp, client, 0, nil
 }

@@ -16,21 +16,17 @@
 //     shared by every consumer of that key, produced on demand with a
 //     per-rank singleflight — the first cursor to need rank i drives the
 //     enumerator, later cursors read the buffer. Each Next fans its
-//     independent Lawler–Murty branch solves over a worker pool
-//     (Config.SolveWorkers, -solve-workers; the emitted sequence is
-//     identical at any worker count), and a speculative producer per
-//     stream runs the enumeration up to Config.PrefetchAhead ranks and
-//     Config.PrefetchBytes past the fastest cursor so warm reads are
-//     buffer hits, not solves. Buffers live under an LRU byte budget
+//     independent Lawler–Murty branch solves over GOMAXPROCS workers
+//     (the emitted sequence is identical at any worker count); nothing
+//     runs ahead of the cursors. Buffers live under an LRU byte budget
 //     (Config.StreamBudgetBytes, -stream-budget); an evicted buffer
 //     rebuilds lazily and, because the enumeration order is
 //     deterministic, replays identical ranks.
 //   - SessionManager holds thin cursors (token + position) over the
 //     shared streams behind opaque resume tokens so clients page through
 //     results across requests. Idle sessions are evicted by a janitor;
-//     an abandoned stream burns no CPU: demand production only happens
-//     on behalf of a paging cursor, and the speculative producer is
-//     parked whenever a stream's last consumer goes away.
+//     an abandoned stream burns no CPU: production only happens on
+//     behalf of a reading cursor, and a stream owns no goroutine.
 //   - Server wires everything behind an http.Handler with
 //     bounded-concurrency admission and graceful shutdown; the NDJSON
 //     streaming mode reads the same shared buffers as the paging
@@ -195,20 +191,16 @@
 // clients on one graph cost one enumeration, not N (see
 // BenchmarkSharedStreamFanout and BENCH_stream.json).
 //
-// Stats also report the speculation ledger:
+// Stats also report how reads were served:
 //
-//	"prefetch": {"enabled": true, "solve_workers": 8, "ahead_ranks": 64,
-//	             "ahead_bytes": 8388608, "buffered_hits": 350,
-//	             "demand_solves": 40, "prefetch_solves": 120,
-//	             "pauses": 2, "resumes": 1, "lookahead_high_water": 64}
+//	"prefetch": {"buffered_hits": 350, "demand_solves": 40,
+//	             "prefetch_solves": 0}
 //
 // buffered_hits counts per-rank reads served straight from a buffer (no
-// solve on the request's latency path); demand_solves and
-// prefetch_solves split the production work between waiting consumers
-// and the background producers; pauses/resumes count producers parked
-// on last-cursor release and woken by the next acquire (see
-// BenchmarkPrefetchReadLatency and BENCH_parallel.json). GET /healthz —
-// liveness.
+// solve on the request's latency path) and demand_solves the enumerator
+// steps waiting readers drove — all of the production work.
+// prefetch_solves always reads 0: streams produce only on demand. GET
+// /healthz — liveness.
 //
 // Errors are {"error": "…"} with a 4xx/5xx status: 400 for malformed
 // graphs, unknown costs or bad knobs, 404 for unknown sessions, 413 when

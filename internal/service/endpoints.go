@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 
-	"repro/internal/core"
 	"repro/internal/csp"
 )
 
@@ -88,12 +87,7 @@ func (s *Server) solveItem(ctx context.Context, cp *CompiledProblem) BatchItem {
 	if err != nil {
 		return BatchItem{Error: err.Error()}
 	}
-	var resp *EnumerateResponse
-	if cp.Diverse > 0 {
-		resp, _, _, err = s.diverseResponse(ctx, cp, backend, dpSolver, hit)
-	} else {
-		resp, _, _, err = s.pagedResponse(ctx, cp, backend, dpSolver, hit)
-	}
+	resp, _, _, err := s.respond(ctx, cp, backend, dpSolver, hit)
 	if err != nil {
 		return BatchItem{Error: err.Error()}
 	}
@@ -151,12 +145,7 @@ func (s *Server) handleHypergraph(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	var resp *EnumerateResponse
-	if cp.Diverse > 0 {
-		resp, _, status, err = s.diverseResponse(ctx, cp, backend, dpSolver, hit)
-	} else {
-		resp, _, status, err = s.pagedResponse(ctx, cp, backend, dpSolver, hit)
-	}
+	resp, _, status, err := s.respond(ctx, cp, backend, dpSolver, hit)
 	if err != nil {
 		writeError(w, status, err)
 		return
@@ -227,13 +216,7 @@ func (s *Server) handleCSP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	var resp *EnumerateResponse
-	var results []*core.Result
-	if cp.Diverse > 0 {
-		resp, results, status, err = s.diverseResponse(ctx, cp, backend, dpSolver, hit)
-	} else {
-		resp, results, status, err = s.pagedResponse(ctx, cp, backend, dpSolver, hit)
-	}
+	resp, results, status, err := s.respond(ctx, cp, backend, dpSolver, hit)
 	if err != nil {
 		writeError(w, status, err)
 		return

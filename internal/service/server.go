@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"runtime"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -53,27 +52,6 @@ type Config struct {
 	// are dropped; a dropped buffer rebuilds lazily and replays the
 	// identical ranks if a live cursor still needs it.
 	StreamBudgetBytes int64
-	// SolveWorkers is the goroutine pool size each materialized stream's
-	// Next fans its independent Lawler–Murty branch solves over — the
-	// delay-reduction parallelization of the paper's §7.1. Zero selects
-	// GOMAXPROCS; 1 pins the sequential enumeration. The emitted order is
-	// identical for every setting (branches are re-ordered
-	// deterministically before entering the queue).
-	SolveWorkers int
-	// PrefetchAhead is how many ranks past the fastest live cursor each
-	// materialized stream's speculative producer runs the enumeration, so
-	// an interactive client's next page is a buffer read instead of a
-	// solve. Zero selects the default (64); negative disables speculation
-	// (production becomes purely demand-driven, the pre-prefetch
-	// behavior). The producer pauses whenever a stream has no live
-	// cursors and an evicted buffer stays cold until re-demanded, so
-	// speculation never burns CPU on abandoned or reclaimed streams.
-	PrefetchAhead int
-	// PrefetchBytes caps the buffered footprint speculation may grow one
-	// stream to (demand-driven production is not limited by it — the
-	// store's byte budget governs overall). Zero selects the default
-	// (8 MiB); negative means no per-stream speculation ceiling.
-	PrefetchBytes int64
 	// DefaultBackend is the enumeration backend for requests that name
 	// none: "dp" (the default — ranked-exact, cost order), "mis"
 	// (unordered CKK separator-graph enumeration, no init cost),
@@ -135,28 +113,6 @@ func (c Config) withDefaults() Config {
 	if c.StreamBudgetBytes <= 0 {
 		c.StreamBudgetBytes = defaultStreamBudget
 	}
-	// SolveWorkers, PrefetchAhead and PrefetchBytes distinguish "unset"
-	// (zero → default) from "explicitly off" (negative), unlike the fields
-	// above: sequential solving and demand-driven production are
-	// legitimate configurations, not degenerate ones.
-	if c.SolveWorkers == 0 {
-		c.SolveWorkers = runtime.GOMAXPROCS(0)
-	}
-	if c.SolveWorkers < 0 {
-		c.SolveWorkers = 1
-	}
-	if c.PrefetchAhead == 0 {
-		c.PrefetchAhead = defaultPrefetchAhead
-	}
-	if c.PrefetchAhead < 0 {
-		c.PrefetchAhead = 0 // disabled
-	}
-	if c.PrefetchBytes == 0 {
-		c.PrefetchBytes = defaultPrefetchBytes
-	}
-	if c.PrefetchBytes < 0 {
-		c.PrefetchBytes = 0 // no speculation byte ceiling
-	}
 	if c.DefaultBackend == "" {
 		c.DefaultBackend = string(core.BackendDP)
 	}
@@ -168,17 +124,6 @@ func (c Config) withDefaults() Config {
 
 // maxPageSize is the hard cap on page_size, protecting response sizes.
 const maxPageSize = 1000
-
-// defaultPrefetchAhead is the speculative lookahead in ranks when
-// Config.PrefetchAhead is unset: a few interactive pages' worth, enough
-// that a paging client never waits on a solve once the stream is warm,
-// small enough that an early-abandoning client wastes little work.
-const defaultPrefetchAhead = 64
-
-// defaultPrefetchBytes bounds one stream's speculative footprint when
-// Config.PrefetchBytes is unset — 1/8 of the default stream budget, so
-// speculation alone cannot evict several demand-built buffers.
-const defaultPrefetchBytes = defaultStreamBudget / 8
 
 // defaultMaxBodyBytes caps request bodies when Config.MaxBodyBytes is
 // unset.
@@ -294,9 +239,9 @@ func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	// Stream entries pin their solver via the rebuild factory, so the
 	// entry cap tracks the solver pool's: a stream whose solver left the
-	// pool does not linger much longer than the solver itself.
+	// pool does not linger much longer than the solver itself. Its streams
+	// solve each Next's Lawler–Murty branches over GOMAXPROCS workers.
 	streams := NewStreamStore(cfg.StreamBudgetBytes, cfg.CacheSize)
-	streams.Tune(cfg.SolveWorkers, cfg.PrefetchAhead, cfg.PrefetchBytes)
 	s := &Server{
 		cfg:      cfg,
 		pool:     NewSolverPool(cfg.CacheSize),
@@ -324,12 +269,11 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// Close cancels every live enumeration and stops background work —
-// including every stream's speculative producer. In-flight HTTP requests
-// are the http.Server's to drain — call this after its Shutdown.
+// Close cancels every live enumeration and stops the session janitor.
+// In-flight HTTP requests are the http.Server's to drain — call this
+// after its Shutdown.
 func (s *Server) Close() {
 	s.sessions.Close()
-	s.streams.Close()
 }
 
 // Pool exposes the solver pool (stats, tests).
@@ -404,12 +348,7 @@ func (s *Server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	var resp *EnumerateResponse
-	if cp.Diverse > 0 {
-		resp, _, status, err = s.diverseResponse(ctx, cp, backend, dpSolver, hit)
-	} else {
-		resp, _, status, err = s.pagedResponse(ctx, cp, backend, dpSolver, hit)
-	}
+	resp, _, status, err := s.respond(ctx, cp, backend, dpSolver, hit)
 	if err != nil {
 		writeError(w, status, err)
 		return
@@ -637,30 +576,12 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Solver:        s.pool.ReuseStats(),
 		Atoms:         s.pool.AtomStats(),
 		Streams:       s.streams.Stats(),
-		Prefetch:      s.prefetchStats(),
+		Prefetch:      s.streams.PrefetchStats(),
 		Backends:      s.backends.stats(),
 		Canon:         s.canon.stats(),
 		Orbits:        s.orbits.stats(s.cfg.DefaultOrbits),
 		Workloads:     s.workloads.stats(),
 	})
-}
-
-// prefetchStats snapshots the serving tier's speculation counters for
-// /v1/stats, labelled with the configuration that produced them.
-func (s *Server) prefetchStats() PrefetchStats {
-	agg := s.streams.PrefetchStats()
-	return PrefetchStats{
-		Enabled:            s.cfg.PrefetchAhead > 0,
-		SolveWorkers:       s.cfg.SolveWorkers,
-		AheadRanks:         s.cfg.PrefetchAhead,
-		AheadBytes:         s.cfg.PrefetchBytes,
-		BufferedHits:       agg.Hits,
-		DemandSolves:       agg.DemandSolves,
-		PrefetchSolves:     agg.PrefetchSolves,
-		Pauses:             agg.Pauses,
-		Resumes:            agg.Resumes,
-		LookaheadHighWater: agg.LookaheadHighWater,
-	}
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

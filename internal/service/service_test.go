@@ -551,6 +551,44 @@ func TestCreateAfterClose(t *testing.T) {
 	}
 }
 
+// TestCreateRejectionLeavesStoreUntouched: a Create refused for the
+// session cap (429) or for shutdown (503) must not reach the stream
+// store — no miss counted, and no cached stream evicted to make room
+// under the store's entry cap.
+func TestCreateRejectionLeavesStoreUntouched(t *testing.T) {
+	store := NewStreamStore(0, 2)
+	m := NewSessionManager(1, time.Minute, store)
+	defer m.Close()
+	solver := mustSolver(gen.Cycle(6), cost.Width{})
+	keyA := SolverKey{Fingerprint: "a"}
+	a, err := m.Create(solver, keyA, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := a.NextPage(context.Background(), 3); err != nil {
+		t.Fatal(err)
+	}
+	m.Remove(a.Token) // a's buffer holds ranks, so its stream stays cached
+	if _, err := m.Create(solver, SolverKey{Fingerprint: "b"}, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	before := store.Stats()
+	if _, err := m.Create(solver, SolverKey{Fingerprint: "c"}, nil, nil); !errors.Is(err, ErrTooManySessions) {
+		t.Fatalf("want ErrTooManySessions, got %v", err)
+	}
+	m.Close()
+	if _, err := m.Create(solver, SolverKey{Fingerprint: "d"}, nil, nil); !errors.Is(err, ErrShuttingDown) {
+		t.Fatalf("want ErrShuttingDown, got %v", err)
+	}
+	after := store.Stats()
+	if after.Misses != before.Misses || after.Evictions != before.Evictions {
+		t.Fatalf("rejected Creates touched the store: %+v -> %+v", before, after)
+	}
+	if !store.Contains(keyA) {
+		t.Fatal("a rejected Create evicted the cached stream a")
+	}
+}
+
 // TestReplayAnchorOnError: Replay's error returns must carry the
 // requested anchor rank, not the zero value of the named return — an
 // error response claiming the replay was anchored at rank 0 would send a

@@ -148,12 +148,27 @@ func NewSessionManager(max int, idle time.Duration, store *StreamStore) *Session
 // graph) and fromCanon, when non-nil, maps the backend's canonical labels
 // back to the client's — the per-cursor egress permutation of canonical
 // cache keying.
+//
+// The shutdown and capacity checks run before the stream is acquired, so
+// a rejected Create leaves the stream store untouched: no miss counted,
+// no cached stream evicted by the entry cap.
 func (m *SessionManager) Create(backend core.Backend, key SolverKey, clientG *graph.Graph, fromCanon []int) (*Session, error) {
 	if clientG == nil {
 		clientG = backend.Graph()
 	}
+	// Lock order m.mu → store.mu is safe: the store never calls back into
+	// the manager, and every stream release happens outside m.mu.
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.closed {
+		return nil, ErrShuttingDown
+	}
+	if len(m.sessions) >= m.max {
+		return nil, ErrTooManySessions
+	}
 	ctx, cancel := context.WithCancel(m.base)
 	s := &Session{
+		Token:     newToken(),
 		Key:       key,
 		g:         clientG,
 		fromCanon: fromCanon,
@@ -162,20 +177,8 @@ func (m *SessionManager) Create(backend core.Backend, key SolverKey, clientG *gr
 		cancel:    cancel,
 		last:      time.Now(),
 	}
-	m.mu.Lock()
-	if m.closed || len(m.sessions) >= m.max {
-		closed := m.closed
-		m.mu.Unlock()
-		s.close()
-		if closed {
-			return nil, ErrShuttingDown
-		}
-		return nil, ErrTooManySessions
-	}
-	s.Token = newToken()
 	m.sessions[s.Token] = s
 	m.created++
-	m.mu.Unlock()
 	return s, nil
 }
 

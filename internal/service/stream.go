@@ -76,20 +76,14 @@ type StreamStore struct {
 	misses     uint64
 	evictions  uint64
 
-	// Production tuning, applied to streams created after Tune (see Tune).
-	solveWorkers  int
-	prefetchAhead int
-	prefetchBytes int64
-	// Pause/resume bookkeeping for streams that no longer exist survives
-	// here; live-stream counters are aggregated from the entries.
-	pfRetired core.PrefetchStats
-	// rbRetired folds dropped entries' rebuild counts the same way, so
-	// the /v1/stats rebuilds counter is monotone across entry churn.
-	rbRetired uint64
-	// closed marks the store shut down: streams created afterwards stay
-	// demand-driven and parked producers are never resumed, so no
-	// speculative goroutine can outlive Close.
-	closed bool
+	// solveWorkers is the branch-solving pool size of streams created
+	// after Tune (see Tune).
+	solveWorkers int
+	// Dropped entries' read/solve and rebuild counts fold in here, so the
+	// /v1/stats counters are monotone across entry churn; live-stream
+	// counters are aggregated from the entries.
+	readRetired core.PrefetchStats
+	rbRetired   uint64
 }
 
 // NewStreamStore returns a store evicting buffers beyond budgetBytes
@@ -111,81 +105,56 @@ func NewStreamStore(budgetBytes int64, maxStreams int) *StreamStore {
 	}
 }
 
-// Tune configures how this store's streams produce. Each Next of a
-// stream created after Tune fans its independent branch solves over
-// solveWorkers goroutines (1 means sequential, zero or negative
-// GOMAXPROCS; the emitted sequence is identical either way), and its
-// speculative producer runs the enumeration up to prefetchAhead ranks
-// past the fastest cursor, within prefetchBytes of buffered footprint
-// (prefetchAhead <= 0 disables speculation, prefetchBytes <= 0 leaves it
-// byte-unbounded). A store that was never tuned is demand-driven and
-// solves branches over GOMAXPROCS workers.
-func (st *StreamStore) Tune(solveWorkers, prefetchAhead int, prefetchBytes int64) {
+// Tune sets how many goroutines each Next of a stream created after Tune
+// fans its independent branch solves over (1 means sequential, zero or
+// negative GOMAXPROCS; the emitted sequence is identical either way). A
+// store that was never tuned solves over GOMAXPROCS workers. The server
+// never tunes its store; Tune stays for the benchrun module's sequential
+// replay stack, and its last two arguments, ignored, go when benchrun
+// stops passing them.
+func (st *StreamStore) Tune(solveWorkers, _ int, _ int64) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	st.solveWorkers = solveWorkers
-	st.prefetchAhead = prefetchAhead
-	st.prefetchBytes = prefetchBytes
 }
 
 // dropEntryLocked detaches e from the table and LRU, reclaims its byte
-// accounting, folds its prefetch counters into the retired aggregate and
-// terminates its speculative producer. The caller holds st.mu (lock
-// order store.mu → stream.mu is safe: SharedStream never calls back into
-// the store).
+// accounting and folds its counters into the retired aggregates. The
+// caller holds st.mu (lock order store.mu → stream.mu is safe:
+// SharedStream never calls back into the store).
 func (st *StreamStore) dropEntryLocked(e *streamEntry) {
 	st.total -= e.bytes
 	e.bytes = 0
 	st.lru.Remove(e.elem)
 	e.elem = nil
 	delete(st.entries, e.key)
-	st.pfRetired = sumPrefetchStats(st.pfRetired, e.stream.PrefetchStats())
+	st.readRetired = sumPrefetchStats(st.readRetired, e.stream.PrefetchStats())
 	st.rbRetired += e.stream.Rebuilds()
-	e.stream.StopPrefetch()
 }
 
-// sumPrefetchStats folds b into a (counters add; the high-water mark is
-// the max).
+// sumPrefetchStats folds b into a.
 func sumPrefetchStats(a, b core.PrefetchStats) core.PrefetchStats {
 	a.Hits += b.Hits
 	a.DemandSolves += b.DemandSolves
-	a.PrefetchSolves += b.PrefetchSolves
-	a.Pauses += b.Pauses
-	a.Resumes += b.Resumes
-	if b.LookaheadHighWater > a.LookaheadHighWater {
-		a.LookaheadHighWater = b.LookaheadHighWater
-	}
 	return a
 }
 
-// PrefetchStats aggregates the demand-vs-speculation counters over every
+// PrefetchStats aggregates the buffer-read vs solve counters over every
 // stream this store has ever held (dropped streams' counts are folded
 // into a retired aggregate, so the numbers are monotone).
-func (st *StreamStore) PrefetchStats() core.PrefetchStats {
+func (st *StreamStore) PrefetchStats() PrefetchStats {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	out := st.pfRetired
+	out := st.readRetired
 	for _, e := range st.entries {
 		out = sumPrefetchStats(out, e.stream.PrefetchStats())
 	}
-	return out
+	return PrefetchStats{BufferedHits: out.Hits, DemandSolves: out.DemandSolves}
 }
 
-// Close terminates every stream's speculative producer and marks the
-// store closed. Buffers and cursors stay readable (demand-driven); for
-// server shutdown, where parked prefetch goroutines should not outlive
-// the service. Acquire keeps working after Close — late requests during
-// the HTTP drain window still need their streams — but the entries it
-// creates are never configured for speculation and parked producers are
-// never resumed, so shutdown cannot be undone by a straggler.
-func (st *StreamStore) Close() {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.closed = true
-	for _, e := range st.entries {
-		e.stream.StopPrefetch()
-	}
-}
+// Close does nothing: streams own no goroutine, so there is nothing to
+// stop. It exists only because the benchrun module calls it.
+func (st *StreamStore) Close() {}
 
 // StreamHandle is one consumer's reference to a materialized stream.
 // Release it exactly once when the consumer is done; the buffer itself
@@ -224,9 +193,6 @@ func (st *StreamStore) Acquire(key SolverKey, backend core.Backend) *StreamHandl
 			}),
 			handles: make(map[*StreamHandle]struct{}),
 		}
-		if !st.closed {
-			e.stream.ConfigurePrefetch(st.prefetchAhead, st.prefetchBytes)
-		}
 		st.entries[key] = e
 		e.elem = st.lru.PushFront(e)
 		// Enforce the entry cap on the cold end: only unreferenced entries
@@ -244,13 +210,6 @@ func (st *StreamStore) Acquire(key SolverKey, backend core.Backend) *StreamHandl
 		}
 	}
 	e.refs++
-	if e.refs == 1 && !st.closed {
-		// First consumer (back): un-park the speculative producer. A no-op
-		// on fresh streams, which start unpaused. After Close the resume is
-		// skipped — shutdown just stopped these producers, and a post-Close
-		// acquire must stay demand-driven.
-		e.stream.ResumePrefetch()
-	}
 	st.lru.MoveToFront(e.elem)
 	h := &StreamHandle{store: st, e: e}
 	e.handles[h] = struct{}{}
@@ -281,9 +240,7 @@ func (h *StreamHandle) At(ctx context.Context, i int) (*core.Result, bool, error
 // BufferedAhead reports how many results past position pos have already
 // been materialized — the ranks a consumer at pos can read without any
 // solving work (ranks a budget trim dropped would need a rebuild, so
-// this is the optimistic count). Under speculative prefetch the stream's
-// producer actively keeps this positive for cursors inside the lookahead
-// budget.
+// this is the optimistic count).
 func (h *StreamHandle) BufferedAhead(pos int) int {
 	if n := h.e.stream.Produced() - pos; n > 0 {
 		return n
@@ -305,11 +262,6 @@ func (st *StreamStore) release(h *StreamHandle) {
 	e := h.e
 	delete(e.handles, h)
 	e.refs--
-	if e.refs == 0 {
-		// No live consumers: park the speculative producer so an abandoned
-		// stream burns no CPU — PR 4's invariant, now under prefetch too.
-		e.stream.PausePrefetch()
-	}
 	// A dropped (or never-produced) buffer holds no bytes, so the byte
 	// budget would never reclaim its entry; drop it here once unreferenced
 	// to keep the table bounded. Buffers with content stay cached — they
@@ -367,9 +319,6 @@ func (st *StreamStore) touch(e *streamEntry) {
 		if v != e && v.bytes > 0 {
 			st.total -= v.bytes
 			v.bytes = 0
-			// Reset clears the stream's demand mark too, so its speculative
-			// producer (if still referenced and running) idles instead of
-			// re-materializing the buffer the eviction just reclaimed.
 			v.stream.Reset()
 			st.evictions++
 			if v.refs == 0 {

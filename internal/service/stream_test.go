@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -534,90 +535,12 @@ func appendResultLines(lines []string, results []TriangulationJSON) ([]string, e
 	return lines, nil
 }
 
-// waitUntil polls cond for up to two seconds — for asserting that a
-// speculative producer eventually reaches a state.
-func waitUntil(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s", what)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// TestStreamStorePrefetchPausesOnLastRelease wires the PR 4 invariant —
-// abandoned streams burn no CPU — through the speculative producer: the
-// last Release parks it, the next Acquire wakes it, and the stream a
-// woken producer finishes is byte-identical to a solo enumeration.
-func TestStreamStorePrefetchPausesOnLastRelease(t *testing.T) {
-	ctx := context.Background()
-	store := NewStreamStore(0, 0)
-	store.Tune(1, 8, 0)
-	solver := mustSolver(gen.Cycle(9), cost.FillIn{}) // 429 results
-	key := SolverKey{Fingerprint: "c9"}
-
-	h := store.Acquire(key, solver)
-	if _, ok, err := h.At(ctx, 0); !ok || err != nil {
-		t.Fatalf("rank 0: ok=%v err=%v", ok, err)
-	}
-	waitUntil(t, "speculation to start", func() bool {
-		return store.PrefetchStats().PrefetchSolves > 0
-	})
-	h.Release()
-	waitUntil(t, "last release to pause the producer", func() bool {
-		return store.PrefetchStats().Pauses >= 1
-	})
-	// A pause can leave one solve in flight; wait for production to settle,
-	// then assert it stays settled.
-	var parked uint64
-	for {
-		parked = store.PrefetchStats().PrefetchSolves
-		time.Sleep(20 * time.Millisecond)
-		if store.PrefetchStats().PrefetchSolves == parked {
-			break
-		}
-	}
-	time.Sleep(30 * time.Millisecond)
-	if got := store.PrefetchStats().PrefetchSolves; got != parked {
-		t.Fatalf("parked producer kept producing: %d -> %d speculative solves", parked, got)
-	}
-
-	// The next consumer resumes speculation, and everything the producer
-	// built — before and after the park — matches a solo enumeration.
-	h2 := store.Acquire(key, solver)
-	defer h2.Release()
-	waitUntil(t, "re-acquire to resume the producer", func() bool {
-		return store.PrefetchStats().Resumes >= 1
-	})
-	oracle := mustSolver(gen.Cycle(9), cost.FillIn{})
-	sig := func(r *core.Result) string { return fmt.Sprintf("%g|%v", r.Cost, r.Bags) }
-	e := oracle.EnumerateContext(context.Background())
-	for i := 0; ; i++ {
-		want, wok := e.Next()
-		got, gok, err := h2.At(ctx, i)
-		if err != nil {
-			t.Fatalf("rank %d: %v", i, err)
-		}
-		if gok != wok {
-			t.Fatalf("rank %d: exhaustion mismatch (stream %v, oracle %v)", i, gok, wok)
-		}
-		if !wok {
-			break
-		}
-		if sig(got) != sig(want) {
-			t.Fatalf("rank %d differs from the solo enumeration", i)
-		}
-	}
-}
-
-// TestStreamStorePrefetchOracleUnderEviction drives concurrent cursors on
-// two keys under a byte budget tight enough to evict and rebuild streams
-// while their speculative producers are live. Oracle: every cursor sees
-// the byte-identical rank order of a solo enumerator — with prefetch on.
-// Run with -race in CI.
-func TestStreamStorePrefetchOracleUnderEviction(t *testing.T) {
+// TestStreamStoreOracleUnderEviction drives concurrent cursors on two
+// keys, over two branch-solving workers each, under a byte budget tight
+// enough to evict and rebuild streams while cursors are mid-read and
+// references churn. Oracle: every cursor sees the byte-identical rank
+// order of a solo enumerator. Run with -race in CI.
+func TestStreamStoreOracleUnderEviction(t *testing.T) {
 	graphs := []struct {
 		key SolverKey
 		g   *graph.Graph
@@ -642,10 +565,10 @@ func TestStreamStorePrefetchOracleUnderEviction(t *testing.T) {
 	}
 
 	// ~20 results of budget across two streams of 132 and 429 results
-	// forces repeated eviction/rebuild mid-speculation.
+	// forces repeated eviction/rebuild mid-read.
 	budget := 20 * solvers[0].TopK(context.Background(), 1, 0)[0].SizeEstimate()
 	store := NewStreamStore(budget, 0)
-	store.Tune(2, 16, 0)
+	store.Tune(2, 0, 0)
 
 	const cursorsPerKey = 3
 	var wg sync.WaitGroup
@@ -658,8 +581,8 @@ func TestStreamStorePrefetchOracleUnderEviction(t *testing.T) {
 				ctx := context.Background()
 				h := store.Acquire(graphs[gi].key, solvers[gi])
 				defer h.Release()
-				// Churn the refcount on one cursor per key so pause/resume
-				// transitions interleave with the eviction traffic.
+				// Churn the refcount on one cursor per key so the last-release
+				// and re-acquire paths interleave with the eviction traffic.
 				if c == 0 {
 					h.Release()
 					h = store.Acquire(graphs[gi].key, solvers[gi])
@@ -693,69 +616,45 @@ func TestStreamStorePrefetchOracleUnderEviction(t *testing.T) {
 	}
 }
 
-// TestStatsPrefetchBlock: /v1/stats surfaces the prefetch block — enabled
-// by default, speculative solves accumulating after a first page, and a
-// warm second consumer reading buffered hits.
-func TestStatsPrefetchBlock(t *testing.T) {
+// TestStreamsLeaveNoGoroutine: streams produce only on demand, so once a
+// paged session is deleted no goroutine is left inside a shared stream —
+// an abandoned stream holds memory until the budget reclaims it, never a
+// parked producer.
+func TestStreamsLeaveNoGoroutine(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	g6 := cycleGraph6(t, 8)
-	body := fmt.Sprintf(`{"graph6": %q, "cost": "fill", "page_size": 5}`, g6)
-	postEnumerate(t, ts, body)
-
-	stats := getStats(t, ts)
-	if !stats.Prefetch.Enabled || stats.Prefetch.AheadRanks != defaultPrefetchAhead {
-		t.Fatalf("prefetch should be on by default: %+v", stats.Prefetch)
+	first, _ := postEnumerate(t, ts, fmt.Sprintf(`{"graph6": %q, "cost": "fill", "page_size": 3}`, cycleGraph6(t, 9)))
+	if first.Session == "" {
+		t.Fatal("C9 has 429 results; a 3-result page must leave a session")
 	}
-	if stats.Prefetch.SolveWorkers < 1 {
-		t.Fatalf("solve workers should default to GOMAXPROCS: %+v", stats.Prefetch)
+	req, _ := http.NewRequest("DELETE", ts.URL+"/v1/sessions/"+first.Session, nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The page demanded 5 ranks; the speculative producer runs ahead of
-	// them in the background.
-	waitUntil(t, "speculative solves to accrue", func() bool {
-		return getStats(t, ts).Prefetch.PrefetchSolves > 0
-	})
-	waitUntil(t, "lookahead high water to register", func() bool {
-		return getStats(t, ts).Prefetch.LookaheadHighWater > 0
-	})
-
-	// A second consumer of the same graph rides the speculatively built
-	// buffer: its reads are hits, not demand solves.
-	before := getStats(t, ts).Prefetch
-	postEnumerate(t, ts, body)
-	after := getStats(t, ts).Prefetch
-	if after.BufferedHits <= before.BufferedHits {
-		t.Fatalf("warm consumer should read buffered hits: %+v -> %+v", before, after)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("delete: want 204, got %d", resp.StatusCode)
 	}
-	if after.DemandSolves > before.DemandSolves {
-		t.Fatalf("warm consumer inside the lookahead should not demand-solve: %+v -> %+v", before, after)
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
 	}
-}
-
-// TestStatsPrefetchDisabled: negative config knobs switch the serving
-// tier back to the demand-driven sequential baseline, and /v1/stats says
-// so.
-func TestStatsPrefetchDisabled(t *testing.T) {
-	_, ts := newTestServer(t, Config{PrefetchAhead: -1, SolveWorkers: -1})
-	g6 := cycleGraph6(t, 7)
-	postEnumerate(t, ts, fmt.Sprintf(`{"graph6": %q, "cost": "fill", "page_size": 5}`, g6))
-	time.Sleep(50 * time.Millisecond) // give any (wrongly) started producer time to show up
-	stats := getStats(t, ts)
-	if stats.Prefetch.Enabled {
-		t.Fatalf("negative PrefetchAhead must disable speculation: %+v", stats.Prefetch)
-	}
-	if stats.Prefetch.PrefetchSolves != 0 || stats.Prefetch.Pauses != 0 {
-		t.Fatalf("disabled prefetch must not speculate: %+v", stats.Prefetch)
-	}
-	if stats.Prefetch.SolveWorkers != 1 {
-		t.Fatalf("negative SolveWorkers must mean sequential: %+v", stats.Prefetch)
-	}
-	if stats.Prefetch.DemandSolves < 5 {
-		t.Fatalf("demand production should still be counted: %+v", stats.Prefetch)
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "core.(*SharedStream)") {
+			t.Fatalf("a goroutine is still inside a shared stream after its session was deleted:\n%s", g)
+		}
 	}
 }
 
 // TestStatsStreamCounters: /v1/stats surfaces the stream cache block with
-// hits and buffered bytes after a shared fan-out.
+// hits and buffered bytes after a shared fan-out, and the prefetch block
+// splits the reads: the first consumer solved every rank on demand, the
+// second read every rank from the buffer.
 func TestStatsStreamCounters(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	g6 := cycleGraph6(t, 6)
@@ -772,6 +671,9 @@ func TestStatsStreamCounters(t *testing.T) {
 	if stats.Streams.BudgetBytes != defaultStreamBudget {
 		t.Fatalf("default budget not reported: %+v", stats.Streams)
 	}
+	if p := stats.Prefetch; p.DemandSolves != 14 || p.BufferedHits != 14 || p.PrefetchSolves != 0 {
+		t.Fatalf("want 14 demand solves, 14 buffered hits, 0 prefetch solves: %+v", p)
+	}
 }
 
 // TestStreamStatsRebuildsMonotoneAcrossDrop: the /v1/stats rebuilds
@@ -779,7 +681,7 @@ func TestStatsStreamCounters(t *testing.T) {
 // dropping an entry (entry-cap churn, release of an empty stream) used to
 // subtract its rebuilds from the next snapshot — a monotone wire counter
 // that went backwards. Dropped entries' counts must fold into the retired
-// aggregate, exactly like the prefetch counters.
+// aggregate, exactly like the read/solve counters.
 func TestStreamStatsRebuildsMonotoneAcrossDrop(t *testing.T) {
 	ctx := context.Background()
 	store := NewStreamStore(0, 1)
@@ -817,37 +719,5 @@ func TestStreamStatsRebuildsMonotoneAcrossDrop(t *testing.T) {
 	}
 	if after := store.Stats().Rebuilds; after < before {
 		t.Fatalf("rebuilds went backwards across an entry drop: %d -> %d", before, after)
-	}
-}
-
-// TestStreamStoreClosePostAcquireDemandDriven: Close stops speculation
-// for good. An Acquire after Close (the HTTP drain window) must create
-// demand-driven streams — no speculative producer may be configured for
-// them, and the refs 0→1 resume path must stay parked — or shutdown
-// leaks enumeration goroutines that race the exiting process. Run with
-// -race in CI.
-func TestStreamStoreClosePostAcquireDemandDriven(t *testing.T) {
-	ctx := context.Background()
-	store := NewStreamStore(0, 0)
-	store.Tune(1, 64, 0) // speculation on for streams created from now on
-	store.Close()
-
-	solver := mustSolver(gen.Cycle(8), cost.FillIn{})
-	key := SolverKey{Fingerprint: "post-close"}
-	h := store.Acquire(key, solver)
-	if _, ok, err := h.At(ctx, 0); !ok || err != nil {
-		t.Fatalf("post-Close read must stay demand-driven and work: ok=%v err=%v", ok, err)
-	}
-	// The refs 0→1 transition is the resume path; exercise it post-Close.
-	h.Release()
-	h2 := store.Acquire(key, solver)
-	defer h2.Release()
-	if _, ok, err := h2.At(ctx, 1); !ok || err != nil {
-		t.Fatalf("post-Close reacquire: ok=%v err=%v", ok, err)
-	}
-	// Give a leaked producer time to do visible work, then assert none did.
-	time.Sleep(50 * time.Millisecond)
-	if pf := store.PrefetchStats(); pf.PrefetchSolves != 0 || pf.Resumes != 0 {
-		t.Fatalf("speculative producer ran after Close: %+v", pf)
 	}
 }

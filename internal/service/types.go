@@ -205,12 +205,9 @@ type CSPSolutionJSON struct {
 //
 // BufferedAhead is how many results past this session's cursor are
 // already materialized in the shared stream buffer — the ranks the next
-// pages can serve without any solving work. With speculative prefetch on
-// (the default) the stream's producer keeps this positive for any cursor
-// within the lookahead budget, so it genuinely predicts that the next
-// page is a buffer read; with prefetch off it is nonzero only when other
-// cursors on the same graph, or this session's own interrupted pages,
-// produced ranks ahead.
+// pages can serve without any solving work. Streams produce only on
+// demand, so it is nonzero only when other cursors on the same graph, or
+// this session's own interrupted pages, produced ranks ahead.
 type SessionInfo struct {
 	Session       string  `json:"session"`
 	Emitted       int     `json:"emitted"`
@@ -228,27 +225,17 @@ type AtomStats struct {
 	LargestAtom       int `json:"largest_atom"`
 }
 
-// PrefetchStats is the "prefetch" block of GET /v1/stats: the serving
-// tier's speculation configuration plus demand-vs-speculation counters
-// aggregated over every materialized stream the store has held.
-// BufferedHits counts per-rank reads served straight from a buffer —
-// no solve on the request's latency path; DemandSolves and
-// PrefetchSolves split the production work between waiting consumers
-// and the background producers. Pauses/Resumes count speculative
-// producers parked when a stream's last cursor went away and woken by
-// the next one. LookaheadHighWater is the most ranks any producer has
-// run ahead of its stream's demand mark.
+// PrefetchStats is the "prefetch" block of GET /v1/stats, aggregated
+// over every materialized stream the store has held. BufferedHits counts
+// per-rank reads served straight from a buffer — no solve on the
+// request's latency path; DemandSolves counts the enumerator steps
+// waiting readers drove, which is all of the production work. Streams
+// never produce speculatively, so PrefetchSolves always reads 0; it stays
+// only because the benchrun module reads it.
 type PrefetchStats struct {
-	Enabled            bool   `json:"enabled"`
-	SolveWorkers       int    `json:"solve_workers"`
-	AheadRanks         int    `json:"ahead_ranks"`
-	AheadBytes         int64  `json:"ahead_bytes"`
-	BufferedHits       uint64 `json:"buffered_hits"`
-	DemandSolves       uint64 `json:"demand_solves"`
-	PrefetchSolves     uint64 `json:"prefetch_solves"`
-	Pauses             uint64 `json:"pauses"`
-	Resumes            uint64 `json:"resumes"`
-	LookaheadHighWater int    `json:"lookahead_high_water"`
+	BufferedHits   uint64 `json:"buffered_hits"`
+	DemandSolves   uint64 `json:"demand_solves"`
+	PrefetchSolves uint64 `json:"prefetch_solves"`
 }
 
 // StatsResponse is the body of GET /v1/stats. Solver aggregates the
