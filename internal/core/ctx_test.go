@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/cost"
 	"repro/internal/gen"
@@ -140,5 +141,28 @@ func TestTopKWorkersDefault(t *testing.T) {
 		if seq[i].Cost != def[i].Cost || seq[i].H.EdgeSetKey() != def[i].H.EdgeSetKey() {
 			t.Fatalf("rank %d: workers=0 deviates from the sequential enumeration", i)
 		}
+	}
+}
+
+// TestNewDeadlineLandsPromptly is the regression test for a late
+// cancelled init: on ConnectedGNP(60, 0.10) the separator closure is
+// still running at a 2 s deadline with about 300,000 separators found,
+// and sorting that partial list once made New return 0.5 s late.
+func TestNewDeadlineLandsPromptly(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a 2 s solver initialization")
+	}
+	g := gen.ConnectedGNP(rand.New(rand.NewSource(1)), 60, 0.10)
+	const budget = 2 * time.Second
+	ctx, cancel := context.WithTimeout(context.Background(), budget)
+	defer cancel()
+	start := time.Now()
+	s, err := New(ctx, g, cost.Width{}, Options{})
+	took := time.Since(start)
+	if err == nil {
+		t.Fatalf("init finished within %v (%d separators); the graph no longer exercises the deadline", took, len(s.MinimalSeparators()))
+	}
+	if late := took - budget; late > 100*time.Millisecond {
+		t.Fatalf("New returned %v after its %v deadline (err %v)", late, budget, err)
 	}
 }

@@ -2,11 +2,149 @@ package core
 
 import (
 	"context"
+	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/cost"
 	"repro/internal/gen"
+	"repro/internal/graph"
 )
+
+// referenceFillDistance is FillDistance as it was first written, over
+// two maps of fill edges: the reference the fill-row version must match.
+func referenceFillDistance(g *graph.Graph, a, b *Result) int {
+	fills := func(h *graph.Graph) map[[2]int]bool {
+		out := map[[2]int]bool{}
+		for _, e := range h.Edges() {
+			if !g.HasEdge(e[0], e[1]) {
+				out[e] = true
+			}
+		}
+		return out
+	}
+	fa, fb := fills(a.H), fills(b.H)
+	d := 0
+	for e := range fa {
+		if !fb[e] {
+			d++
+		}
+	}
+	for e := range fb {
+		if !fa[e] {
+			d++
+		}
+	}
+	return d
+}
+
+// referenceDiverseSelect is DiverseSelect as it was first written: every
+// round recomputes every candidate's distance to every pick. The running-
+// minimum version must return the identical picks, tie-breaks included.
+func referenceDiverseSelect(g *graph.Graph, pool []*Result, k int) []int {
+	if k <= 0 || len(pool) == 0 {
+		return nil
+	}
+	if len(pool) <= k {
+		out := make([]int, len(pool))
+		for i := range out {
+			out[i] = i
+		}
+		return out
+	}
+	chosen := []int{0}
+	used := map[int]bool{0: true}
+	for len(chosen) < k {
+		bestIdx, bestDist := -1, -1
+		for i, cand := range pool {
+			if used[i] {
+				continue
+			}
+			minDist := int(^uint(0) >> 1)
+			for _, c := range chosen {
+				if d := referenceFillDistance(g, cand, pool[c]); d < minDist {
+					minDist = d
+				}
+			}
+			if minDist > bestDist {
+				bestIdx, bestDist = i, minDist
+			}
+		}
+		if bestIdx == -1 {
+			break
+		}
+		used[bestIdx] = true
+		chosen = append(chosen, bestIdx)
+	}
+	return chosen
+}
+
+// TestDiverseSelectMatchesReference checks the fill-row selection against
+// the reference on random pools: random graphs under fill and width,
+// shuffled so index 0 is not always the optimum, windows that run past
+// the end of the stream, and every k from 1 past the pool size. The
+// cycles are there for ties: their triangulations sit at many equal
+// distances, so the lowest-index tie-break decides most picks.
+func TestDiverseSelectMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	graphs := []*graph.Graph{gen.Cycle(6), gen.Cycle(7), gen.PaperExample()}
+	for len(graphs) < 60 {
+		graphs = append(graphs, gen.ConnectedGNP(rng, 6+rng.Intn(4), 0.3+0.2*rng.Float64()))
+	}
+	costs := []cost.Cost{cost.FillIn{}, cost.Width{}}
+	for gi, g := range graphs {
+		s := mustNew(g, costs[gi%len(costs)])
+		window := 4 + rng.Intn(40) // often past the stream's end
+		pool := s.TopK(context.Background(), window, 0)
+		if len(pool) > 24 {
+			pool = pool[:24]
+		}
+		if gi%3 == 1 {
+			rng.Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
+		}
+		for i := range pool {
+			for j := range pool {
+				if got, want := FillDistance(g, pool[i], pool[j]), referenceFillDistance(g, pool[i], pool[j]); got != want {
+					t.Fatalf("graph %d: FillDistance(%d, %d) = %d, reference %d", gi, i, j, got, want)
+				}
+			}
+		}
+		for k := 0; k <= len(pool)+1; k++ {
+			got, want := DiverseSelect(g, pool, k), referenceDiverseSelect(g, pool, k)
+			if len(got) != len(want) {
+				t.Fatalf("graph %d, k=%d over %d: picks %v, reference %v", gi, k, len(pool), got, want)
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("graph %d, k=%d over %d: picks %v, reference %v", gi, k, len(pool), got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestDiverseSelectLargePool bounds the selection at the serving tier's
+// largest window: k = 1024 picks from 4096 results of C12. Recomputing
+// every candidate's distance to every pick each round would take
+// O(window · k²) distances — about 1.8·10⁹ here.
+func TestDiverseSelectLargePool(t *testing.T) {
+	if testing.Short() {
+		t.Skip("materializes 4096 results")
+	}
+	g := gen.Cycle(12) // Catalan(10) = 16796 minimal triangulations
+	pool := mustNew(g, cost.FillIn{}).TopK(context.Background(), 4096, 0)
+	if len(pool) != 4096 {
+		t.Fatalf("pool has %d results, want 4096", len(pool))
+	}
+	start := time.Now()
+	idx := DiverseSelect(g, pool, 1024)
+	if took := time.Since(start); took > 5*time.Second {
+		t.Fatalf("selecting 1024 of 4096 took %v, want under 5s", took)
+	}
+	if len(idx) != 1024 || idx[0] != 0 {
+		t.Fatalf("selection of %d picks led by %d, want 1024 led by rank 0", len(idx), idx[0])
+	}
+}
 
 // TestDiverseTopKWindowBeyondStream: a window far past the end of a
 // finite enumeration truncates to what exists and still selects k.

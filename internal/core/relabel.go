@@ -14,11 +14,14 @@ import (
 // serving tier guarantees by relabeling those parameters alongside the
 // graph on ingress.
 //
-// This is the egress half of canonical cache keying: the serving tier
-// solves and materializes streams in canonical labels, and each cursor
-// relabels results back into its client's labeling on the way out. The
-// solver-internal separator IDs are deliberately dropped (they are
-// meaningless outside the solver that interned them).
+// The serving tier solves and materializes streams in canonical labels.
+// Its egress does not call this: it writes each wire result's bags and
+// separators straight from the canonical result through the inverse
+// permutation. RelabelResult is for callers that need a whole result,
+// the decomposition tree included, in another labeling, such as the
+// /v1/csp payoff DP over the top-ranked result. The solver-internal
+// separator IDs are deliberately dropped (they are meaningless outside
+// the solver that interned them).
 func RelabelResult(r *Result, perm []int) *Result {
 	out := &Result{Cost: r.Cost, OrbitSize: r.OrbitSize}
 	if r.H != nil {

@@ -48,10 +48,12 @@ func (g *Graph) CanonicalForm() (canon *Graph, perm []int, exact bool) {
 }
 
 // CanonicalFormBudget is CanonicalForm under an explicit search-tree node
-// budget (<= 0 selects DefaultCanonBudget).
+// budget (<= 0 selects DefaultCanonBudget). It does not assemble the
+// automorphism group from the generators the search discovers; callers
+// that need it use CanonicalFormAutBudget.
 func (g *Graph) CanonicalFormBudget(maxNodes int) (canon *Graph, perm []int, exact bool) {
-	canon, perm, _, exact = g.CanonicalFormAutBudget(maxNodes)
-	return canon, perm, exact
+	cs, perm := g.runCanonSearch(maxNodes)
+	return g.Relabel(perm), perm, !cs.stopped
 }
 
 // CanonicalFormAutBudget is CanonicalFormBudget surfacing, in addition,
@@ -63,6 +65,14 @@ func (g *Graph) CanonicalFormBudget(maxNodes int) (canon *Graph, perm []int, exa
 // orbit reduction, merely without the guarantee that they generate all
 // of Aut(G).
 func (g *Graph) CanonicalFormAutBudget(maxNodes int) (canon *Graph, perm []int, aut *AutGroup, exact bool) {
+	cs, perm := g.runCanonSearch(maxNodes)
+	return g.Relabel(perm), perm, cs.autGroup(g.n), !cs.stopped
+}
+
+// runCanonSearch runs the individualization–refinement search under the
+// node budget (<= 0 selects DefaultCanonBudget) and returns its final
+// state with the canonical permutation it found.
+func (g *Graph) runCanonSearch(maxNodes int) (*canonSearch, []int) {
 	if maxNodes <= 0 {
 		maxNodes = DefaultCanonBudget
 	}
@@ -80,7 +90,7 @@ func (g *Graph) CanonicalFormAutBudget(maxNodes int) (canon *Graph, perm []int, 
 		cs.bestPos = nil
 	}
 
-	perm = make([]int, g.n)
+	perm := make([]int, g.n)
 	if !cs.haveBest {
 		// Budget exhausted before the first leaf: identity on the actives.
 		for i, v := range verts {
@@ -98,7 +108,7 @@ func (g *Graph) CanonicalFormAutBudget(maxNodes int) (canon *Graph, perm []int, 
 			next++
 		}
 	}
-	return g.Relabel(perm), perm, cs.autGroup(g.n), !cs.stopped
+	return cs, perm
 }
 
 // newCanonSearch builds the search state over g's active vertices listed

@@ -181,6 +181,37 @@ func TestCanonicalFormSymmetricFamilies(t *testing.T) {
 	}
 }
 
+// TestCanonicalFormPinnedFingerprints pins the canonical fingerprints of
+// a few named graphs, each also submitted under a fresh relabeling. They
+// are the serving tier's cache keys, so a change to the search or to how
+// its result is packaged must not move them.
+func TestCanonicalFormPinnedFingerprints(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	cases := []struct {
+		name string
+		g    *graph.Graph
+		want string
+	}{
+		{"C9", gen.Cycle(9), "512307a1cf501865a4c5145a06d8737691a3616da15b300410e4b1a121daa55f"},
+		{"grid3x4", gen.Grid(3, 4), "f2f917817c426348957eff8f836a91057a741a4e7571d20a37b51d98f4e8f2b5"},
+		{"C10(1,3)", gen.CirculantGraph(10, []int{1, 3}), "2a23b1505040420097b6357746123519ba76e43fb664a87ab0fcdfe8104af418"},
+		{"petersen", mustNamed(t, "petersen"), "280e10b9eb613ee01729798a61341bf9110732550678dfbd9942bd72b47a1d71"},
+		{"TreePlusChords(40,3)", gen.TreePlusChords(rand.New(rand.NewSource(1)), 40, 3), "de6b53746770c6a04386132fbfe8a1960fed84f375f0f94453d6b8586174fb8c"},
+		{"paper", gen.PaperExample(), "d6ea310e067b63f666091ed5b448040f8ec4b321ed4098024d0db1937b43f643"},
+	}
+	for _, tc := range cases {
+		for _, g := range []*graph.Graph{tc.g, gen.Relabel(rng, tc.g)} {
+			if got := checkCanonical(t, g, tc.name); got != tc.want {
+				t.Fatalf("%s: canonical fingerprint %s, pinned %s", tc.name, got, tc.want)
+			}
+			canon, _, _, exact := g.CanonicalFormAutBudget(0)
+			if !exact || canon.Fingerprint() != tc.want {
+				t.Fatalf("%s: CanonicalFormAutBudget fingerprint %s (exact %v), pinned %s", tc.name, canon.Fingerprint(), exact, tc.want)
+			}
+		}
+	}
+}
+
 func mustNamed(t *testing.T, name string) *graph.Graph {
 	t.Helper()
 	g, err := gen.Named(name)

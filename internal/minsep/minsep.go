@@ -27,10 +27,10 @@ func All(g *graph.Graph) []vset.Set {
 }
 
 // AllWithDeadline is All with a wall-clock deadline: it returns ok=false
-// (and a partial list) when the deadline passes before the closure
-// completes. A zero deadline disables the check. This powers the paper's
-// tractability experiments (Figure 5), which classify graphs by whether
-// the separators can be generated within a time budget.
+// (and a partial list, unordered) when the deadline passes before the
+// closure completes. A zero deadline disables the check. This powers the
+// paper's tractability experiments (Figure 5), which classify graphs by
+// whether the separators can be generated within a time budget.
 func AllWithDeadline(g *graph.Graph, deadline time.Time) ([]vset.Set, bool) {
 	if deadline.IsZero() {
 		return all(g, nil)
@@ -39,9 +39,9 @@ func AllWithDeadline(g *graph.Graph, deadline time.Time) ([]vset.Set, bool) {
 }
 
 // AllCtx is All with cancellation: it returns ok=false (and a partial
-// list) when ctx is cancelled or its deadline passes before the closure
-// completes. This is the entry point long-lived services use to abandon
-// initialization work for disconnected clients.
+// list, unordered) when ctx is cancelled or its deadline passes before
+// the closure completes. This is the entry point long-lived services use
+// to abandon initialization work for disconnected clients.
 func AllCtx(ctx context.Context, g *graph.Graph) ([]vset.Set, bool) {
 	if ctx.Done() == nil {
 		return all(g, nil)
@@ -50,7 +50,9 @@ func AllCtx(ctx context.Context, g *graph.Graph) ([]vset.Set, bool) {
 }
 
 // all runs the closure, aborting early when the (possibly nil) expired
-// predicate reports true.
+// predicate reports true. An aborted run skips the sort: callers read
+// only the length of a partial list, and sorting hundreds of thousands
+// of separators would overrun the deadline that stopped the closure.
 func all(g *graph.Graph, expired func() bool) ([]vset.Set, bool) {
 	seen := intern.New(g.NumVertices())
 	var queue []vset.Set
@@ -70,7 +72,7 @@ func all(g *graph.Graph, expired func() bool) ([]vset.Set, bool) {
 	})
 	for len(queue) > 0 {
 		if expired() {
-			return collect(g, seen), false
+			return collect(g, seen, false), false
 		}
 		s := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
@@ -83,10 +85,12 @@ func all(g *graph.Graph, expired func() bool) ([]vset.Set, bool) {
 			return true
 		})
 	}
-	return collect(g, seen), true
+	return collect(g, seen, true), true
 }
 
-func collect(g *graph.Graph, seen *intern.Table) []vset.Set {
+// collect lists the interned separators, dropping the empty set of a
+// connected graph, in canonical order when sorted is true.
+func collect(g *graph.Graph, seen *intern.Table, sorted bool) []vset.Set {
 	out := make([]vset.Set, 0, seen.Len())
 	for _, s := range seen.Sets() {
 		if s.IsEmpty() && g.IsConnected() {
@@ -94,7 +98,9 @@ func collect(g *graph.Graph, seen *intern.Table) []vset.Set {
 		}
 		out = append(out, s)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
+	if sorted {
+		sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
+	}
 	return out
 }
 

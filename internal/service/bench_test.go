@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/cost"
 	"repro/internal/exp"
 	"repro/internal/gen"
+	"repro/internal/graph"
 )
 
 // benchGraphs returns the small end of the Grids experiment family — the
@@ -123,7 +125,7 @@ func BenchmarkSharedStreamFanout(b *testing.B) {
 // N concurrent clients submit the SAME graph under DIFFERENT vertex
 // numberings — the workload label-sensitive keys cannot deduplicate. With
 // canonical keys all N requests collapse onto one solver and one
-// materialized stream (plus a per-client relabel on egress), so the
+// materialized stream (plus a per-client label mapping on egress), so the
 // enumeration work approaches the 1× of a solo client. The whole HTTP
 // enumerate path runs, so solver init is included — canonical keys dedup
 // that too. Compare solves/op across canon and solo.
@@ -282,4 +284,73 @@ func BenchmarkBatchThroughput(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.N*members)/b.Elapsed().Seconds(), "problems/sec")
+}
+
+// BenchmarkWarmEgress measures the warm read path per request: a warmed
+// server answers relabeled copies of a template, 100 results per request,
+// as NDJSON or as one page, so every result is served from a
+// materialized stream and converted into the client's labels on the way
+// out. No solving happens in the timed loop; allocs/op is dominated by
+// egress. It drives the handler only, so it runs on any version of the
+// service package.
+func BenchmarkWarmEgress(b *testing.B) {
+	const results = 100
+	templates := []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"C9", gen.Cycle(9)}, // Catalan(7) = 429 results
+		{"TreePlusChords(40,3)", gen.TreePlusChords(rand.New(rand.NewSource(1)), 40, 3)},
+	}
+	modes := []struct {
+		name, field string
+	}{
+		{"ndjson", fmt.Sprintf(`"stream": true, "max_results": %d`, results)},
+		{"page", fmt.Sprintf(`"page_size": %d`, results)},
+	}
+	for _, tpl := range templates {
+		copies := gen.IsoCopies(rand.New(rand.NewSource(9)), tpl.g, 8)
+		for _, mode := range modes {
+			b.Run(tpl.name+"/"+mode.name, func(b *testing.B) {
+				srv := New(Config{})
+				defer srv.Close()
+				bodies := make([]string, len(copies))
+				for i, g := range copies {
+					edges, err := json.Marshal(g.Edges())
+					if err != nil {
+						b.Fatal(err)
+					}
+					bodies[i] = fmt.Sprintf(`{"n": %d, "edges": %s, "cost": "fill", %s}`, g.Universe(), edges, mode.field)
+				}
+				serve := func(body string) {
+					rec := httptest.NewRecorder()
+					srv.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/enumerate", strings.NewReader(body)))
+					out := rec.Body.Bytes()
+					if rec.Code != 200 {
+						b.Fatalf("status %d: %s", rec.Code, out)
+					}
+					if mode.name == "ndjson" {
+						if lines := bytes.Count(out, []byte("\n")); lines != results+1 {
+							b.Fatalf("%d NDJSON lines, want %d results and a summary", lines, results)
+						}
+						return
+					}
+					// The page leaves a session open; the token leads the body.
+					const prefix = `{"session":"`
+					if !bytes.HasPrefix(out, []byte(prefix)) || len(out) < len(prefix)+32 {
+						b.Fatalf("page without a session token: %.80s", out)
+					}
+					srv.Sessions().Remove(string(out[len(prefix) : len(prefix)+32]))
+				}
+				for _, body := range bodies {
+					serve(body) // build the solver and materialize each stream
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					serve(bodies[i%len(bodies)])
+				}
+			})
+		}
+	}
 }

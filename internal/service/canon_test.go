@@ -87,7 +87,7 @@ func soloResults(t *testing.T, g *graph.Graph, c cost.Cost) []TriangulationJSON 
 		if !ok {
 			return out
 		}
-		out = append(out, resultJSON(g, i, r))
+		out = append(out, legacyResultJSON(g, i, r))
 	}
 }
 

@@ -282,8 +282,9 @@ func (s *Server) buildBackend(ctx context.Context, cp *CompiledProblem) (core.Ba
 // respond serves one compiled problem, after buildBackend, in its
 // response mode: the ?diverse=k portfolio or the first page plus resume
 // token. Every non-streaming endpoint answers through it. The returned
-// results are the response's results in the client's labeling; on error
-// the returned status is the HTTP status to report.
+// results are the response's results as the shared stream holds them, in
+// canonical labels (cp.FromCanon maps them to the client's); on error the
+// returned status is the HTTP status to report.
 func (s *Server) respond(ctx context.Context, cp *CompiledProblem, backend core.Backend, dpSolver *core.Solver, hit bool) (*EnumerateResponse, []*core.Result, int, error) {
 	if cp.Diverse > 0 {
 		return s.diverseResponse(ctx, cp, backend, dpSolver, hit)
@@ -311,8 +312,8 @@ func responseHeader(cp *CompiledProblem, backend core.Backend, dpSolver *core.So
 // pagedResponse serves one compiled problem as a first page plus resume
 // token — the classic /v1/enumerate response shape, reused verbatim by
 // /v1/batch items and the /v1/hypergraph and /v1/csp endpoints. The
-// returned results are the first page in the client's labeling (the
-// /v1/csp payoff solver consumes them); on error the returned status is
+// returned results are the first page in canonical labels (the /v1/csp
+// payoff solver consumes the top one); on error the returned status is
 // the HTTP status to report.
 func (s *Server) pagedResponse(ctx context.Context, cp *CompiledProblem, backend core.Backend, dpSolver *core.Solver, hit bool) (*EnumerateResponse, []*core.Result, int, error) {
 	sess, err := s.sessions.Create(backend, cp.Key, cp.ClientGraph, cp.FromCanon)
@@ -329,14 +330,13 @@ func (s *Server) pagedResponse(ctx context.Context, cp *CompiledProblem, backend
 	if pageErr != nil || ctx.Err() != nil {
 		return nil, nil, http.StatusServiceUnavailable, errors.New("request cancelled")
 	}
-	client := sess.egress(results)
 	resp := responseHeader(cp, backend, dpSolver, hit)
 	resp.Done = done
-	resp.Results = pageJSON(cp.ClientGraph, 0, client)
+	resp.Results = pageJSON(cp.ClientGraph, 0, results, cp.FromCanon)
 	if !done {
 		resp.Session = sess.Token
 	}
-	return resp, client, 0, nil
+	return resp, results, 0, nil
 }
 
 // diverseResponse serves one compiled problem in the ?diverse=k response
@@ -345,8 +345,8 @@ func (s *Server) pagedResponse(ctx context.Context, cp *CompiledProblem, backend
 // the k most structurally different ones (core.DiverseSelect, optimum
 // always first), and return them in one session-less response. Each
 // result keeps its rank in the underlying enumeration as its index. The
-// returned results are the selection in the client's labeling; on error
-// the returned status is the HTTP status to report.
+// returned results are the selection in canonical labels; on error the
+// returned status is the HTTP status to report.
 func (s *Server) diverseResponse(ctx context.Context, cp *CompiledProblem, backend core.Backend, dpSolver *core.Solver, hit bool) (*EnumerateResponse, []*core.Result, int, error) {
 	s.workloads.diverse.Add(1)
 	h := s.streams.Acquire(cp.Key, backend)
@@ -363,20 +363,16 @@ func (s *Server) diverseResponse(ctx context.Context, cp *CompiledProblem, backe
 		pool = append(pool, r)
 	}
 	idx := core.DiverseSelect(cp.Graph, pool, cp.Diverse)
-	client := make([]*core.Result, len(idx))
+	picks := make([]*core.Result, len(idx))
 	page := make([]TriangulationJSON, len(idx))
 	for i, j := range idx {
-		r := pool[j]
-		if cp.FromCanon != nil {
-			r = core.RelabelResult(r, cp.FromCanon)
-		}
-		client[i] = r
-		page[i] = resultJSON(cp.ClientGraph, j, r)
+		picks[i] = pool[j]
+		page[i] = wireResult(cp.ClientGraph, j, pool[j], cp.FromCanon)
 	}
 	resp := responseHeader(cp, backend, dpSolver, hit)
 	resp.Done = true
 	resp.Diverse = cp.Diverse
 	resp.Window = len(pool)
 	resp.Results = page
-	return resp, client, 0, nil
+	return resp, picks, 0, nil
 }

@@ -39,7 +39,12 @@
 // /v1/csp alike. Endpoints differ only in how they source the request
 // and what they do with the ranked stream afterwards, so every workload
 // shares the solver pool, the stream buffers and the
-// isomorphism-canonical cache keys.
+// isomorphism-canonical cache keys. On the way out, every read path —
+// first page, next, replay, NDJSON, diverse and batch — builds each wire
+// result straight from the canonical result in the shared buffer: bag
+// and separator vertices map through the request's canonical→client
+// permutation into one slice per result (wireResult), and no copy of the
+// triangulation is made.
 //
 // # HTTP API
 //
@@ -83,9 +88,11 @@
 // ?backend=, ?orbits=, ?diverse=, ?window= — with a fixed precedence:
 // query parameter over body field over server default. ?diverse=k
 // switches the response to a one-shot diverse portfolio: the first
-// ?window= ranks (default 4096, capped) are materialized and k results
-// are picked greedily to maximize the minimum pairwise fill-edge
-// distance, always leading with the true optimum. The response carries
+// ?window= ranks (default 4k, capped at 4096) are materialized and k
+// results are picked greedily to maximize the minimum pairwise fill-edge
+// distance, always leading with the true optimum. The selection costs
+// O(window · k) bitset distances over window · n · ⌈n/64⌉ words of fill
+// rows (core.DiverseSelect). The response carries
 // "diverse" and "window" (the pool actually examined), each result
 // keeps its original rank as "index", and no session is created —
 // diverse mode cannot combine with "stream".

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 
+	"repro/internal/core"
 	"repro/internal/csp"
 )
 
@@ -224,11 +225,16 @@ func (s *Server) handleCSP(w http.ResponseWriter, r *http.Request) {
 
 	if (req.Solve || req.Count) && len(results) > 0 {
 		// The payoff runs over the top-ranked decomposition in the client's
-		// labeling (results are already egress-relabeled), under the same
-		// admission slot — it is real DP work, O(nodes · Π domain^bagsize).
+		// labeling, under the same admission slot — it is real DP work,
+		// O(nodes · Π domain^bagsize). Results come back in canonical
+		// labels, so only the top one is relabeled.
 		s.workloads.cspSolves.Add(1)
 		sol := &CSPSolutionJSON{}
-		top := results[0].Tree
+		best := results[0]
+		if cp.FromCanon != nil {
+			best = core.RelabelResult(best, cp.FromCanon)
+		}
+		top := best.Tree
 		if req.Count {
 			n, cerr := p.Count(top)
 			if cerr != nil {

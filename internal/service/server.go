@@ -420,8 +420,8 @@ const streamWriteTimeout = 30 * time.Second
 // stream the paging sessions read: concurrent NDJSON streams and sessions
 // on one (graph, cost, bound, backend) key split a single enumeration
 // between them instead of each running their own.
-// Results are stored canonically; fromCanon (when non-nil) relabels each
-// line back into the client's labeling on the way out.
+// Results are stored canonically; each line is written in the client's
+// labels through fromCanon (see wireResult).
 func (s *Server) streamResults(w http.ResponseWriter, r *http.Request, g *graph.Graph, backend core.Backend, key SolverKey, fromCanon []int, max int) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
@@ -438,11 +438,8 @@ func (s *Server) streamResults(w http.ResponseWriter, r *http.Request, g *graph.
 		if err != nil || !ok {
 			break
 		}
-		if fromCanon != nil {
-			res = core.RelabelResult(res, fromCanon)
-		}
 		rc.SetWriteDeadline(time.Now().Add(streamWriteTimeout))
-		if enc.Encode(resultJSON(g, count, res)) != nil {
+		if enc.Encode(wireResult(g, count, res, fromCanon)) != nil {
 			return // client gone or stalled past the deadline
 		}
 		count++
@@ -518,7 +515,7 @@ func (s *Server) handleNext(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if len(results) > 0 {
-			resp := &EnumerateResponse{Done: done, Results: pageJSON(sess.graphOf(), start, sess.egress(results))}
+			resp := &EnumerateResponse{Done: done, Results: pageJSON(sess.g, start, results, sess.fromCanon)}
 			if !done {
 				resp.Session = sess.Token
 			}
@@ -543,7 +540,7 @@ func (s *Server) handleNext(w http.ResponseWriter, r *http.Request) {
 	if done {
 		s.sessions.Remove(sess.Token)
 	}
-	resp := &EnumerateResponse{Done: done, Results: pageJSON(sess.graphOf(), start, sess.egress(results))}
+	resp := &EnumerateResponse{Done: done, Results: pageJSON(sess.g, start, results, sess.fromCanon)}
 	if !done {
 		resp.Session = sess.Token
 	}
@@ -605,10 +602,13 @@ func solverInfo(solver *core.Solver) *SolverInfo {
 	return info
 }
 
-func pageJSON(g *graph.Graph, start int, results []*core.Result) []TriangulationJSON {
+// pageJSON converts a page of canonical stream results, starting at rank
+// start, for a client of graph g whose labels fromCanon maps to (see
+// wireResult).
+func pageJSON(g *graph.Graph, start int, results []*core.Result, fromCanon []int) []TriangulationJSON {
 	out := make([]TriangulationJSON, len(results))
 	for i, r := range results {
-		out[i] = resultJSON(g, start+i, r)
+		out[i] = wireResult(g, start+i, r, fromCanon)
 	}
 	return out
 }

@@ -42,8 +42,8 @@ type Session struct {
 	// labels; nil when the client submitted in canonical labels already or
 	// the labeling search fell back to label-sensitive keys. Results are
 	// stored canonically — one shared buffer serves every isomorphic
-	// client — and relabeled per cursor on egress (see
-	// Server.handleEnumerate).
+	// client — and each page is written in this client's labels through
+	// fromCanon (see wireResult).
 	fromCanon []int
 	mu        sync.Mutex
 	stream    *StreamHandle
@@ -53,30 +53,6 @@ type Session struct {
 	last      time.Time
 	pos       int // ranks [0, pos) have been committed to the client
 	done      bool
-}
-
-// graphOf returns the client-labeled graph the session enumerates (for
-// wire conversion).
-func (s *Session) graphOf() *graph.Graph { return s.g }
-
-// egress relabels a batch of stream results from the canonical labeling
-// into this session's client labeling. The identity case returns the
-// shared Results unchanged (they are read-only by contract).
-func (s *Session) egress(results []*core.Result) []*core.Result {
-	return relabelResults(results, s.fromCanon)
-}
-
-// relabelResults maps results through fromCanon, or passes them through
-// untouched when fromCanon is nil.
-func relabelResults(results []*core.Result, fromCanon []int) []*core.Result {
-	if fromCanon == nil || len(results) == 0 {
-		return results
-	}
-	out := make([]*core.Result, len(results))
-	for i, r := range results {
-		out[i] = core.RelabelResult(r, fromCanon)
-	}
-	return out
 }
 
 // close cancels the session's context and releases its stream reference.

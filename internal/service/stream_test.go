@@ -21,8 +21,9 @@ import (
 
 // oracleLines renders a solver's full enumeration the way the wire does
 // for a client that submitted g: each result relabeled through fromCanon
-// (the egress permutation) — the byte-identical reference every
-// shared-stream consumer must match.
+// (the egress permutation) by core.RelabelResult and converted by
+// legacyResultJSON — the byte-identical reference every shared-stream
+// consumer must match.
 func oracleLines(t *testing.T, solver *core.Solver, g *graph.Graph, fromCanon []int) []string {
 	t.Helper()
 	e := solver.EnumerateContext(context.Background())
@@ -32,7 +33,7 @@ func oracleLines(t *testing.T, solver *core.Solver, g *graph.Graph, fromCanon []
 		if !ok {
 			return out
 		}
-		b, err := json.Marshal(resultJSON(g, i, core.RelabelResult(r, fromCanon)))
+		b, err := json.Marshal(legacyResultJSON(g, i, core.RelabelResult(r, fromCanon)))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -11,6 +12,7 @@ import (
 	"repro/internal/cost"
 	"repro/internal/graph"
 	"repro/internal/hyper"
+	"repro/internal/vset"
 )
 
 // EnumerateRequest is the body of POST /v1/enumerate. Exactly one of
@@ -323,24 +325,50 @@ type ErrorResponse struct {
 	Error string `json:"error"`
 }
 
-// resultJSON converts one enumeration result for the wire.
-func resultJSON(g *graph.Graph, index int, r *core.Result) TriangulationJSON {
-	bags := make([][]int, len(r.Bags))
-	for i, b := range r.Bags {
-		bags[i] = b.Slice()
+// wireResult builds the wire form of the canonical stream result r at
+// rank index, for a client whose labels fromCanon maps the canonical
+// labels to (nil: the client's labels are the canonical ones). Every bag
+// and separator vertex maps through fromCanon into one backing slice per
+// result, and each set is then sorted, so it lists the same ascending
+// client labels a relabeled copy of r would. Width and fill do not depend
+// on labels, so they are read from r itself; g is the submitted graph in
+// any labeling.
+func wireResult(g *graph.Graph, index int, r *core.Result, fromCanon []int) TriangulationJSON {
+	size := 0
+	for _, b := range r.Bags {
+		size += b.Len()
 	}
-	seps := make([][]int, len(r.Seps))
-	for i, s := range r.Seps {
-		seps[i] = s.Slice()
+	for _, s := range r.Seps {
+		size += s.Len()
 	}
+	flat := make([]int, 0, size)
+	sets := make([][]int, 0, len(r.Bags)+len(r.Seps))
+	for _, list := range [2][]vset.Set{r.Bags, r.Seps} {
+		for _, s := range list {
+			start := len(flat)
+			s.ForEach(func(v int) bool {
+				if fromCanon != nil {
+					v = fromCanon[v]
+				}
+				flat = append(flat, v)
+				return true
+			})
+			set := flat[start:len(flat):len(flat)]
+			if fromCanon != nil {
+				slices.Sort(set)
+			}
+			sets = append(sets, set)
+		}
+	}
+	nb := len(r.Bags)
 	return TriangulationJSON{
 		Index:     index,
 		Cost:      r.Cost,
 		Width:     r.Tree.Width(),
 		Fill:      r.H.NumEdges() - g.NumEdges(),
 		OrbitSize: r.OrbitSize,
-		Bags:      bags,
-		Seps:      seps,
+		Bags:      sets[:nb:nb],
+		Seps:      sets[nb:],
 	}
 }
 
