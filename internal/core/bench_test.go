@@ -21,7 +21,8 @@ func delayBenchGraph(n int, p float64, seed int64) *graph.Graph {
 // enumerations are restarted (and their first result consumed) off the
 // clock. This is the headline number the incremental constraint-aware DP
 // targets: every Next() solves one Lawler–Murty branch per fresh
-// separator of the popped result.
+// separator of the popped result, except the branches the
+// separator-crossing test proves empty (reported as emptybranches/op).
 func BenchmarkEnumerateDelay(b *testing.B) {
 	cases := []struct {
 		name string
@@ -50,6 +51,7 @@ func BenchmarkEnumerateDelay(b *testing.B) {
 				if _, ok := e.Next(); !ok {
 					b.Fatal("empty enumeration")
 				}
+				before := s.ReuseStats().EmptyBranches
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					if _, ok := e.Next(); !ok {
@@ -61,6 +63,8 @@ func BenchmarkEnumerateDelay(b *testing.B) {
 						b.StartTimer()
 					}
 				}
+				b.StopTimer()
+				b.ReportMetric(float64(s.ReuseStats().EmptyBranches-before)/float64(b.N), "emptybranches/op")
 			})
 		}
 	}

@@ -5,6 +5,8 @@ import (
 	"context"
 	"runtime"
 	"sync"
+
+	"repro/internal/intern"
 )
 
 // Enumerator streams the minimal triangulations of a graph. Obtain one
@@ -147,12 +149,41 @@ func (e *lmEnumerator) Next() (*Result, bool) {
 	// then solved (in parallel when workers > 1) and pushed in branch
 	// order, which keeps the queue state — and hence the output —
 	// identical to the sequential run.
-	branches := make([]*compiledConstraints, len(fresh))
+	//
+	// A branch the separator-crossing test proves empty is never built or
+	// solved (DESIGN.md, "Empty branches"): branch i holds a triangulation
+	// H only if some separator crossing Si is a separator of H, hence
+	// neither excluded nor crossing an inclusion. blocked collects the
+	// separators so ruled out and grows as Si joins the inclusion chain. A
+	// missing crossing row (budget spent) only weakens the test: an
+	// untestable Si is solved, an inclusion without a row blocks less.
+	filter := !e.s.filterOff
+	var blocked intern.Bitset
+	if filter {
+		blocked = e.s.blockedBy(p.cc)
+	}
+	branches := make([]*compiledConstraints, 0, len(fresh))
 	cc := p.cc
 	for i, id := range fresh {
-		branches[i] = e.s.extendConstraints(cc, id, false)
+		var row intern.Bitset
+		if filter {
+			row = e.s.crossRow(id)
+		}
+		if row == nil || escapes(row, blocked) {
+			branches = append(branches, e.s.extendConstraints(cc, id, false))
+		} else {
+			e.s.statSkipped.Add(1)
+			if e.s.auditSkipped != nil {
+				// The only error is ErrNoTriangulation, which leaves r nil.
+				r, _ := e.s.minTriangCompiled(e.s.extendConstraints(cc, id, false))
+				e.s.auditSkipped(r)
+			}
+		}
 		if i+1 < len(fresh) {
 			cc = e.s.extendConstraints(cc, id, true)
+			if row != nil {
+				blocked.Or(row)
+			}
 		}
 	}
 	results := make([]*Result, len(branches))
@@ -195,6 +226,39 @@ func (e *lmEnumerator) Next() (*Result, bool) {
 		}
 	}
 	return p.res, true
+}
+
+// blockedBy returns, over separator IDs, the separators no triangulation
+// satisfying cc can contain: its exclusions, and every separator crossing
+// one of its inclusions (the separators of a minimal triangulation are
+// pairwise parallel). An inclusion whose crossing row is unavailable
+// contributes nothing, which keeps the set a sound under-approximation.
+// cc is a partition's constraint set, built by the split from interned
+// separator IDs only.
+func (s *Solver) blockedBy(cc *compiledConstraints) intern.Bitset {
+	blocked := intern.NewBitset(s.sepTab.Len())
+	if cc == nil {
+		return blocked
+	}
+	for i := range cc.cons {
+		info := &cc.cons[i]
+		if !info.include {
+			blocked.Set(info.sepID)
+		} else if row := s.crossRow(info.sepID); row != nil {
+			blocked.Or(row)
+		}
+	}
+	return blocked
+}
+
+// escapes reports whether row marks some ID that blocked does not.
+func escapes(row, blocked intern.Bitset) bool {
+	for w, bits := range row {
+		if bits&^blocked[w] != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // effectiveWorkers normalizes a requested branch-solver worker count —

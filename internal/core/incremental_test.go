@@ -192,8 +192,9 @@ func TestEnumerationOrderMatchesOracle(t *testing.T) {
 }
 
 // TestReuseStatsCount sanity-checks the /v1/stats counters: constrained
-// solves accumulate, and dirty plus reused blocks account for every block
-// of every solve.
+// solves accumulate, dirty plus reused blocks account for every block of
+// every solve, empty solves are a subset of the solves, and the branches
+// proven empty are counted (and summed over atom sub-solvers).
 func TestReuseStatsCount(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g := gen.ConnectedGNP(rng, 12, 0.3)
@@ -218,6 +219,24 @@ func TestReuseStatsCount(t *testing.T) {
 	}
 	if st.ReusedBlocks == 0 {
 		t.Fatal("incremental solver reused no blocks")
+	}
+	if st.EmptySolves > st.ConstrainedSolves {
+		t.Fatalf("empty solves %d exceed constrained solves %d", st.EmptySolves, st.ConstrainedSolves)
+	}
+
+	// Two disjoint cycles under fill decompose into per-atom sub-solvers;
+	// their counters sum into the parent's.
+	d := mustNew(disjointUnion(gen.Cycle(6), gen.Cycle(7)), cost.FillIn{})
+	if !d.Decomposed() {
+		t.Fatal("two disjoint cycles did not decompose")
+	}
+	collectEnumeration(d.EnumerateContext(context.Background()), 100)
+	var sum ReuseStats
+	for _, sub := range d.subs {
+		sum.Add(sub.ReuseStats())
+	}
+	if got := d.ReuseStats(); got != sum || got.EmptyBranches == 0 {
+		t.Fatalf("decomposed stats %+v, sub-solver sum %+v (want equal, with branches proven empty)", got, sum)
 	}
 }
 

@@ -45,9 +45,11 @@ func disjointUnion(a, b *graph.Graph) *graph.Graph {
 // enumeration — including the orbit backend's group computation, since
 // the serving tier pays that per stream. Reported metrics: results/op
 // (stream length; the reduction factor is plain/orbit), solves/op
-// (constrained Lawler–Murty solves), and orbitsum/op (Σ OrbitSize — must
-// equal the plain stream length). Measured drain times are recorded in
-// DESIGN.md, "Orbit-reduced enumeration".
+// (constrained Lawler–Murty solves), emptybranches/op (branches the
+// separator-crossing test proved empty and never solved), and
+// orbitsum/op (Σ OrbitSize — must equal the plain stream length).
+// Measured drain times are recorded in DESIGN.md, "Orbit-reduced
+// enumeration".
 func BenchmarkOrbitStream(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	copies := gen.IsoCopies(rng, gen.CirculantGraph(6, []int{1}), 2)
@@ -73,7 +75,7 @@ func BenchmarkOrbitStream(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				before := s.ReuseStats().ConstrainedSolves
+				before := s.ReuseStats()
 				var results, orbitSum int64
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -96,9 +98,10 @@ func BenchmarkOrbitStream(b *testing.B) {
 					results += int64(n)
 				}
 				b.StopTimer()
-				solves := s.ReuseStats().ConstrainedSolves - before
+				after := s.ReuseStats()
 				b.ReportMetric(float64(results)/float64(b.N), "results/op")
-				b.ReportMetric(float64(solves)/float64(b.N), "solves/op")
+				b.ReportMetric(float64(after.ConstrainedSolves-before.ConstrainedSolves)/float64(b.N), "solves/op")
+				b.ReportMetric(float64(after.EmptyBranches-before.EmptyBranches)/float64(b.N), "emptybranches/op")
 				if mode == "orbit" {
 					b.ReportMetric(float64(orbitSum)/float64(b.N), "orbitsum/op")
 				}

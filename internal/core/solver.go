@@ -50,11 +50,15 @@ type Result struct {
 
 // candidate is one PMC usable at a block, with the blocks of its
 // components inside the realization precomputed (they are full blocks of
-// the input graph, Theorem 5.4, so they index into Solver.blocks).
+// the input graph, Theorem 5.4, so they index into Solver.blocks). For a
+// Combinable cost it also carries its bag's own terms, BagMax(Ω) and
+// BagSum(Ω, S): they depend only on G, Ω and the block's S, so init
+// computes them once for every constrained solve to reuse.
 type candidate struct {
 	omega    vset.Set
 	pmcID    int // index of omega in Solver.pmcs
 	children []int
+	max, sum float64
 }
 
 // blockData is the static, constraint-independent description of a block:
@@ -102,8 +106,19 @@ type Solver struct {
 	extraMu   sync.Mutex
 	extras    map[string]*extraCov
 
+	// Lazily built separator-crossing rows of the empty-branch filter
+	// (see crossRow), one entry per separator ID, charged to covBudget.
+	crossRows []crossEntry
+
 	fullResolve bool      // solve every block from scratch (test oracle)
 	scratch     sync.Pool // *solveScratch, reused across constrained solves
+
+	// Test hooks of the empty-branch filter (enumerate.go): filterOff
+	// solves every Lawler–Murty branch; auditSkipped, when set, solves
+	// each branch the filter skips and receives what it found (nil when
+	// the branch is empty, as the filter proved).
+	filterOff    bool
+	auditSkipped func(found *Result)
 
 	// Decomposed mode (see DESIGN.md, "Atom decomposition"). When the
 	// graph splits into more than one clique-separator atom and the cost
@@ -116,9 +131,11 @@ type Solver struct {
 	mergeKind cost.MergeKind
 	subs      []*Solver // aligned with dec.Atoms
 
-	statSolves atomic.Uint64 // constrained solves served incrementally
-	statDirty  atomic.Uint64 // blocks re-solved across those calls
-	statReused atomic.Uint64 // blocks reused from the baseline
+	statSolves  atomic.Uint64 // constrained solves served incrementally
+	statDirty   atomic.Uint64 // blocks re-solved across those calls
+	statReused  atomic.Uint64 // blocks reused from the baseline
+	statEmpty   atomic.Uint64 // those solves that found no triangulation
+	statSkipped atomic.Uint64 // branches proven empty and never solved
 
 	// InitDuration records the time spent computing separators, PMCs and
 	// the block structure — the "init" column of the paper's Table 2 —
@@ -267,6 +284,10 @@ func (s *Solver) buildBlocks(ctx context.Context) error {
 				cand.children = append(cand.children, child)
 			}
 			if ok {
+				if s.comb != nil {
+					cand.max = s.comb.BagMax(g, omega)
+					cand.sum = s.comb.BagSum(g, omega, bd.block.S)
+				}
 				bd.cands = append(bd.cands, cand)
 			}
 		}
@@ -316,6 +337,7 @@ func (s *Solver) buildIncremental(ctx context.Context) error {
 		s.base[i] = s.solveBlock(i, nil, sc, nil)
 	}
 	s.sepCovs = make([]sepCovEntry, s.sepTab.Len())
+	s.crossRows = make([]crossEntry, s.sepTab.Len())
 	s.covBudget.Store(sepCovBudgetWords)
 	s.extras = make(map[string]*extraCov)
 	s.scratch.New = func() any {
@@ -328,11 +350,12 @@ func (s *Solver) buildIncremental(ctx context.Context) error {
 	return nil
 }
 
-// sepCovBudgetWords bounds the precomputed sepCov tables per solver at
-// 64 MiB of mask words; the tables are quadratic in the separator count,
-// so without a cap a separator-rich graph would pin hundreds of
-// megabytes on one pool-cached solver. Past the budget, sepCovs fall
-// back to the (exact, somewhat slower) lean path.
+// sepCovBudgetWords bounds the precomputed sepCov tables and crossing
+// rows per solver at 64 MiB of mask words; both are quadratic in the
+// separator count, so without a cap a separator-rich graph would pin
+// hundreds of megabytes on one pool-cached solver. Past the budget,
+// sepCovs fall back to the (exact, somewhat slower) lean path and the
+// empty-branch filter solves the branches it can no longer test.
 const sepCovBudgetWords = 8 << 20
 
 // sepCovEntry guards one separator's lazily built constraint geometry;
@@ -348,6 +371,57 @@ func (s *Solver) sepCovFor(id int) *sepCov {
 	e := &s.sepCovs[id]
 	e.once.Do(func() { s.buildSepCov(&e.cov, s.sepTab.Set(id)) })
 	return &e.cov
+}
+
+// crossEntry guards one separator's lazily built crossing row; plain and
+// orbit enumerations sharing a pooled solver race on the first touch.
+type crossEntry struct {
+	once sync.Once
+	row  intern.Bitset // nil when covBudget was spent
+}
+
+// crossRow returns the IDs of the separators that cross the interned
+// separator id — those T with T \ S meeting two components of G \ S —
+// building the row on first use. It returns nil once covBudget is spent;
+// the empty-branch filter then has no proof and solves the branch.
+func (s *Solver) crossRow(id int) intern.Bitset {
+	e := &s.crossRows[id]
+	e.once.Do(func() { e.row = s.buildCrossRow(s.sepTab.Set(id)) })
+	return e.row
+}
+
+// buildCrossRow labels the components of G \ sep once and marks every
+// separator that meets two of them, charging the row to covBudget.
+func (s *Solver) buildCrossRow(sep vset.Set) intern.Bitset {
+	n := s.sepTab.Len()
+	words := int64((n + 63) / 64)
+	if s.covBudget.Add(-words) < 0 {
+		s.covBudget.Add(words)
+		return nil
+	}
+	comp := make([]int, s.g.Universe()) // component of G \ sep, from 1; 0 on sep
+	for i, c := range s.g.ComponentsWithin(s.g.Vertices().Diff(sep)) {
+		c.ForEach(func(v int) bool {
+			comp[v] = i + 1
+			return true
+		})
+	}
+	row := intern.NewBitset(n)
+	for id, t := range s.sepTab.Sets() {
+		first := 0
+		t.ForEach(func(v int) bool {
+			switch c := comp[v]; {
+			case c == 0 || c == first:
+			case first == 0:
+				first = c
+			default:
+				row.Set(id)
+				return false
+			}
+			return true
+		})
+	}
+	return row
 }
 
 // extraCov is the constraint geometry plus dirty cone of a constraint
@@ -497,10 +571,15 @@ func (s *Solver) setFullResolve(on bool) {
 // candidate scan, and how many they served from the unconstrained
 // baseline (clean blocks outside every constraint's dirty cone, plus
 // dirty-cone blocks kept by the exact baseline-still-wins shortcut).
+// EmptySolves counts the constrained solves that found no triangulation,
+// and EmptyBranches the Lawler–Murty branches the separator-crossing test
+// proved empty, which were never solved.
 type ReuseStats struct {
 	ConstrainedSolves uint64 `json:"constrained_solves"`
 	DirtyBlocks       uint64 `json:"dirty_blocks"`
 	ReusedBlocks      uint64 `json:"reused_blocks"`
+	EmptySolves       uint64 `json:"empty_solves"`
+	EmptyBranches     uint64 `json:"empty_branches"`
 }
 
 // ReuseStats returns the cumulative incremental-solve counters — summed
@@ -511,14 +590,22 @@ func (s *Solver) ReuseStats() ReuseStats {
 		ConstrainedSolves: s.statSolves.Load(),
 		DirtyBlocks:       s.statDirty.Load(),
 		ReusedBlocks:      s.statReused.Load(),
+		EmptySolves:       s.statEmpty.Load(),
+		EmptyBranches:     s.statSkipped.Load(),
 	}
 	for _, sub := range s.subs {
-		st := sub.ReuseStats()
-		out.ConstrainedSolves += st.ConstrainedSolves
-		out.DirtyBlocks += st.DirtyBlocks
-		out.ReusedBlocks += st.ReusedBlocks
+		out.Add(sub.ReuseStats())
 	}
 	return out
+}
+
+// Add folds o into st field by field.
+func (st *ReuseStats) Add(o ReuseStats) {
+	st.ConstrainedSolves += o.ConstrainedSolves
+	st.DirtyBlocks += o.DirtyBlocks
+	st.ReusedBlocks += o.ReusedBlocks
+	st.EmptySolves += o.EmptySolves
+	st.EmptyBranches += o.EmptyBranches
 }
 
 // blockSol is the per-constraint-set DP value of one block.
@@ -544,16 +631,14 @@ type solveScratch struct {
 	changed   []bool      // dirty blocks whose re-solve deviated from baseline
 }
 
-// coverage returns the candidate working buffer zeroed to n words.
+// coverage returns the candidate working buffer sized to n words; its
+// contents are stale, which suits subtreeCoverage, the one writer, since
+// it overwrites every word.
 func (sc *solveScratch) coverage(n int) []uint64 {
 	if cap(sc.covBuf) < n {
 		sc.covBuf = make([]uint64, n)
 	}
-	buf := sc.covBuf[:n]
-	for i := range buf {
-		buf[i] = 0
-	}
-	return buf
+	return sc.covBuf[:n]
 }
 
 // prepare sizes the per-call buffers for a solve over npmcs PMCs with
@@ -717,6 +802,7 @@ func (s *Solver) minTriangCompiled(cc *compiledConstraints) (*Result, error) {
 	s.statDirty.Add(scanned)
 	s.statReused.Add(uint64(len(s.blocks)) - scanned)
 	if !sc.sols[top].ok {
+		s.statEmpty.Add(1)
 		return nil, ErrNoTriangulation
 	}
 	return s.buildResult(top, sc.sols), nil
@@ -760,13 +846,7 @@ func (s *Solver) resolveBlock(bi int, cc *compiledConstraints, sc *solveScratch)
 	var act []activeCon
 	if stable {
 		act = cc.activeAt(bi, s.blockSepID[bi], bd.block.S, sc)
-		buf := sc.coverage(cc.words)
-		copy(buf, cc.bagMask(sc, cand.pmcID, cand.omega))
-		for _, child := range cand.children {
-			for w, bits := range s.coverageOf(child, cc, sc) {
-				buf[w] |= bits
-			}
-		}
+		buf := s.subtreeCoverage(sc.coverage(cc.words), cand, cc, sc)
 		if checkActive(act, buf) {
 			sol := *base
 			sol.coverage = append([]uint64(nil), buf...)
@@ -795,26 +875,13 @@ func (s *Solver) solveBlock(bi int, cc *compiledConstraints, sc *solveScratch, a
 	}
 	best := blockSol{ok: false, value: math.Inf(1)}
 	for ci := range bd.cands {
-		cand := &bd.cands[ci]
-		sol, ok := s.evalCandidate(bd, cand, cc, act, sc)
-		if !ok {
-			continue
-		}
-		if !best.ok || sol.value < best.value {
+		if sol, ok := s.evalCandidate(bd, &bd.cands[ci], cc, act, sc, &best); ok {
 			sol.cand = ci
 			best = sol
 		}
 	}
 	if cc != nil && best.ok {
-		cand := &bd.cands[best.cand]
-		cov := make([]uint64, cc.words)
-		copy(cov, cc.bagMask(sc, cand.pmcID, cand.omega))
-		for _, child := range cand.children {
-			for w, bits := range s.coverageOf(child, cc, sc) {
-				cov[w] |= bits
-			}
-		}
-		best.coverage = cov
+		best.coverage = s.subtreeCoverage(make([]uint64, cc.words), &bd.cands[best.cand], cc, sc)
 	}
 	return best
 }
@@ -830,26 +897,38 @@ func (s *Solver) coverageOf(bi int, cc *compiledConstraints, sc *solveScratch) [
 	if m := sc.cov[bi]; m != nil {
 		return m
 	}
-	m := make([]uint64, cc.words)
 	sol := &sc.sols[bi] // clean: identical to the baseline solution
-	cand := &s.blocks[bi].cands[sol.cand]
-	copy(m, cc.bagMask(sc, cand.pmcID, cand.omega))
-	for _, child := range cand.children {
-		for w, bits := range s.coverageOf(child, cc, sc) {
-			m[w] |= bits
-		}
-	}
+	m := s.subtreeCoverage(make([]uint64, cc.words), &s.blocks[bi].cands[sol.cand], cc, sc)
 	sc.cov[bi] = m
 	return m
 }
 
+// subtreeCoverage overwrites dst (cc.words long) with the constraint
+// pairs covered by the bags of cand's subtree — its own bag's plus its
+// children's coverage — and returns dst.
+func (s *Solver) subtreeCoverage(dst []uint64, cand *candidate, cc *compiledConstraints, sc *solveScratch) []uint64 {
+	copy(dst, cc.bagMask(sc, cand.pmcID, cand.omega))
+	for _, child := range cand.children {
+		for w, bits := range s.coverageOf(child, cc, sc) {
+			dst[w] |= bits
+		}
+	}
+	return dst
+}
+
 // evalCandidate combines the children of one candidate PMC with its root
-// bag, returning the candidate's solution or ok=false when a child is
-// unsolvable or a constraint is violated (κ[I,X] = ∞). The constraint
-// check runs on the scratch coverage buffer against the block's active
-// constraints; the caller rebuilds and retains coverage only for the
-// winning candidate.
-func (s *Solver) evalCandidate(bd *blockData, cand *candidate, cc *compiledConstraints, act []activeCon, sc *solveScratch) (blockSol, bool) {
+// bag and returns the candidate's solution when it displaces best — the
+// block's winner so far in index order, whose first minimum the scan
+// keeps, so only a strictly smaller value can. It reports ok=false when a
+// child is unsolvable, the value is +Inf or cannot displace best, or a
+// constraint is violated (κ[I,X] = ∞). For a Combinable cost the value
+// folds from the candidate's static bag terms first, so the constraint
+// check runs only on candidates that can win; the generic path evaluates
+// the subtree's bags, so it checks the constraints first. The check runs
+// on the scratch coverage buffer against the block's active constraints;
+// the caller rebuilds and retains coverage only for the winning
+// candidate.
+func (s *Solver) evalCandidate(bd *blockData, cand *candidate, cc *compiledConstraints, act []activeCon, sc *solveScratch, best *blockSol) (blockSol, bool) {
 	var sol blockSol
 	sols := sc.sols
 	for _, child := range cand.children {
@@ -857,22 +936,8 @@ func (s *Solver) evalCandidate(bd *blockData, cand *candidate, cc *compiledConst
 			return sol, false
 		}
 	}
-	// Constraint coverage: bag-covered pairs of the subtree.
-	if cc != nil {
-		buf := sc.coverage(cc.words)
-		copy(buf, cc.bagMask(sc, cand.pmcID, cand.omega))
-		for _, child := range cand.children {
-			for w, bits := range s.coverageOf(child, cc, sc) {
-				buf[w] |= bits
-			}
-		}
-		if !checkActive(act, buf) {
-			return sol, false
-		}
-	}
 	if s.comb != nil {
-		sol.max = s.comb.BagMax(s.g, cand.omega)
-		sol.sum = s.comb.BagSum(s.g, cand.omega, bd.block.S)
+		sol.max, sol.sum = cand.max, cand.sum
 		for _, child := range cand.children {
 			if sols[child].max > sol.max {
 				sol.max = sols[child].max
@@ -880,19 +945,38 @@ func (s *Solver) evalCandidate(bd *blockData, cand *candidate, cc *compiledConst
 			sol.sum += sols[child].sum
 		}
 		sol.value = s.comb.Value(s.g, sol.max, sol.sum)
+		if !displaces(sol.value, best) || !s.satisfies(cand, cc, act, sc) {
+			return sol, false
+		}
 	} else {
+		if !s.satisfies(cand, cc, act, sc) {
+			return sol, false
+		}
 		sol.bags = append(sol.bags, cand.omega)
 		for _, child := range cand.children {
 			sol.bags = append(sol.bags, sols[child].bags...)
 		}
 		r := s.g.Realization(bd.block.S, bd.block.C)
 		sol.value = s.c.Eval(r, sol.bags)
-	}
-	if math.IsInf(sol.value, 1) {
-		return sol, false
+		if !displaces(sol.value, best) {
+			return sol, false
+		}
 	}
 	sol.ok = true
 	return sol, true
+}
+
+// displaces reports whether a candidate of the given value is admissible
+// (finite) and would replace best under the first-minimum scan.
+func displaces(value float64, best *blockSol) bool {
+	return !math.IsInf(value, 1) && (!best.ok || value < best.value)
+}
+
+// satisfies reports whether a candidate's subtree meets the block's
+// active constraints: its covered pairs must make every inclusion a
+// clique and no exclusion one. Unconstrained solves pass trivially.
+func (s *Solver) satisfies(cand *candidate, cc *compiledConstraints, act []activeCon, sc *solveScratch) bool {
+	return cc == nil || checkActive(act, s.subtreeCoverage(sc.coverage(cc.words), cand, cc, sc))
 }
 
 func (s *Solver) evalBags(g *graph.Graph, bags []vset.Set) float64 {

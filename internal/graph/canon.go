@@ -1,7 +1,7 @@
 package graph
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/vset"
 )
@@ -76,9 +76,14 @@ func (g *Graph) runCanonSearch(maxNodes int) (*canonSearch, []int) {
 	if maxNodes <= 0 {
 		maxNodes = DefaultCanonBudget
 	}
-	verts := g.verts.Slice()
-	cs := newCanonSearch(g, verts, maxNodes)
-	k := cs.k
+	cs := newCanonSearch(g, g.verts.Slice(), maxNodes)
+	return cs, cs.run()
+}
+
+// run explores the search tree from the unit partition and returns the
+// canonical permutation over the universe labels.
+func (cs *canonSearch) run() []int {
+	g, verts, k := cs.g, cs.verts, cs.k
 	if k > 0 {
 		all := make([]int, k)
 		for i := range all {
@@ -108,7 +113,7 @@ func (g *Graph) runCanonSearch(maxNodes int) (*canonSearch, []int) {
 			next++
 		}
 	}
-	return cs, perm
+	return perm
 }
 
 // newCanonSearch builds the search state over g's active vertices listed
@@ -116,12 +121,20 @@ func (g *Graph) runCanonSearch(maxNodes int) (*canonSearch, []int) {
 func newCanonSearch(g *Graph, verts []int, maxNodes int) *canonSearch {
 	k := len(verts)
 	cs := &canonSearch{g: g, verts: verts, k: k, budget: maxNodes}
-	cs.adj = make([][]bool, k)
+	idx := make([]int, g.n)
+	for i, v := range verts {
+		idx[v] = i
+	}
+	cs.nbrs = make([][]int, k)
 	for i, u := range verts {
-		cs.adj[i] = make([]bool, k)
-		for j, v := range verts {
-			cs.adj[i][j] = g.HasEdge(u, v)
-		}
+		row := make([]int, 0, g.adj[u].Len())
+		g.adj[u].ForEach(func(v int) bool {
+			if g.HasEdge(u, v) && g.verts.Contains(v) {
+				row = append(row, idx[v])
+			}
+			return true
+		})
+		cs.nbrs[i] = row
 	}
 	return cs
 }
@@ -150,7 +163,11 @@ type canonSearch struct {
 	g     *Graph
 	verts []int
 	k     int
-	adj   [][]bool
+	nbrs  [][]int // adjacency lists over active indices
+
+	// refineWith, when set, replaces refine: a test hook that runs the
+	// search over a reference refinement.
+	refineWith func(cells [][]int) [][]int
 
 	budget  int
 	nodes   int
@@ -184,7 +201,11 @@ func (cs *canonSearch) explore(cells [][]int, prefix []int) {
 		cs.stopped = true
 		return
 	}
-	cells = cs.refine(cells)
+	if cs.refineWith != nil {
+		cells = cs.refineWith(cells)
+	} else {
+		cells = cs.refine(cells)
+	}
 	// Target cell: the first smallest non-singleton — a function of the
 	// (isomorphism-invariant) equitable partition, as canonicity requires.
 	target := -1
@@ -229,34 +250,42 @@ func (cs *canonSearch) explore(cells [][]int, prefix []int) {
 
 // refine drives cells to the coarsest equitable partition refining them:
 // every vertex of a cell has the same number of neighbors in every cell.
-// Splitters are snapshots, so a cell that later splits still counts
-// correctly (its parts' counts sum to the snapshot's). Sub-cells are
-// ordered by ascending neighbor count, which keeps the refinement an
-// isomorphism-invariant function of the input partition.
+// The cells are consecutive ranges of one label array, and a split only
+// permutes the vertices inside its cell, so a queued [start, end)
+// splitter keeps the vertex set it had when queued: a cell that later
+// splits still counts correctly (its parts' counts sum to the
+// splitter's). A cell splits by a stable sort on neighbor count into
+// parts of ascending count, every part is queued in that order, and the
+// result is therefore an isomorphism-invariant function of the input
+// partition.
 func (cs *canonSearch) refine(cells [][]int) [][]int {
-	queue := make([][]int, len(cells))
-	copy(queue, cells)
-	cnt := make([]int, cs.k)
-	for len(queue) > 0 {
-		w := queue[0]
-		queue = queue[1:]
+	k := cs.k
+	buf := make([]int, 3*k)
+	lab := buf[0:0:k]     // the vertices, cell by cell
+	end := buf[k : 2*k]   // end[p]: the end of the cell starting at p
+	cnt := buf[2*k : 3*k] // neighbors in the current splitter
+	// A split into m parts adds m-1 cells and queues m ≤ 2(m-1) ranges.
+	queue := make([][2]int, 0, 2*k-len(cells))
+	for _, c := range cells {
+		start := len(lab)
+		lab = append(lab, c...)
+		end[start] = len(lab)
+		queue = append(queue, [2]int{start, len(lab)})
+	}
+	byCount := func(a, b int) int { return cnt[a] - cnt[b] }
+	for head := 0; head < len(queue); head++ {
+		w := queue[head]
 		for i := range cnt {
 			cnt[i] = 0
 		}
-		for _, u := range w {
-			row := cs.adj[u]
-			for v := 0; v < cs.k; v++ {
-				if row[v] {
-					cnt[v]++
-				}
+		for _, u := range lab[w[0]:w[1]] {
+			for _, v := range cs.nbrs[u] {
+				cnt[v]++
 			}
 		}
-		out := make([][]int, 0, len(cells))
-		for _, c := range cells {
-			if len(c) == 1 {
-				out = append(out, c)
-				continue
-			}
+		for p := 0; p < k; {
+			e := end[p]
+			c := lab[p:e]
 			uniform := true
 			for _, v := range c[1:] {
 				if cnt[v] != cnt[c[0]] {
@@ -264,27 +293,29 @@ func (cs *canonSearch) refine(cells [][]int) [][]int {
 					break
 				}
 			}
-			if uniform {
-				out = append(out, c)
-				continue
-			}
-			groups := make(map[int][]int)
-			var keys []int
-			for _, v := range c {
-				if _, ok := groups[cnt[v]]; !ok {
-					keys = append(keys, cnt[v])
+			if !uniform {
+				slices.SortStableFunc(c, byCount)
+				start := p
+				for i := p + 1; i <= e; i++ {
+					if i == e || cnt[lab[i]] != cnt[lab[i-1]] {
+						end[start] = i
+						queue = append(queue, [2]int{start, i})
+						start = i
+					}
 				}
-				groups[cnt[v]] = append(groups[cnt[v]], v)
 			}
-			sort.Ints(keys)
-			for _, key := range keys {
-				out = append(out, groups[key])
-				queue = append(queue, groups[key])
-			}
+			p = e
 		}
-		cells = out
 	}
-	return cells
+	n := 0
+	for p := 0; p < k; p = end[p] {
+		n++
+	}
+	out := make([][]int, 0, n)
+	for p := 0; p < k; p = end[p] {
+		out = append(out, lab[p:end[p]:end[p]])
+	}
+	return out
 }
 
 // leaf scores a discrete partition against the best one seen. A tie
@@ -299,13 +330,11 @@ func (cs *canonSearch) leaf(cells [][]int) {
 	}
 	w := (cs.k + 63) / 64
 	enc := make([]uint64, cs.k*w)
-	for i := 0; i < cs.k; i++ {
-		row := cs.adj[order[i]]
+	for i, u := range order {
 		base := i * w
-		for j := 0; j < cs.k; j++ {
-			if row[order[j]] {
-				enc[base+j/64] |= 1 << uint(j%64)
-			}
+		for _, v := range cs.nbrs[u] {
+			j := pos[v]
+			enc[base+j/64] |= 1 << uint(j%64)
 		}
 	}
 	if !cs.haveFirst {

@@ -182,7 +182,8 @@ func (p *SolverPool) evictLocked() {
 }
 
 // ReuseStats sums the incremental-DP counters (constrained solves, dirty
-// vs baseline-reused blocks) over the currently cached solvers. Counters
+// vs baseline-reused blocks, empty solves and branches proven empty) over
+// the currently cached solvers. Counters
 // of evicted solvers leave the sum; the ratio is still the right signal
 // for how much of the enumeration load the incremental path absorbs.
 func (p *SolverPool) ReuseStats() core.ReuseStats {
@@ -190,10 +191,7 @@ func (p *SolverPool) ReuseStats() core.ReuseStats {
 	defer p.mu.Unlock()
 	var total core.ReuseStats
 	for e := p.lru.Front(); e != nil; e = e.Next() {
-		st := e.Value.(*poolEntry).solver.ReuseStats()
-		total.ConstrainedSolves += st.ConstrainedSolves
-		total.DirtyBlocks += st.DirtyBlocks
-		total.ReusedBlocks += st.ReusedBlocks
+		total.Add(e.Value.(*poolEntry).solver.ReuseStats())
 	}
 	return total
 }

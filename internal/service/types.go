@@ -243,7 +243,9 @@ type PrefetchStats struct {
 // StatsResponse is the body of GET /v1/stats. Solver aggregates the
 // incremental-DP reuse counters (see core.ReuseStats) over the cached
 // solvers: dirty_blocks were re-solved under Lawler–Murty constraints,
-// reused_blocks came straight from each solver's unconstrained baseline.
+// reused_blocks came straight from each solver's unconstrained baseline,
+// empty_solves found no triangulation and empty_branches were proven
+// empty without a solve.
 // Atoms aggregates the clique-separator decompositions of those solvers.
 // Streams reports the shared ranked-stream cache (see StreamStats): a
 // stream hit means a new session or NDJSON stream rode an existing
