@@ -143,18 +143,17 @@ func decomposeComponent(g *graph.Graph, comp vset.Set, d *Decomposition, sepSeen
 
 // isMinimalSeparatorWithin reports whether s is a minimal separator of
 // G[w]: G[w] \ s has at least two components whose neighborhood within w
-// is exactly s.
+// is exactly s. s ⊆ w, and a component C of G[w \ s] has no neighbor in
+// w \ s outside C, so N(C) ∩ w = s exactly when s ⊆ N(C).
 func isMinimalSeparatorWithin(g *graph.Graph, w, s vset.Set) bool {
 	full := 0
-	for _, c := range g.ComponentsWithin(w.Diff(s)) {
-		if g.NeighborsOfSet(c).Intersect(w).Equal(s) {
+	g.ForEachComponent(w.Diff(s), func(_, nc vset.Set) bool {
+		if s.SubsetOf(nc) {
 			full++
-			if full >= 2 {
-				return true
-			}
 		}
-	}
-	return false
+		return full < 2
+	})
+	return full >= 2
 }
 
 // Count returns the number of atoms.

@@ -372,19 +372,21 @@ type sepStream struct {
 func newSepStream(g *graph.Graph) *sepStream {
 	ss := &sepStream{g: g, tab: intern.New(16)}
 	g.Vertices().ForEach(func(v int) bool {
-		for _, c := range g.ComponentsAvoiding(g.ClosedNeighborhood(v)) {
-			ss.add(g.NeighborsOfSet(c))
-		}
+		within := g.Vertices().Diff(g.Neighbors(v))
+		within.RemoveInPlace(v)
+		g.ForEachComponent(within, ss.add)
 		return true
 	})
 	return ss
 }
 
-func (ss *sepStream) add(s vset.Set) {
-	if s.IsEmpty() {
-		return
+// add interns the component walk's view N(C), cloning it only when it is
+// new and non-empty.
+func (ss *sepStream) add(_, nc vset.Set) bool {
+	if !nc.IsEmpty() && !ss.tab.Contains(nc) {
+		ss.tab.Intern(nc.Clone())
 	}
-	ss.tab.Intern(s)
+	return true
 }
 
 // next returns one more minimal separator, expanding known separators on
@@ -397,11 +399,10 @@ func (ss *sepStream) next(ctx context.Context) (vset.Set, bool) {
 		s := ss.tab.Set(ss.expanded)
 		ss.expanded++
 		s.ForEach(func(x int) bool {
-			avoid := s.Union(ss.g.Neighbors(x))
-			avoid.AddInPlace(x)
-			for _, c := range ss.g.ComponentsAvoiding(avoid) {
-				ss.add(ss.g.NeighborsOfSet(c))
-			}
+			within := ss.g.Vertices().Diff(s)
+			within.DiffInPlace(ss.g.Neighbors(x))
+			within.RemoveInPlace(x)
+			ss.g.ForEachComponent(within, ss.add)
 			return true
 		})
 	}

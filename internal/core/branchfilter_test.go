@@ -178,6 +178,44 @@ func TestEmptyBranchStatsAccount(t *testing.T) {
 	}
 }
 
+// prism returns the prism over C_k: two k-cycles joined by a perfect
+// matching, vertex i to vertex k+i.
+func prism(k int) *graph.Graph {
+	g := graph.New(2 * k)
+	for i := 0; i < k; i++ {
+		g.AddEdge(i, (i+1)%k)
+		g.AddEdge(k+i, k+(i+1)%k)
+		g.AddEdge(i, k+i)
+	}
+	return g
+}
+
+// TestEmptyBranchFilterTestsEveryExclusion pins the solves of two
+// symmetric full drains that still find nothing. Testing every exclusion
+// of a branch, not only the one the split adds, leaves none on two
+// disjoint 7-cycles under lex (43 of 1,806 when only the new exclusion
+// was tested) and 57 of 326 on the prism over C5 under fill (96 of 365).
+func TestEmptyBranchFilterTestsEveryExclusion(t *testing.T) {
+	cases := []struct {
+		name                   string
+		g                      *graph.Graph
+		c                      cost.Cost
+		results, solves, empty int
+	}{
+		{"2xC7 lex", disjointUnion(gen.Cycle(7), gen.Cycle(7)), cost.LexWidthFill{}, 1764, 1763, 0},
+		{"prism5 fill", prism(5), cost.FillIn{}, 270, 326, 57},
+	}
+	for _, tc := range cases {
+		s := mustNew(tc.g, tc.c)
+		n := len(collectEnumeration(s.EnumerateContext(context.Background()), 1<<20))
+		st := s.ReuseStats()
+		if n != tc.results || st.ConstrainedSolves != uint64(tc.solves) || st.EmptySolves != uint64(tc.empty) {
+			t.Errorf("%s: %d results, %d solves, %d empty; want %d, %d, %d",
+				tc.name, n, st.ConstrainedSolves, st.EmptySolves, tc.results, tc.solves, tc.empty)
+		}
+	}
+}
+
 // countingWidth is a WeightedWidth whose BagWeight calls are counted,
 // with the calls made by whole-decomposition evaluation (one per bag of
 // every built result) counted apart.

@@ -152,15 +152,18 @@ func (e *lmEnumerator) Next() (*Result, bool) {
 	//
 	// A branch the separator-crossing test proves empty is never built or
 	// solved (DESIGN.md, "Empty branches"): branch i holds a triangulation
-	// H only if some separator crossing Si is a separator of H, hence
-	// neither excluded nor crossing an inclusion. blocked collects the
-	// separators so ruled out and grows as Si joins the inclusion chain. A
-	// missing crossing row (budget spent) only weakens the test: an
-	// untestable Si is solved, an inclusion without a row blocks less.
+	// H only if every exclusion x of the branch — the partition's and Si —
+	// is crossed by a separator of H, hence by one that is neither Si, nor
+	// excluded, nor crossing an inclusion. blocked collects the separators
+	// so ruled out apart from Si and grows as Si joins the inclusion
+	// chain, so an older exclusion can lose its last witness. A missing
+	// crossing row (budget spent) only weakens the test: an exclusion
+	// without a row is not tested, an inclusion without one blocks less.
 	filter := !e.s.filterOff
 	var blocked intern.Bitset
+	var excluded []intern.Bitset
 	if filter {
-		blocked = e.s.blockedBy(p.cc)
+		blocked, excluded = e.s.blockedBy(p.cc)
 	}
 	branches := make([]*compiledConstraints, 0, len(fresh))
 	cc := p.cc
@@ -169,7 +172,7 @@ func (e *lmEnumerator) Next() (*Result, bool) {
 		if filter {
 			row = e.s.crossRow(id)
 		}
-		if row == nil || escapes(row, blocked) {
+		if !filter || witnessed(blocked, id, row) && witnessed(blocked, id, excluded...) {
 			branches = append(branches, e.s.extendConstraints(cc, id, false))
 		} else {
 			e.s.statSkipped.Add(1)
@@ -229,32 +232,54 @@ func (e *lmEnumerator) Next() (*Result, bool) {
 }
 
 // blockedBy returns, over separator IDs, the separators no triangulation
-// satisfying cc can contain: its exclusions, and every separator crossing
-// one of its inclusions (the separators of a minimal triangulation are
-// pairwise parallel). An inclusion whose crossing row is unavailable
-// contributes nothing, which keeps the set a sound under-approximation.
-// cc is a partition's constraint set, built by the split from interned
-// separator IDs only.
-func (s *Solver) blockedBy(cc *compiledConstraints) intern.Bitset {
-	blocked := intern.NewBitset(s.sepTab.Len())
+// satisfying cc can contain — its exclusions, and every separator
+// crossing one of its inclusions (the separators of a minimal
+// triangulation are pairwise parallel) — and the crossing rows of its
+// exclusions. A constraint whose crossing row is unavailable contributes
+// no row, which keeps the set a sound under-approximation and leaves that
+// exclusion untested. cc is a partition's constraint set, built by the
+// split from interned separator IDs only.
+func (s *Solver) blockedBy(cc *compiledConstraints) (blocked intern.Bitset, excluded []intern.Bitset) {
+	blocked = intern.NewBitset(s.sepTab.Len())
 	if cc == nil {
-		return blocked
+		return blocked, nil
 	}
 	for i := range cc.cons {
 		info := &cc.cons[i]
+		row := s.crossRow(info.sepID)
 		if !info.include {
 			blocked.Set(info.sepID)
-		} else if row := s.crossRow(info.sepID); row != nil {
+			if row != nil {
+				excluded = append(excluded, row)
+			}
+		} else if row != nil {
 			blocked.Or(row)
 		}
 	}
-	return blocked
+	return blocked, excluded
 }
 
-// escapes reports whether row marks some ID that blocked does not.
-func escapes(row, blocked intern.Bitset) bool {
+// witnessed reports whether every non-nil row marks some ID outside
+// blocked ∪ {si}: whether each separator those rows belong to, excluded
+// by a branch that also excludes si, is still crossed by a separator the
+// branch's triangulations may contain.
+func witnessed(blocked intern.Bitset, si int, rows ...intern.Bitset) bool {
+	for _, row := range rows {
+		if row != nil && !escapes(row, blocked, si) {
+			return false
+		}
+	}
+	return true
+}
+
+// escapes reports whether row marks some ID outside blocked ∪ {si}.
+func escapes(row, blocked intern.Bitset, si int) bool {
 	for w, bits := range row {
-		if bits&^blocked[w] != 0 {
+		free := bits &^ blocked[w]
+		if w == si/64 {
+			free &^= 1 << uint(si%64)
+		}
+		if free != 0 {
 			return true
 		}
 	}

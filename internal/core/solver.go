@@ -231,6 +231,7 @@ func New(ctx context.Context, g *graph.Graph, c cost.Cost, opts Options) (*Solve
 		}
 		return nil, pmcErr
 	}
+	s.sepTab = intern.FromSets(s.seps)
 	if err := s.buildBlocks(ctx); err != nil {
 		return nil, err
 	}
@@ -242,67 +243,128 @@ func New(ctx context.Context, g *graph.Graph, c cost.Cost, opts Options) (*Solve
 }
 
 // buildBlocks constructs the static DP structure: all full blocks sorted
-// by cardinality, each with its admissible PMCs and their sub-blocks, plus
-// a virtual top-level block (S = ∅, C = V). It checks ctx between blocks
-// and aborts with ctx.Err() on cancellation.
+// by cardinality plus a virtual top-level block (S = ∅, C = V), each with
+// its admissible PMCs and their sub-blocks. It walks G \ Ω once per PMC
+// Ω and reads off every block Ω is a candidate of (Bouchitté–Todinca;
+// DESIGN.md, "Initialization kernel"):
+//
+//   - the top block, with every component D of G \ Ω as a child;
+//   - for each component D, the full block (N(D), C) whose C holds
+//     Ω \ N(D) (N(D) ⊊ Ω because a PMC has no full component), with the
+//     components D′ ⊆ C — those with N(D′) ⊄ N(D) — as children.
+//
+// Each child D′ is the full block (N(D′), D′). Visiting PMCs in index
+// order keeps every block's candidates in PMC order, and the walk keeps
+// each candidate's children in smallest-vertex order: the order the DP's
+// first-minimum tie-break depends on. It checks ctx between PMCs and
+// aborts with ctx.Err() on cancellation.
 func (s *Solver) buildBlocks(ctx context.Context) error {
 	g := s.g
 	full := pmc.FullBlocks(g, s.seps)
-	index := map[string]int{}
-	for i, b := range full {
-		index[b.Key()] = i
-	}
 	s.blocks = make([]blockData, 0, len(full)+1)
-	for _, b := range full {
+	bySep := make([][]int, s.sepTab.Len()) // full blocks per separator ID
+	for i, b := range full {
 		s.blocks = append(s.blocks, blockData{block: b, span: b.Vertices()})
+		if id, ok := s.sepTab.Lookup(b.S); ok {
+			bySep[id] = append(bySep[id], i)
+		}
 	}
-	top := pmc.Block{S: vset.New(g.Universe()), C: g.Vertices().Clone()}
-	s.blocks = append(s.blocks, blockData{block: top, span: g.Vertices().Clone()})
-
-	for i := range s.blocks {
+	top := len(full)
+	s.blocks = append(s.blocks, blockData{
+		block: pmc.Block{S: vset.New(g.Universe()), C: g.Vertices().Clone()},
+		span:  g.Vertices().Clone(),
+	})
+	// blockOf returns the full block with separator ID sep whose C holds
+	// v, or -1.
+	blockOf := func(sep, v int) int {
+		for _, bi := range bySep[sep] {
+			if s.blocks[bi].block.C.Contains(v) {
+				return bi
+			}
+		}
+		return -1
+	}
+	// component is one component D of G \ Ω: its smallest vertex, the ID
+	// of N(D) and the full block (N(D), D), each -1 when absent. A PMC's
+	// components have both (N(D) ⊊ Ω is a minimal separator, of size at
+	// most b under a width bound b, and D is a full component of it).
+	type component struct{ first, sep, block int }
+	var comps []component
+	// add appends PMC pi to block bi's candidates, with the components
+	// keep selects as its children; an absent child block drops it.
+	add := func(bi, pi int, keep func(component) bool) {
+		bd := &s.blocks[bi]
+		cand := candidate{omega: s.pmcs[pi], pmcID: pi}
+		for _, d := range comps {
+			if !keep(d) {
+				continue
+			}
+			if d.block < 0 {
+				return
+			}
+			cand.children = append(cand.children, d.block)
+		}
+		if s.comb != nil {
+			cand.max = s.comb.BagMax(g, cand.omega)
+			cand.sum = s.comb.BagSum(g, cand.omega, bd.block.S)
+		}
+		bd.cands = append(bd.cands, cand)
+	}
+	for pi, omega := range s.pmcs {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		bd := &s.blocks[i]
-		for pi, omega := range s.pmcs {
-			if !omega.SubsetOf(bd.span) || !bd.block.S.ProperSubsetOf(omega) {
+		comps = comps[:0]
+		g.ForEachComponent(g.Vertices().Diff(omega), func(c, nc vset.Set) bool {
+			d := component{first: c.First(), sep: -1, block: -1}
+			if id, ok := s.sepTab.Lookup(nc); ok {
+				d.sep, d.block = id, blockOf(id, d.first)
+			}
+			comps = append(comps, d)
+			return true
+		})
+		add(top, pi, func(component) bool { return true })
+	parents:
+		for i, d := range comps {
+			if d.sep < 0 {
 				continue
 			}
-			cand := candidate{omega: omega, pmcID: pi}
-			ok := true
-			for _, ci := range g.ComponentsWithin(bd.span.Diff(omega)) {
-				si := g.NeighborsOfSet(ci).Intersect(bd.span)
-				child, found := index[(pmc.Block{S: si, C: ci}).Key()]
-				if !found {
-					// Under a width bound the child block may have been
-					// pruned, making this PMC unusable here. In the
-					// unbounded case Theorem 5.4 guarantees the lookup
-					// succeeds.
-					ok = false
-					break
+			for _, e := range comps[:i] {
+				if e.sep == d.sep {
+					continue parents // same N(D), same block
 				}
-				cand.children = append(cand.children, child)
 			}
-			if ok {
-				if s.comb != nil {
-					cand.max = s.comb.BagMax(g, omega)
-					cand.sum = s.comb.BagSum(g, omega, bd.block.S)
-				}
-				bd.cands = append(bd.cands, cand)
+			parent := blockOf(d.sep, firstOutside(omega, s.sepTab.Set(d.sep)))
+			if parent < 0 {
+				continue
 			}
+			c := s.blocks[parent].block.C
+			add(parent, pi, func(e component) bool { return c.Contains(e.first) })
 		}
 	}
 	return nil
 }
 
-// buildIncremental finishes initialization: it interns the separators,
-// maps each block to its separator ID, precomputes for every separator
+// firstOutside returns the smallest vertex of a \ b, or -1.
+func firstOutside(a, b vset.Set) int {
+	v := -1
+	a.ForEach(func(u int) bool {
+		if !b.Contains(u) {
+			v = u
+			return false
+		}
+		return true
+	})
+	return v
+}
+
+// buildIncremental finishes initialization: it maps each block to its
+// interned separator ID, precomputes for every separator
 // the dirty cone it induces (the blocks whose span contains it — exactly
 // the blocks a constraint on that separator can re-rank), and solves the
 // unconstrained baseline DP once. Every later constrained MinTriang call
 // re-solves only a union of these cones.
 func (s *Solver) buildIncremental(ctx context.Context) error {
-	s.sepTab = intern.FromSets(s.seps)
 	s.blockSepID = make([]int, len(s.blocks))
 	for i := range s.blocks {
 		s.blockSepID[i] = -1
@@ -400,12 +462,15 @@ func (s *Solver) buildCrossRow(sep vset.Set) intern.Bitset {
 		return nil
 	}
 	comp := make([]int, s.g.Universe()) // component of G \ sep, from 1; 0 on sep
-	for i, c := range s.g.ComponentsWithin(s.g.Vertices().Diff(sep)) {
+	label := 0
+	s.g.ForEachComponent(s.g.Vertices().Diff(sep), func(c, _ vset.Set) bool {
+		label++
 		c.ForEach(func(v int) bool {
-			comp[v] = i + 1
+			comp[v] = label
 			return true
 		})
-	}
+		return true
+	})
 	row := intern.NewBitset(n)
 	for id, t := range s.sepTab.Sets() {
 		first := 0

@@ -12,6 +12,7 @@ package graph
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"repro/internal/vset"
@@ -191,35 +192,76 @@ func (g *Graph) IsClique(u vset.Set) bool {
 	return ok
 }
 
+// ForEachComponent calls fn for each connected component C of
+// G[within ∩ V(G)], in order of smallest vertex, together with its
+// neighbourhood N(C) in G, and stops early when fn returns false.
+//
+// The walk grows a component word-parallel: it ORs the adjacency rows of
+// each newly reached vertex into N, and the next vertices to reach are
+// N's words masked by what is left of within. Its three scratch sets are
+// allocated once per call. c and nc are views of two of them: they are
+// valid only during that call of fn, which must neither mutate nor
+// retain them (Clone what must outlive it). The walk reads only the
+// adjacency rows of vertices in within, so fn may change edges among
+// vertices outside within.
+func (g *Graph) ForEachComponent(within vset.Set, fn func(c, nc vset.Set) bool) {
+	rest := within.Intersect(g.verts)
+	comp, nbr := vset.New(g.n), vset.New(g.n)
+	for start := rest.First(); start >= 0; start = rest.First() {
+		g.grow(start, rest, comp, nbr)
+		if !fn(comp, nbr) {
+			return
+		}
+	}
+}
+
+// grow overwrites comp with the component of G[rest ∪ {start}] containing
+// start and nbr with N(comp), and removes comp from rest. All three sets
+// belong to the caller alone, which is what lets grow rewrite their words.
+func (g *Graph) grow(start int, rest, comp, nbr vset.Set) {
+	cw, nw, rw := comp.Words(), nbr.Words(), rest.Words()
+	clear(cw)
+	copy(nw, g.adj[start].Words())
+	cw[start/64] |= 1 << uint(start%64)
+	rw[start/64] &^= 1 << uint(start%64)
+	for grown := true; grown; {
+		grown = false
+		for i := range rw {
+			f := nw[i] & rw[i]
+			if f == 0 {
+				continue
+			}
+			grown = true
+			cw[i] |= f
+			rw[i] &^= f
+			for ; f != 0; f &= f - 1 {
+				for j, a := range g.adj[i*64+bits.TrailingZeros64(f)].Words() {
+					nw[j] |= a
+				}
+			}
+		}
+	}
+	for i := range nw {
+		nw[i] &^= cw[i]
+	}
+}
+
 // ComponentContaining returns the connected component of within that
 // contains start, as a vertex set. within must contain start.
 func (g *Graph) ComponentContaining(start int, within vset.Set) vset.Set {
 	comp := vset.New(g.n)
-	comp.AddInPlace(start)
-	stack := []int{start}
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		next := g.adj[v].Intersect(within)
-		next.DiffInPlace(comp)
-		next.ForEach(func(w int) bool {
-			comp.AddInPlace(w)
-			stack = append(stack, w)
-			return true
-		})
-	}
+	g.grow(start, within.Clone(), comp, vset.New(g.n))
 	return comp
 }
 
-// ComponentsWithin returns the connected components of G[within ∩ V(G)].
+// ComponentsWithin returns the connected components of G[within ∩ V(G)],
+// in order of smallest vertex.
 func (g *Graph) ComponentsWithin(within vset.Set) []vset.Set {
-	remaining := within.Intersect(g.verts)
 	var comps []vset.Set
-	for !remaining.IsEmpty() {
-		comp := g.ComponentContaining(remaining.First(), remaining)
-		comps = append(comps, comp)
-		remaining.DiffInPlace(comp)
-	}
+	g.ForEachComponent(within, func(c, _ vset.Set) bool {
+		comps = append(comps, c.Clone())
+		return true
+	})
 	return comps
 }
 
@@ -232,7 +274,12 @@ func (g *Graph) ComponentsAvoiding(u vset.Set) []vset.Set {
 // IsConnected reports whether the active graph is connected.
 // The empty graph counts as connected.
 func (g *Graph) IsConnected() bool {
-	return len(g.ComponentsWithin(g.verts)) <= 1
+	count := 0
+	g.ForEachComponent(g.verts, func(_, _ vset.Set) bool {
+		count++
+		return count < 2
+	})
+	return count <= 1
 }
 
 // Edges returns all edges {u, v} with u < v as pairs.

@@ -43,25 +43,32 @@ func FromSets(sets []vset.Set) *Table {
 // whether this call inserted it. The table retains s itself (sets are
 // immutable by convention); callers must not mutate it afterwards.
 func (t *Table) Intern(s vset.Set) (id int, fresh bool) {
-	k := s.Key()
-	if id, ok := t.ids[k]; ok {
+	var buf [keyBuf]byte
+	k := s.AppendKey(buf[:0])
+	if id, ok := t.ids[string(k)]; ok {
 		return id, false
 	}
 	id = len(t.sets)
-	t.ids[k] = id
+	t.ids[string(k)] = id
 	t.sets = append(t.sets, s)
 	return id, true
 }
 
+// keyBuf sizes the stack buffer a lookup builds its key in: a hit
+// allocates nothing for sets over up to 512 vertices. Each call owns its
+// buffer, so concurrent readers share no scratch.
+const keyBuf = 64
+
 // Lookup returns the ID of s without inserting.
 func (t *Table) Lookup(s vset.Set) (int, bool) {
-	id, ok := t.ids[s.Key()]
+	var buf [keyBuf]byte
+	id, ok := t.ids[string(s.AppendKey(buf[:0]))]
 	return id, ok
 }
 
 // Contains reports whether s has been interned.
 func (t *Table) Contains(s vset.Set) bool {
-	_, ok := t.ids[s.Key()]
+	_, ok := t.Lookup(s)
 	return ok
 }
 

@@ -1,6 +1,7 @@
 package intern
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/vset"
@@ -88,5 +89,40 @@ func TestBitset(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("ForEach visited %v; want %v", got, want)
 		}
+	}
+}
+
+// TestTableConcurrentLookup reads finished tables from several goroutines
+// at once, as enumeration workers read the solver's separator table: each
+// lookup builds its key in its own buffer, so under -race no two readers
+// share scratch. Universes of 100 and 600 vertices cover keys that fit
+// the stack buffer and keys that outgrow it.
+func TestTableConcurrentLookup(t *testing.T) {
+	for _, n := range []int{100, 600} {
+		var sets []vset.Set
+		for v := 0; v+1 < n; v += 3 {
+			sets = append(sets, vset.Of(n, v, v+1))
+		}
+		tab := FromSets(sets)
+		var wg sync.WaitGroup
+		for w := 0; w < 8; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for rep := 0; rep < 20; rep++ {
+					for i, s := range sets {
+						if id, ok := tab.Lookup(vset.Of(n, 3*i+1, 3*i)); !ok || id != i {
+							t.Errorf("n=%d: Lookup(%v) = %d, %v; want %d, true", n, s, id, ok, i)
+							return
+						}
+						if tab.Contains(vset.Of(n, 3*i, 3*i+2)) {
+							t.Errorf("n=%d: Contains reports a set never interned", n)
+							return
+						}
+					}
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }

@@ -56,18 +56,22 @@ func AllCtx(ctx context.Context, g *graph.Graph) ([]vset.Set, bool) {
 func all(g *graph.Graph, expired func() bool) ([]vset.Set, bool) {
 	seen := intern.New(g.NumVertices())
 	var queue []vset.Set
-	add := func(s vset.Set) {
-		if _, fresh := seen.Intern(s); fresh {
+	// add interns the walk's view N(C), cloning it only when it is new.
+	add := func(_, nc vset.Set) bool {
+		if !seen.Contains(nc) {
+			s := nc.Clone()
+			seen.Intern(s)
 			queue = append(queue, s)
 		}
+		return true
 	}
 	if expired == nil {
 		expired = func() bool { return false }
 	}
 	g.Vertices().ForEach(func(v int) bool {
-		for _, c := range g.ComponentsAvoiding(g.ClosedNeighborhood(v)) {
-			add(g.NeighborsOfSet(c))
-		}
+		within := g.Vertices().Diff(g.Neighbors(v))
+		within.RemoveInPlace(v)
+		g.ForEachComponent(within, add)
 		return true
 	})
 	for len(queue) > 0 {
@@ -77,11 +81,10 @@ func all(g *graph.Graph, expired func() bool) ([]vset.Set, bool) {
 		s := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
 		s.ForEach(func(x int) bool {
-			avoid := s.Union(g.Neighbors(x))
-			avoid.AddInPlace(x)
-			for _, c := range g.ComponentsAvoiding(avoid) {
-				add(g.NeighborsOfSet(c))
-			}
+			within := g.Vertices().Diff(s)
+			within.DiffInPlace(g.Neighbors(x))
+			within.RemoveInPlace(x)
+			g.ForEachComponent(within, add)
 			return true
 		})
 	}
@@ -138,15 +141,13 @@ func Crosses(g *graph.Graph, s, t vset.Set) bool {
 		return false
 	}
 	touched := 0
-	for _, c := range g.ComponentsAvoiding(s) {
+	g.ForEachComponent(g.Vertices().Diff(s), func(c, _ vset.Set) bool {
 		if c.Intersects(rest) {
 			touched++
-			if touched >= 2 {
-				return true
-			}
 		}
-	}
-	return false
+		return touched < 2
+	})
+	return touched >= 2
 }
 
 // Parallel reports whether s and t are parallel (non-crossing) in g.

@@ -8,6 +8,7 @@ package pmc
 import (
 	"context"
 	"errors"
+	"math/bits"
 	"sort"
 	"time"
 
@@ -22,40 +23,70 @@ import (
 // component (no component C with N(C) = Ω), and (b) every pair of
 // non-adjacent vertices of Ω is "covered" by the neighborhood of some
 // component of G \ Ω (so saturating those neighborhoods completes Ω).
+//
+// (b) is tested word by word: for each u ∈ Ω, Ω \ N[u] must lie in the
+// union of the N(C) that contain u.
 func IsPMC(g *graph.Graph, omega vset.Set) bool {
 	if omega.IsEmpty() || !omega.SubsetOf(g.Vertices()) {
 		return false
 	}
-	comps := g.ComponentsAvoiding(omega)
-	neighborhoods := make([]vset.Set, len(comps))
-	for i, c := range comps {
-		s := g.NeighborsOfSet(c)
-		if s.Equal(omega) {
-			return false // full component
-		}
-		neighborhoods[i] = s
+	// cover holds one row per member of Ω, in order: the union of the
+	// N(C) that contain that member. Small Ω keep it on the stack.
+	words := len(omega.Words())
+	var stack [64]uint64
+	var cover []uint64
+	if need := omega.Len() * words; need <= len(stack) {
+		cover = stack[:need]
+	} else {
+		cover = make([]uint64, need)
 	}
-	// Every non-adjacent pair inside Ω must lie together in some N(C).
-	vs := omega.Slice()
-	for i := 0; i < len(vs); i++ {
-		for j := i + 1; j < len(vs); j++ {
-			u, v := vs[i], vs[j]
-			if g.HasEdge(u, v) {
-				continue
+	full := false
+	g.ForEachComponent(g.Vertices().Diff(omega), func(_, nc vset.Set) bool {
+		if nc.Equal(omega) {
+			full = true
+			return false
+		}
+		nc.ForEach(func(u int) bool { // N(C) ⊆ Ω
+			row := cover[rank(omega, u)*words:][:words]
+			for w, x := range nc.Words() {
+				row[w] |= x
 			}
-			covered := false
-			for _, s := range neighborhoods {
-				if s.Contains(u) && s.Contains(v) {
-					covered = true
-					break
-				}
+			return true
+		})
+		return true
+	})
+	if full {
+		return false
+	}
+	covered := true
+	i := 0
+	omega.ForEach(func(u int) bool {
+		row := cover[i*words:][:words]
+		adj := g.Neighbors(u).Words()
+		for w, x := range omega.Words() {
+			missing := x &^ adj[w] &^ row[w]
+			if w == u/64 {
+				missing &^= 1 << uint(u%64)
 			}
-			if !covered {
+			if missing != 0 {
+				covered = false
 				return false
 			}
 		}
+		i++
+		return true
+	})
+	return covered
+}
+
+// rank returns the number of members of s below v.
+func rank(s vset.Set, v int) int {
+	ws := s.Words()
+	r := bits.OnesCount64(ws[v/64] & (1<<uint(v%64) - 1))
+	for _, w := range ws[:v/64] {
+		r += bits.OnesCount64(w)
 	}
-	return true
+	return r
 }
 
 // All enumerates PMC(G) with the vertex-incremental Bouchitté–Todinca
@@ -167,13 +198,14 @@ func enumerate(ctx context.Context, g *graph.Graph, maxSize int) ([]vset.Set, bo
 				consider(s.Add(a))
 				if !prevSepTab.Contains(s) {
 					// Case (4): new separators combine with old ones.
-					for _, c := range gi.ComponentsAvoiding(s) {
+					gi.ForEachComponent(gi.Vertices().Diff(s), func(c, _ vset.Set) bool {
 						for _, t := range prevSeps {
 							if t.Intersects(c) {
 								consider(s.Union(t.Intersect(c)))
 							}
 						}
-					}
+						return true
+					})
 				}
 			}
 		}
@@ -192,13 +224,14 @@ func enumerate(ctx context.Context, g *graph.Graph, maxSize int) ([]vset.Set, bo
 // (N(C), C) is a full block (Section 5.1 of the paper).
 func Associated(g *graph.Graph, omega vset.Set) (seps []vset.Set, blocks []Block) {
 	seen := intern.New(4)
-	for _, c := range g.ComponentsAvoiding(omega) {
-		s := g.NeighborsOfSet(c)
-		blocks = append(blocks, Block{S: s, C: c})
+	g.ForEachComponent(g.Vertices().Diff(omega), func(c, nc vset.Set) bool {
+		s := nc.Clone()
+		blocks = append(blocks, Block{S: s, C: c.Clone()})
 		if _, fresh := seen.Intern(s); fresh {
 			seps = append(seps, s)
 		}
-	}
+		return true
+	})
 	return seps, blocks
 }
 
@@ -230,22 +263,30 @@ func (b Block) Realization(g *graph.Graph) *graph.Graph {
 // separators, sorted by increasing |S ∪ C| — the processing order of the
 // MinTriang dynamic program (Figure 3, line 3).
 func FullBlocks(g *graph.Graph, seps []vset.Set) []Block {
-	var out []Block
-	for _, s := range seps {
-		for _, c := range g.ComponentsAvoiding(s) {
-			b := Block{S: s, C: c}
-			if b.IsFull(g) {
-				out = append(out, b)
-			}
-		}
+	type keyed struct {
+		size int
+		key  string
+		b    Block
 	}
-	sort.Slice(out, func(i, j int) bool {
-		si := out[i].S.Len() + out[i].C.Len()
-		sj := out[j].S.Len() + out[j].C.Len()
-		if si != sj {
-			return si < sj
+	var all []keyed
+	for _, s := range seps {
+		g.ForEachComponent(g.Vertices().Diff(s), func(c, nc vset.Set) bool {
+			if nc.Equal(s) {
+				b := Block{S: s, C: c.Clone()}
+				all = append(all, keyed{s.Len() + b.C.Len(), b.Key(), b})
+			}
+			return true
+		})
+	}
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].size != all[j].size {
+			return all[i].size < all[j].size
 		}
-		return out[i].Key() < out[j].Key()
+		return all[i].key < all[j].key
 	})
+	out := make([]Block, len(all))
+	for i := range all {
+		out[i] = all[i].b
+	}
 	return out
 }

@@ -24,10 +24,15 @@ func LBTriang(g *graph.Graph, order []int) *graph.Graph {
 	}
 	h := g.Clone()
 	for _, v := range order {
-		closed := h.ClosedNeighborhood(v)
-		for _, c := range h.ComponentsAvoiding(closed) {
-			h.SaturateInPlace(h.NeighborsOfSet(c))
-		}
+		// Saturating inside the walk is safe: each N(C) lies in N(v), so
+		// the fill edges join vertices outside the walked set V \ N[v],
+		// whose adjacency rows and components they leave unchanged.
+		outside := h.Vertices().Diff(h.Neighbors(v))
+		outside.RemoveInPlace(v)
+		h.ForEachComponent(outside, func(_, nc vset.Set) bool {
+			h.SaturateInPlace(nc)
+			return true
+		})
 	}
 	return h
 }
@@ -56,6 +61,12 @@ func MCSMOrder(g *graph.Graph) (*graph.Graph, []int) {
 	numbered := vset.New(n)
 	order := make([]int, 0, g.NumVertices())
 	remaining := g.NumVertices()
+	// reach[u] is the smallest achievable "maximum internal weight" over
+	// v→u paths through unnumbered vertices; done marks the vertices
+	// whose value is final. Both are reset at every numbering step.
+	const inf = int(^uint(0) >> 1)
+	reach := make([]int, n)
+	done := make([]bool, n)
 	for step := 0; step < remaining; step++ {
 		// Pick unnumbered vertex of maximum weight.
 		best, bestW := -1, -1
@@ -66,33 +77,28 @@ func MCSMOrder(g *graph.Graph) (*graph.Graph, []int) {
 			return true
 		})
 		v := best
-		// For each unnumbered u, compute the smallest achievable
-		// "maximum internal weight" over v→u paths through unnumbered
-		// vertices; u is reached if that value < w(u). A Dijkstra-like
-		// relaxation with max-composition computes it.
-		const inf = int(^uint(0) >> 1)
-		reachCost := make(map[int]int)
-		done := map[int]bool{}
+		// u is reached if reach[u] < w(u). A Dijkstra-like relaxation with
+		// max-composition computes reach; its final values do not depend
+		// on how ties between equal tentative values are broken.
 		g.Vertices().ForEach(func(u int) bool {
-			if !numbered.Contains(u) && u != v {
-				reachCost[u] = inf
-			}
+			reach[u], done[u] = inf, numbered.Contains(u) || u == v
 			return true
 		})
 		g.Neighbors(v).ForEach(func(u int) bool {
-			if !numbered.Contains(u) {
-				reachCost[u] = -1 // direct edge: no internal vertices
+			if !done[u] {
+				reach[u] = -1 // direct edge: no internal vertices
 			}
 			return true
 		})
 		for {
 			u, best := -1, inf
-			for w, c := range reachCost {
-				if !done[w] && c < best {
-					u, best = w, c
+			g.Vertices().ForEach(func(w int) bool {
+				if !done[w] && reach[w] < best {
+					u, best = w, reach[w]
 				}
-			}
-			if u == -1 || best == inf {
+				return true
+			})
+			if u == -1 {
 				break
 			}
 			done[u] = true
@@ -104,20 +110,21 @@ func MCSMOrder(g *graph.Graph) (*graph.Graph, []int) {
 				through = weight[u]
 			}
 			g.Neighbors(u).ForEach(func(x int) bool {
-				if c, ok := reachCost[x]; ok && !done[x] && through < c {
-					reachCost[x] = through
+				if !done[x] && through < reach[x] {
+					reach[x] = through
 				}
 				return true
 			})
 		}
-		for u, c := range reachCost {
-			if c < weight[u] {
+		g.Vertices().ForEach(func(u int) bool {
+			if !numbered.Contains(u) && u != v && reach[u] < weight[u] {
 				weight[u]++
 				if !h.HasEdge(u, v) {
 					h.AddEdge(u, v)
 				}
 			}
-		}
+			return true
+		})
 		numbered.AddInPlace(v)
 		order = append(order, v)
 	}

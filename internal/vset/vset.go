@@ -8,6 +8,7 @@
 package vset
 
 import (
+	"encoding/binary"
 	"math/bits"
 	"strconv"
 	"strings"
@@ -292,25 +293,28 @@ func (s Set) Relabel(perm []int) Set {
 }
 
 // Words exposes the little-endian bitset words backing s, least
-// significant vertex first. The caller must not mutate the slice; it is
-// the zero-copy input to hashing (graph.Fingerprint).
+// significant vertex first. Writing to the slice writes to s, so only
+// the sole owner of a set may do it (graph.ForEachComponent grows its
+// scratch sets this way); everyone else must treat it as read-only. It is
+// the zero-copy input to hashing (graph.Fingerprint) and to word-parallel
+// scans.
 func (s Set) Words() []uint64 { return s.words }
 
 // Key returns a canonical string key for s, usable as a map key.
 // Two sets over the same universe have equal keys iff they are equal.
 func (s Set) Key() string {
-	b := make([]byte, 8*len(s.words))
-	for i, w := range s.words {
-		b[8*i+0] = byte(w)
-		b[8*i+1] = byte(w >> 8)
-		b[8*i+2] = byte(w >> 16)
-		b[8*i+3] = byte(w >> 24)
-		b[8*i+4] = byte(w >> 32)
-		b[8*i+5] = byte(w >> 40)
-		b[8*i+6] = byte(w >> 48)
-		b[8*i+7] = byte(w >> 56)
+	var buf [64]byte // the key of a set over up to 512 vertices
+	return string(s.AppendKey(buf[:0]))
+}
+
+// AppendKey appends the bytes of s's Key to dst and returns the extended
+// buffer. A map lookup on string(s.AppendKey(stackBuf[:0])) allocates
+// nothing, which is how intern.Table looks sets up.
+func (s Set) AppendKey(dst []byte) []byte {
+	for _, w := range s.words {
+		dst = binary.LittleEndian.AppendUint64(dst, w)
 	}
-	return string(b)
+	return dst
 }
 
 // Compare orders sets first by cardinality, then lexicographically by

@@ -127,6 +127,19 @@ func TestKeyUniqueness(t *testing.T) {
 	}
 }
 
+// TestAppendKey checks that AppendKey appends Key's bytes — eight
+// little-endian bytes per word — after whatever the buffer holds.
+func TestAppendKey(t *testing.T) {
+	s := Of(70, 0, 9, 64, 69)
+	want := "\x01\x02\x00\x00\x00\x00\x00\x00" + "\x21\x00\x00\x00\x00\x00\x00\x00"
+	if got := s.Key(); got != want {
+		t.Fatalf("Key = %q, want %q", got, want)
+	}
+	if got := string(s.AppendKey([]byte("p|"))); got != "p|"+want {
+		t.Fatalf("AppendKey = %q, want %q", got, "p|"+want)
+	}
+}
+
 func TestCompare(t *testing.T) {
 	a := Of(20, 1)
 	b := Of(20, 1, 2)
