@@ -46,15 +46,15 @@ func main() {
 		streamTimeout = flag.Duration("stream-timeout", 5*time.Minute, "total lifetime budget of one NDJSON stream")
 		streamBudget  = flag.Int64("stream-budget", 64<<20, "byte budget for shared materialized result buffers (LRU-evicted past it)")
 		pprofAddr     = flag.String("pprof", "", "serve net/http/pprof on this side listener (e.g. localhost:6060); empty disables")
-		backend       = flag.String("backend", "dp", "default enumeration backend: dp (ranked-exact), mis (unordered, no init cost), mis-scored (heuristic best-first) or auto (separator probe); overridable per request via ?backend=")
+		backend       = flag.String("backend", "dp", "default enumeration backend: dp (ranked-exact), mis (unordered, no init cost) or auto (separator probe); overridable per request via ?backend=")
 		probeBudget   = flag.Int("backend-probe-budget", core.DefaultProbeBudget, "separator budget the auto backend policy probes under before falling back to mis")
 		orbits        = flag.Bool("orbits", false, "orbit-reduced enumeration by default: one representative per automorphism orbit, stamped with orbit_size; overridable per request via ?orbits=")
 		drain         = flag.Duration("drain", 10*time.Second, "graceful shutdown budget")
 	)
 	flag.Parse()
 
-	if _, ok := core.ParseBackendKind(*backend); !ok {
-		log.Fatalf("rankedtriangd: unknown -backend %q (want auto, dp, mis or mis-scored)", *backend)
+	if _, err := core.ParseBackendKind(*backend); err != nil {
+		log.Fatalf("rankedtriangd: -backend: %v", err)
 	}
 
 	svc := service.New(service.Config{

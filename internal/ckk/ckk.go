@@ -7,8 +7,8 @@
 // crossing pairs) without materializing it. The extension oracle saturates
 // a pairwise-parallel family of minimal separators and hands the result to
 // a black-box minimal triangulator (LB-Triang by default, the choice of
-// the paper's experiments). The separator universe is produced lazily by a
-// streaming Berry–Bordat–Cogis generator interleaved with the
+// the paper's experiments). The separator universe is produced lazily by
+// minsep.Stream, the Berry–Bordat–Cogis generator, interleaved with the
 // independent-set moves, so there is no expensive upfront initialization —
 // the practical difference from RankedTriang that the paper's Table 2
 // measures, and the reason the service's MIS backend can answer on graphs
@@ -23,7 +23,6 @@
 package ckk
 
 import (
-	"container/heap"
 	"context"
 	"encoding/binary"
 	"sort"
@@ -40,51 +39,20 @@ import (
 // enumeration relies on.
 type Triangulator func(*graph.Graph) *graph.Graph
 
-// Score ranks a pending result for the best-first (scored) enumeration:
-// lower scores are emitted and expanded earlier. A Score is a cheap
-// heuristic — it orders the maximal-independent-set move frontier without
-// any exactness claim on the global output order. It is called exactly
-// once per produced result.
-type Score func(*Result) float64
-
 // Result is one enumerated minimal triangulation.
 type Result struct {
 	H    *graph.Graph
 	Seps []vset.Set
 
-	ids   []int   // enumerator-interned IDs aligned with Seps
-	score float64 // Score value (scored enumerations only)
-	seq   int     // production order; the deterministic tie-break
+	ids []int // enumerator-interned IDs aligned with Seps
 }
 
-// scoredQueue is a min-heap on (score, seq) for best-first emission.
-type scoredQueue []*Result
-
-func (q scoredQueue) Len() int { return len(q) }
-func (q scoredQueue) Less(i, j int) bool {
-	if q[i].score != q[j].score {
-		return q[i].score < q[j].score
-	}
-	return q[i].seq < q[j].seq
-}
-func (q scoredQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *scoredQueue) Push(x any)   { *q = append(*q, x.(*Result)) }
-func (q *scoredQueue) Pop() any {
-	old := *q
-	n := len(old)
-	item := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return item
-}
-
-// Enumerator streams all minimal triangulations of a graph, unordered (or
-// heuristically best-first when constructed with NewScored). Create one
-// with New or NewScored, then call Next/NextContext until exhaustion.
+// Enumerator streams all minimal triangulations of a graph, in no
+// particular order. Create one with New, then call Next/NextContext until
+// exhaustion.
 type Enumerator struct {
-	g     *graph.Graph
-	tri   Triangulator
-	score Score
+	g   *graph.Graph
+	tri Triangulator
 
 	// tab interns every separator the enumeration touches — stream draws
 	// and the minimal separators of produced triangulations — so moves and
@@ -94,49 +62,30 @@ type Enumerator struct {
 	tried  map[string]bool // attempted move families, keyed the same way
 	keyBuf []byte          // scratch for ID-key construction
 
-	out []*Result   // pending results, FIFO (unscored mode)
-	pq  scoredQueue // pending results, best-first (scored mode)
+	out []*Result // pending results, FIFO
 
-	stream *sepStream
+	stream *minsep.Stream
 	seps   []vset.Set // separators drawn from the stream so far
 	sepIDs []int      // tab IDs aligned with seps
 
 	results []*Result
 	cursor  []int // per result: moves with seps[0:cursor] are done
-	next    int   // round-robin pointer (unscored mode)
-	seq     int
+	next    int   // round-robin pointer
 }
 
 // New starts the CKK enumeration of the minimal triangulations of g,
 // using tri as the black box (nil selects LB-Triang).
 func New(g *graph.Graph, tri Triangulator) *Enumerator {
-	return newEnumerator(g, tri, nil)
-}
-
-// NewScored is New with a best-first twist: pending results are emitted in
-// increasing score order, and the move frontier always expands the
-// best-scored known result next. The enumeration still produces exactly
-// the set of all minimal triangulations (the score only permutes the
-// order), still in incremental polynomial time per result.
-func NewScored(g *graph.Graph, tri Triangulator, score Score) *Enumerator {
-	if score == nil {
-		panic("ckk: NewScored requires a score function")
-	}
-	return newEnumerator(g, tri, score)
-}
-
-func newEnumerator(g *graph.Graph, tri Triangulator, score Score) *Enumerator {
 	if tri == nil {
 		tri = triang.Minimal
 	}
 	e := &Enumerator{
 		g:      g,
 		tri:    tri,
-		score:  score,
 		tab:    intern.New(16),
 		seen:   map[string]bool{},
 		tried:  map[string]bool{},
-		stream: newSepStream(g),
+		stream: minsep.NewStream(g),
 	}
 	e.produce(nil)
 	return e
@@ -175,84 +124,34 @@ func (e *Enumerator) produce(p []vset.Set) {
 		return
 	}
 	e.seen[key] = true
-	r := &Result{H: h, Seps: seps, ids: ids, seq: e.seq}
-	e.seq++
-	if e.score != nil {
-		r.score = e.score(r)
-		heap.Push(&e.pq, r)
-	} else {
-		e.out = append(e.out, r)
-	}
+	r := &Result{H: h, Seps: seps, ids: ids}
+	e.out = append(e.out, r)
 	e.results = append(e.results, r)
 	e.cursor = append(e.cursor, 0)
-}
-
-// pending reports how many produced results await emission.
-func (e *Enumerator) pending() int {
-	if e.score != nil {
-		return len(e.pq)
-	}
-	return len(e.out)
-}
-
-// pop removes and returns the next result to emit.
-func (e *Enumerator) pop() *Result {
-	if e.score != nil {
-		return heap.Pop(&e.pq).(*Result)
-	}
-	r := e.out[0]
-	e.out = e.out[1:]
-	return r
 }
 
 // step performs one unit of pending work: either a (result, separator)
 // move, or pulling one more separator from the lazy generator. It reports
 // whether anything remained to do.
 func (e *Enumerator) step(ctx context.Context) bool {
-	if e.score == nil {
-		// Round-robin over the results with pending moves.
-		for scanned := 0; scanned < len(e.results); scanned++ {
-			i := (e.next + scanned) % len(e.results)
-			if e.cursor[i] >= len(e.seps) {
-				continue
-			}
-			e.next = i
-			e.applyMove(i)
-			return true
+	// Round-robin over the results with pending moves.
+	for scanned := 0; scanned < len(e.results); scanned++ {
+		i := (e.next + scanned) % len(e.results)
+		if e.cursor[i] >= len(e.seps) {
+			continue
 		}
-	} else {
-		// Best-first: the cheapest-scored result with pending moves
-		// expands next (ties broken by production order, so the walk is
-		// deterministic).
-		best := -1
-		for i := range e.results {
-			if e.cursor[i] >= len(e.seps) {
-				continue
-			}
-			if best == -1 || scoredBefore(e.results[i], e.results[best]) {
-				best = i
-			}
-		}
-		if best >= 0 {
-			e.applyMove(best)
-			return true
-		}
+		e.next = i
+		e.applyMove(i)
+		return true
 	}
 	// All moves done; grow the separator universe.
-	if s, ok := e.stream.next(ctx); ok {
+	if s, ok := e.stream.Next(ctx); ok {
 		id, _ := e.tab.Intern(s)
 		e.seps = append(e.seps, s)
 		e.sepIDs = append(e.sepIDs, id)
 		return true
 	}
 	return false
-}
-
-func scoredBefore(a, b *Result) bool {
-	if a.score != b.score {
-		return a.score < b.score
-	}
-	return a.seq < b.seq
 }
 
 // applyMove consumes result i's next pending separator move.
@@ -293,8 +192,7 @@ func (e *Enumerator) move(r *Result, s vset.Set, sid int) {
 }
 
 // Next returns the next minimal triangulation, or ok=false when the
-// enumeration is complete. Results appear in no particular order (in
-// heuristic best-first order for a NewScored enumerator).
+// enumeration is complete. Results appear in no particular order.
 func (e *Enumerator) Next() (*Result, bool) {
 	return e.NextContext(context.Background())
 }
@@ -305,7 +203,7 @@ func (e *Enumerator) Next() (*Result, bool) {
 // client) stops burning CPU. Cancellation truncates the enumeration;
 // results already produced but not yet emitted are discarded.
 func (e *Enumerator) NextContext(ctx context.Context) (*Result, bool) {
-	for e.pending() == 0 {
+	for len(e.out) == 0 {
 		if ctx.Err() != nil {
 			return nil, false
 		}
@@ -316,7 +214,9 @@ func (e *Enumerator) NextContext(ctx context.Context) (*Result, bool) {
 	if ctx.Err() != nil {
 		return nil, false
 	}
-	return e.pop(), true
+	r := e.out[0]
+	e.out = e.out[1:]
+	return r, true
 }
 
 // All drains the enumeration (testing convenience; real clients stream).
@@ -335,81 +235,4 @@ func (e *Enumerator) AllContext(ctx context.Context) []*Result {
 		}
 		out = append(out, r)
 	}
-}
-
-// SepStream streams the minimal separators of a graph lazily, in
-// Berry–Bordat–Cogis order, without the MIS machinery on top. It is the
-// probe the backend auto-selection policy uses: drawing separators until a
-// budget overflows bounds the cost of deciding "too separator-rich to
-// rank" without ever materializing MinSep(G).
-type SepStream struct {
-	inner *sepStream
-}
-
-// NewSepStream starts the lazy separator generator for g.
-func NewSepStream(g *graph.Graph) *SepStream {
-	return &SepStream{inner: newSepStream(g)}
-}
-
-// Next returns one more minimal separator, or ok=false when the closure is
-// exhausted or ctx is cancelled (distinguish via ctx.Err()).
-func (ss *SepStream) Next(ctx context.Context) (vset.Set, bool) {
-	return ss.inner.next(ctx)
-}
-
-// sepStream produces the minimal separators of a graph lazily, in
-// Berry–Bordat–Cogis order: the neighborhood-seeded separators first, then
-// the closure under the S ↦ N(component of G \ (S ∪ N(x))) expansion.
-// The intern table doubles as the dedup set and the ordered universe:
-// produced/expanded are prefix counters over its ID space.
-type sepStream struct {
-	g        *graph.Graph
-	tab      *intern.Table
-	produced int // prefix of tab already handed out
-	expanded int // prefix of tab already expanded
-}
-
-func newSepStream(g *graph.Graph) *sepStream {
-	ss := &sepStream{g: g, tab: intern.New(16)}
-	g.Vertices().ForEach(func(v int) bool {
-		within := g.Vertices().Diff(g.Neighbors(v))
-		within.RemoveInPlace(v)
-		g.ForEachComponent(within, ss.add)
-		return true
-	})
-	return ss
-}
-
-// add interns the component walk's view N(C), cloning it only when it is
-// new and non-empty.
-func (ss *sepStream) add(_, nc vset.Set) bool {
-	if !nc.IsEmpty() && !ss.tab.Contains(nc) {
-		ss.tab.Intern(nc.Clone())
-	}
-	return true
-}
-
-// next returns one more minimal separator, expanding known separators on
-// demand, or ok=false when the closure is exhausted or ctx is cancelled.
-func (ss *sepStream) next(ctx context.Context) (vset.Set, bool) {
-	for ss.produced >= ss.tab.Len() && ss.expanded < ss.tab.Len() {
-		if ctx.Err() != nil {
-			return vset.Set{}, false
-		}
-		s := ss.tab.Set(ss.expanded)
-		ss.expanded++
-		s.ForEach(func(x int) bool {
-			within := ss.g.Vertices().Diff(s)
-			within.DiffInPlace(ss.g.Neighbors(x))
-			within.RemoveInPlace(x)
-			ss.g.ForEachComponent(within, ss.add)
-			return true
-		})
-	}
-	if ss.produced < ss.tab.Len() {
-		s := ss.tab.Set(ss.produced)
-		ss.produced++
-		return s, true
-	}
-	return vset.Set{}, false
 }

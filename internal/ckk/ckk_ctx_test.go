@@ -6,11 +6,8 @@ import (
 	"testing"
 
 	"repro/internal/bruteforce"
-	"repro/internal/chordal"
-	"repro/internal/cost"
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/minsep"
 )
 
 func TestNextContextCancelled(t *testing.T) {
@@ -48,132 +45,6 @@ func TestAllContextTruncates(t *testing.T) {
 		got = append(got, e.AllContext(ctx)...)
 		if len(got) != stop {
 			t.Fatalf("stop=%d: drained %d results after cancel", stop, len(got))
-		}
-	}
-}
-
-func TestScoredCompleteness(t *testing.T) {
-	// Scoring permutes the order only: the scored enumeration emits
-	// exactly the set of all minimal triangulations.
-	rng := rand.New(rand.NewSource(909))
-	score := func(r *Result) float64 {
-		bags, err := chordal.MaximalCliques(r.H)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return cost.FillIn{}.Eval(r.H, bags)
-	}
-	for trial := 0; trial < 60; trial++ {
-		g := gen.GNP(rng, 2+rng.Intn(6), 0.2+rng.Float64()*0.6)
-		want := bruteforce.AllMinimalTriangulations(g)
-		got := NewScored(g, nil, score).All()
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: scored CKK found %d, oracle %d (edges=%v)",
-				trial, len(got), len(want), g.Edges())
-		}
-		keys := map[string]bool{}
-		for _, r := range got {
-			k := r.H.EdgeSetKey()
-			if keys[k] {
-				t.Fatalf("trial %d: scored CKK emitted a duplicate", trial)
-			}
-			keys[k] = true
-		}
-		for _, h := range want {
-			if !keys[h.EdgeSetKey()] {
-				t.Fatalf("trial %d: scored CKK missed a triangulation", trial)
-			}
-		}
-	}
-}
-
-func TestScoredDeterministic(t *testing.T) {
-	// The scored walk must replay identically across runs — the shared
-	// ranked-stream cache rebuilds streams from scratch and expects the
-	// same sequence (core.SharedStream's evict-and-replay contract).
-	g := gen.Cycle(7)
-	score := func(r *Result) float64 { return float64(r.H.NumEdges()) }
-	var first []string
-	for run := 0; run < 3; run++ {
-		var seq []string
-		e := NewScored(g, nil, score)
-		for {
-			r, ok := e.Next()
-			if !ok {
-				break
-			}
-			seq = append(seq, r.H.EdgeSetKey())
-		}
-		if run == 0 {
-			first = seq
-			continue
-		}
-		if len(seq) != len(first) {
-			t.Fatalf("run %d: %d results vs %d", run, len(seq), len(first))
-		}
-		for i := range seq {
-			if seq[i] != first[i] {
-				t.Fatalf("run %d: order diverged at rank %d", run, i)
-			}
-		}
-	}
-}
-
-func TestSepStreamMatchesMinsepAll(t *testing.T) {
-	// The exported probe stream must produce exactly MinSep(G), each
-	// separator once — SelectBackend's count is meaningless otherwise.
-	rng := rand.New(rand.NewSource(1010))
-	for trial := 0; trial < 60; trial++ {
-		g := gen.GNP(rng, 2+rng.Intn(7), 0.2+rng.Float64()*0.6)
-		want := map[string]bool{}
-		for _, s := range minsep.All(g) {
-			// The stream skips the empty separator a disconnected graph
-			// has: it admits no fill, so no enumeration move needs it.
-			if !s.IsEmpty() {
-				want[s.Key()] = true
-			}
-		}
-		got := map[string]bool{}
-		ss := NewSepStream(g)
-		for {
-			s, ok := ss.Next(context.Background())
-			if !ok {
-				break
-			}
-			k := s.Key()
-			if got[k] {
-				t.Fatalf("trial %d: separator emitted twice", trial)
-			}
-			got[k] = true
-		}
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: stream produced %d separators, minsep.All %d",
-				trial, len(got), len(want))
-		}
-		for k := range want {
-			if !got[k] {
-				t.Fatalf("trial %d: stream missed a separator", trial)
-			}
-		}
-	}
-}
-
-func TestSepStreamCancelled(t *testing.T) {
-	g := gen.GNP(rand.New(rand.NewSource(7)), 10, 0.4)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	ss := NewSepStream(g)
-	// The neighborhood-seeded prefix is computed at construction, so a few
-	// draws may still succeed; the stream must stop at the first expansion
-	// step after cancellation instead of producing the full closure.
-	n := 0
-	for {
-		if _, ok := ss.Next(ctx); !ok {
-			break
-		}
-		n++
-		if n > 10*g.NumVertices() {
-			t.Fatal("cancelled separator stream keeps producing")
 		}
 	}
 }

@@ -2,12 +2,13 @@ package core
 
 import (
 	"context"
-	"math"
+	"fmt"
 
 	"repro/internal/chordal"
 	"repro/internal/ckk"
 	"repro/internal/cost"
 	"repro/internal/graph"
+	"repro/internal/minsep"
 	"repro/internal/td"
 	"repro/internal/vset"
 )
@@ -28,26 +29,21 @@ const (
 	// maximal-independent-set enumeration: no init to speak of, incremental
 	// polynomial time, results in no particular order.
 	BackendMIS BackendKind = "mis"
-	// BackendMISScored is BackendMIS with a cheap heuristic score ordering
-	// the move frontier best-first (the C++ TriangulationScoringCriterion
-	// idea): results trend cheap-first with no exactness claim.
-	BackendMISScored BackendKind = "mis-scored"
 )
 
 // ParseBackendKind normalizes a user-supplied backend name. The empty
 // string parses to BackendAuto so config and query-knob defaults compose.
-func ParseBackendKind(s string) (BackendKind, bool) {
+// Any other name is an error that lists the accepted ones.
+func ParseBackendKind(s string) (BackendKind, error) {
 	switch s {
 	case "", "auto":
-		return BackendAuto, true
+		return BackendAuto, nil
 	case "dp", "ranked":
-		return BackendDP, true
+		return BackendDP, nil
 	case "mis", "ckk":
-		return BackendMIS, true
-	case "mis-scored", "scored":
-		return BackendMISScored, true
+		return BackendMIS, nil
 	}
-	return "", false
+	return "", fmt.Errorf("unknown backend %q (want auto, dp or mis)", s)
 }
 
 // Backend is an enumeration engine over one (graph, cost) pair. All
@@ -92,10 +88,9 @@ func (s *Solver) Ranked() bool { return true }
 // machine start lazily on the first Next — which is exactly the property
 // the serving tier buys when the DP's init budget is blown.
 type misBackend struct {
-	g      *graph.Graph
-	c      cost.Cost
-	bound  int // maximum admissible treewidth; < 0 means unbounded
-	scored bool
+	g     *graph.Graph
+	c     cost.Cost
+	bound int // maximum admissible treewidth; < 0 means unbounded
 }
 
 // MISOptions tunes a MIS backend. The zero value is ready to use.
@@ -106,9 +101,6 @@ type MISOptions struct {
 	// over-wide triangulations to reach their neighbors, so the bound is a
 	// post-filter here, not a speed-up.
 	WidthBound *int
-	// Scored orders the move frontier best-first by the true cost of each
-	// discovered triangulation (see BackendMISScored).
-	Scored bool
 }
 
 // NewMISBackend returns the CKK separator-graph MIS backend for (g, c).
@@ -117,19 +109,13 @@ func NewMISBackend(g *graph.Graph, c cost.Cost, opts MISOptions) Backend {
 	if opts.WidthBound != nil {
 		bound = *opts.WidthBound
 	}
-	return &misBackend{g: g, c: c, bound: bound, scored: opts.Scored}
+	return &misBackend{g: g, c: c, bound: bound}
 }
 
-func (b *misBackend) BackendKind() BackendKind {
-	if b.scored {
-		return BackendMISScored
-	}
-	return BackendMIS
-}
-
-func (b *misBackend) Ranked() bool        { return false }
-func (b *misBackend) Graph() *graph.Graph { return b.g }
-func (b *misBackend) Cost() cost.Cost     { return b.c }
+func (b *misBackend) BackendKind() BackendKind { return BackendMIS }
+func (b *misBackend) Ranked() bool             { return false }
+func (b *misBackend) Graph() *graph.Graph      { return b.g }
+func (b *misBackend) Cost() cost.Cost          { return b.c }
 
 // EnumerateParallelContext on the MIS backend ignores workers: the
 // separator-graph MIS walk advances one move at a time with nothing
@@ -147,21 +133,7 @@ func (b *misBackend) EnumerateContext(ctx context.Context) *Enumerator {
 		m.empty = true
 		return &Enumerator{m: m}
 	}
-	if b.scored {
-		// The heuristic score of a pending MIS result is the true cost of
-		// that triangulation — cheap to evaluate (its maximal cliques are
-		// the clique-tree bags), and it steers both emission and the move
-		// frontier toward cheap neighborhoods first.
-		m.inner = ckk.NewScored(b.g, nil, func(r *ckk.Result) float64 {
-			bags, err := chordal.MaximalCliques(r.H)
-			if err != nil {
-				return math.Inf(1)
-			}
-			return b.c.Eval(b.g, bags)
-		})
-	} else {
-		m.inner = ckk.New(b.g, nil)
-	}
+	m.inner = ckk.New(b.g, nil)
 	return &Enumerator{m: m}
 }
 
@@ -215,8 +187,8 @@ func (m *misEnumerator) Next() (*Result, bool) {
 const DefaultProbeBudget = 2048
 
 // SelectBackend resolves BackendAuto for a graph: it draws minimal
-// separators from the streaming Berry–Bordat generator — the same lazy
-// source the MIS backend itself uses, so the probe's cost is a strict
+// separators from minsep.Stream, the lazy Berry–Bordat–Cogis generator
+// the MIS backend itself draws from, so the probe's cost is a strict
 // prefix of work either backend would do anyway — and picks the ranked DP
 // only when the separator universe provably exhausts under probeBudget
 // (<= 0 selects DefaultProbeBudget). Budget overflow, or ctx expiring
@@ -229,7 +201,7 @@ func SelectBackend(ctx context.Context, g *graph.Graph, kind BackendKind, probeB
 	if probeBudget <= 0 {
 		probeBudget = DefaultProbeBudget
 	}
-	ss := ckk.NewSepStream(g)
+	ss := minsep.NewStream(g)
 	for n := 0; n < probeBudget; n++ {
 		if _, ok := ss.Next(ctx); !ok {
 			if ctx.Err() != nil {

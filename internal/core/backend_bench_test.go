@@ -12,7 +12,7 @@ import (
 
 // BenchmarkBackendCrossover measures the quantity SelectBackend trades on:
 // the ranked DP's full initialization (New — exactly what the service
-// runs inside InitTimeout) against the MIS backends'
+// runs inside InitTimeout) against the MIS backend's
 // time-to-first-result, which needs no PMC table at all. Two regimes:
 //
 //   - gnp26: separator-rich ConnectedGNP(n=26, p=0.35), ~700 minimal
@@ -61,14 +61,6 @@ func BenchmarkBackendCrossover(b *testing.B) {
 		b.Run(tc.name+"/mis-first", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				e := NewMISBackend(g, c, MISOptions{}).EnumerateContext(context.Background())
-				if _, ok := e.Next(); !ok {
-					b.Fatal("empty enumeration")
-				}
-			}
-		})
-		b.Run(tc.name+"/mis-scored-first", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				e := NewMISBackend(g, c, MISOptions{Scored: true}).EnumerateContext(context.Background())
 				if _, ok := e.Next(); !ok {
 					b.Fatal("empty enumeration")
 				}

@@ -42,10 +42,10 @@ func drainBackend(t *testing.T, b Backend) map[string]float64 {
 	}
 }
 
-// checkBackendsAgree asserts that the MIS and MIS-scored backends emit
-// exactly the DP backend's result set — same triangulations, same costs —
-// on g. This is the Parra–Scheffler equivalence the backend subsystem
-// rests on: all three machines enumerate the same mathematical object.
+// checkBackendsAgree asserts that the MIS backend emits exactly the DP
+// backend's result set — same triangulations, same costs — on g. This is
+// the Parra–Scheffler equivalence the backend subsystem rests on: both
+// machines enumerate the same mathematical object.
 func checkBackendsAgree(t *testing.T, g *graph.Graph, label string) {
 	t.Helper()
 	c := cost.FillIn{}
@@ -54,23 +54,17 @@ func checkBackendsAgree(t *testing.T, g *graph.Graph, label string) {
 		t.Fatalf("%s: solver init: %v", label, err)
 	}
 	dp := drainBackend(t, s)
-	for _, opts := range []MISOptions{{}, {Scored: true}} {
-		mb := NewMISBackend(g, c, opts)
-		mis := drainBackend(t, mb)
-		if len(mis) != len(dp) {
-			t.Fatalf("%s: backend %s found %d triangulations, DP found %d",
-				label, mb.BackendKind(), len(mis), len(dp))
+	mis := drainBackend(t, NewMISBackend(g, c, MISOptions{}))
+	if len(mis) != len(dp) {
+		t.Fatalf("%s: MIS found %d triangulations, DP found %d", label, len(mis), len(dp))
+	}
+	for key, dpCost := range dp {
+		misCost, ok := mis[key]
+		if !ok {
+			t.Fatalf("%s: MIS missed a triangulation DP found (cost %v)", label, dpCost)
 		}
-		for key, dpCost := range dp {
-			misCost, ok := mis[key]
-			if !ok {
-				t.Fatalf("%s: backend %s missed a triangulation DP found (cost %v)",
-					label, mb.BackendKind(), dpCost)
-			}
-			if misCost != dpCost {
-				t.Fatalf("%s: backend %s disagrees on cost: %v vs DP %v",
-					label, mb.BackendKind(), misCost, dpCost)
-			}
+		if misCost != dpCost {
+			t.Fatalf("%s: MIS disagrees on cost: %v vs DP %v", label, misCost, dpCost)
 		}
 	}
 }
@@ -93,8 +87,8 @@ func maskGraph(n int, mask int) *graph.Graph {
 
 // TestBackendOracleAllSmallGraphs proves backend equivalence exhaustively:
 // on EVERY graph with up to 6 vertices (33k graphs — connected or not,
-// chordal or not), the MIS and MIS-scored backends produce exactly the DP
-// backend's triangulation set with identical costs. Sharded across
+// chordal or not), the MIS backend produces exactly the DP backend's
+// triangulation set with identical costs. Sharded across
 // GOMAXPROCS goroutines, which doubles as race coverage for the
 // construction paths under -race.
 func TestBackendOracleAllSmallGraphs(t *testing.T) {

@@ -198,7 +198,7 @@ func orbitSignature(t *testing.T, g *graph.Graph, b Backend) map[string]string {
 // TestOrbitComposesAtomsAndBackends is the cross-engine property test:
 // orbit mode must produce identical orbit-representative multisets —
 // same orbits, same sizes, same costs — whether the inner engine is the
-// monolithic DP, the atom-decomposed DP, or either MIS backend, on random
+// monolithic DP, the atom-decomposed DP, or the MIS backend, on random
 // n=7..8 graphs.
 func TestOrbitComposesAtomsAndBackends(t *testing.T) {
 	trials := 8
@@ -226,7 +226,6 @@ func TestOrbitComposesAtomsAndBackends(t *testing.T) {
 				alts := map[string]Backend{
 					"dp-decomposed": NewOrbitBackend(dec, nil),
 					"mis":           NewOrbitBackend(NewMISBackend(g, c, MISOptions{}), nil),
-					"mis-scored":    NewOrbitBackend(NewMISBackend(g, c, MISOptions{Scored: true}), nil),
 				}
 				for name, b := range alts {
 					sig := orbitSignature(t, g, b)

@@ -145,11 +145,6 @@ func (g *Graph) InducedSubgraph(u vset.Set) *Graph {
 	return c
 }
 
-// RemoveVertices returns G \ U, the graph induced by V(G) \ U.
-func (g *Graph) RemoveVertices(u vset.Set) *Graph {
-	return g.InducedSubgraph(g.verts.Diff(u))
-}
-
 // Saturate returns a copy of g in which U has been made a clique
 // (G ∪ K_U in the paper's notation).
 func (g *Graph) Saturate(u vset.Set) *Graph {

@@ -17,12 +17,10 @@ import (
 // If g is disconnected the empty separator is included (it is the unique
 // minimal (u,v)-separator for u, v in different components).
 //
-// The algorithm is Berry, Bordat and Cogis (WG 1999): seed with the
-// neighborhoods of the components of G \ N[v] for every vertex v, then
-// close under the expansion step S ↦ N(C) for components C of
-// G \ (S ∪ N(x)), x ∈ S.
+// The algorithm is Berry, Bordat and Cogis (WG 1999), run to completion
+// by draining a Stream.
 func All(g *graph.Graph) []vset.Set {
-	out, _ := all(g, nil)
+	out, _ := AllCtx(context.Background(), g)
 	return out
 }
 
@@ -33,78 +31,111 @@ func All(g *graph.Graph) []vset.Set {
 // whether the separators can be generated within a time budget.
 func AllWithDeadline(g *graph.Graph, deadline time.Time) ([]vset.Set, bool) {
 	if deadline.IsZero() {
-		return all(g, nil)
+		return AllCtx(context.Background(), g)
 	}
-	return all(g, func() bool { return time.Now().After(deadline) })
+	ctx, cancel := context.WithDeadline(context.Background(), deadline)
+	defer cancel()
+	return AllCtx(ctx, g)
 }
 
 // AllCtx is All with cancellation: it returns ok=false (and a partial
 // list, unordered) when ctx is cancelled or its deadline passes before
 // the closure completes. This is the entry point long-lived services use
-// to abandon initialization work for disconnected clients.
+// to abandon initialization work for disconnected clients. An aborted
+// run skips the sort: callers read only the length of a partial list,
+// and sorting hundreds of thousands of separators would overrun the
+// deadline that stopped the closure.
 func AllCtx(ctx context.Context, g *graph.Graph) ([]vset.Set, bool) {
-	if ctx.Done() == nil {
-		return all(g, nil)
-	}
-	return all(g, func() bool { return ctx.Err() != nil })
-}
-
-// all runs the closure, aborting early when the (possibly nil) expired
-// predicate reports true. An aborted run skips the sort: callers read
-// only the length of a partial list, and sorting hundreds of thousands
-// of separators would overrun the deadline that stopped the closure.
-func all(g *graph.Graph, expired func() bool) ([]vset.Set, bool) {
-	seen := intern.New(g.NumVertices())
-	var queue []vset.Set
-	// add interns the walk's view N(C), cloning it only when it is new.
-	add := func(_, nc vset.Set) bool {
-		if !seen.Contains(nc) {
-			s := nc.Clone()
-			seen.Intern(s)
-			queue = append(queue, s)
-		}
-		return true
-	}
-	if expired == nil {
-		expired = func() bool { return false }
-	}
-	g.Vertices().ForEach(func(v int) bool {
-		within := g.Vertices().Diff(g.Neighbors(v))
-		within.RemoveInPlace(v)
-		g.ForEachComponent(within, add)
-		return true
-	})
-	for len(queue) > 0 {
-		if expired() {
-			return collect(g, seen, false), false
-		}
-		s := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		s.ForEach(func(x int) bool {
-			within := g.Vertices().Diff(s)
-			within.DiffInPlace(g.Neighbors(x))
-			within.RemoveInPlace(x)
-			g.ForEachComponent(within, add)
-			return true
-		})
-	}
-	return collect(g, seen, true), true
-}
-
-// collect lists the interned separators, dropping the empty set of a
-// connected graph, in canonical order when sorted is true.
-func collect(g *graph.Graph, seen *intern.Table, sorted bool) []vset.Set {
-	out := make([]vset.Set, 0, seen.Len())
-	for _, s := range seen.Sets() {
-		if s.IsEmpty() && g.IsConnected() {
-			continue
+	st := NewStream(g)
+	var out []vset.Set
+	for {
+		s, ok := st.Next(ctx)
+		if !ok {
+			break
 		}
 		out = append(out, s)
 	}
-	if sorted {
-		sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
+	if st.disconnected {
+		out = append(out, vset.New(g.Universe()))
 	}
-	return out
+	// Next stops early only with separators left to expand.
+	if st.expanded < st.tab.Len() {
+		return out, false
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
+	return out, true
+}
+
+// Stream produces the minimal separators of a graph lazily, in
+// Berry–Bordat–Cogis order: the separators N(C) for the components C of
+// G \ N[v], v ∈ V, first, then the closure under the expansion step
+// S ↦ N(C) for the components C of G \ (S ∪ N[x]), x ∈ S. A separator is
+// expanded only once every earlier one has been handed out, so a caller
+// that stops drawing (the auto backend probe, the MIS walk) pays only for
+// what it drew. The intern table doubles as the dedup set and the ordered
+// universe: produced and expanded are prefix counters over its IDs.
+//
+// The stream never yields the empty separator of a disconnected graph; it
+// admits no fill, so no enumeration move needs it. All adds it back.
+type Stream struct {
+	g            *graph.Graph
+	tab          *intern.Table
+	produced     int  // prefix of tab already handed out
+	expanded     int  // prefix of tab already expanded
+	disconnected bool // a walk met a component with no neighbours
+}
+
+// NewStream starts the lazy separator generator for g. The
+// neighbourhood-seeded separators are found here; the expansions run on
+// demand in Next.
+func NewStream(g *graph.Graph) *Stream {
+	st := &Stream{g: g, tab: intern.New(g.NumVertices())}
+	g.Vertices().ForEach(func(v int) bool {
+		within := g.Vertices().Diff(g.Neighbors(v))
+		within.RemoveInPlace(v)
+		g.ForEachComponent(within, st.add)
+		return true
+	})
+	return st
+}
+
+// add interns the component walk's view N(C), cloning it only when it is
+// new. An empty N(C) means C is a whole component of g, and some vertex
+// lies outside it, so g is disconnected.
+func (st *Stream) add(_, nc vset.Set) bool {
+	if nc.IsEmpty() {
+		st.disconnected = true
+	} else if !st.tab.Contains(nc) {
+		st.tab.Intern(nc.Clone())
+	}
+	return true
+}
+
+// Next returns one more minimal separator, expanding known separators on
+// demand, or ok=false when the closure is exhausted or ctx is cancelled
+// (distinguish via ctx.Err()). The returned set belongs to the stream;
+// callers must not mutate it.
+func (st *Stream) Next(ctx context.Context) (vset.Set, bool) {
+	for st.produced >= st.tab.Len() && st.expanded < st.tab.Len() {
+		if ctx.Err() != nil {
+			return vset.Set{}, false
+		}
+		s := st.tab.Set(st.expanded)
+		st.expanded++
+		s.ForEach(func(x int) bool {
+			within := st.g.Vertices().Diff(s)
+			within.DiffInPlace(st.g.Neighbors(x))
+			within.RemoveInPlace(x)
+			st.g.ForEachComponent(within, st.add)
+			return true
+		})
+	}
+	if st.produced < st.tab.Len() {
+		s := st.tab.Set(st.produced)
+		st.produced++
+		return s, true
+	}
+	return vset.Set{}, false
 }
 
 // AtMost returns the minimal separators of g of size at most k, by

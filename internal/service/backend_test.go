@@ -75,7 +75,9 @@ func TestDegradedModeMISBackend(t *testing.T) {
 
 // TestBackendQueryKnobOverrides asserts the resolution order: the
 // ?backend= query knob wins over the body field, which wins over the
-// server default.
+// server default. Names outside the accepted list, the deleted
+// "mis-scored" and its "scored" alias included, are 400s that list the
+// accepted backends, on /v1/enumerate and in a /v1/batch item alike.
 func TestBackendQueryKnobOverrides(t *testing.T) {
 	_, ts := newTestServer(t, Config{DefaultBackend: "mis"})
 	g6 := cycleGraph6(t, 5)
@@ -92,9 +94,10 @@ func TestBackendQueryKnobOverrides(t *testing.T) {
 		t.Fatalf("body field: want ranked dp, got %q ranked=%v", resp2.Backend, resp2.Ranked)
 	}
 
-	// The query knob overrides the body field.
-	req := fmt.Sprintf(`{"graph6": %q, "backend": "dp", "page_size": 1}`, g6)
-	httpResp, err := http.Post(ts.URL+"/v1/enumerate?backend=mis-scored", "application/json", strings.NewReader(req))
+	// The query knob overrides the body field (and the default, which
+	// agrees with the body here, so only the knob can pick dp).
+	req := fmt.Sprintf(`{"graph6": %q, "backend": "mis", "page_size": 1}`, g6)
+	httpResp, err := http.Post(ts.URL+"/v1/enumerate?backend=dp", "application/json", strings.NewReader(req))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,14 +106,33 @@ func TestBackendQueryKnobOverrides(t *testing.T) {
 	if err := json.NewDecoder(httpResp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
 	}
-	if out.Backend != "mis-scored" {
-		t.Fatalf("query knob: want mis-scored, got %q", out.Backend)
+	if out.Backend != "dp" || !out.Ranked {
+		t.Fatalf("query knob: want ranked dp, got %q ranked=%v", out.Backend, out.Ranked)
 	}
 
-	// Unknown names are client errors.
-	status, body := postRaw(t, ts.URL+"/v1/enumerate?backend=quantum", fmt.Sprintf(`{"graph6": %q}`, g6))
-	if status != http.StatusBadRequest {
-		t.Fatalf("unknown backend: want 400, got %d: %s", status, body)
+	// Unknown names are client errors that list the accepted backends.
+	const accepted = "(want auto, dp or mis)"
+	for _, name := range []string{"quantum", "mis-scored", "scored"} {
+		status, body := postRaw(t, ts.URL+"/v1/enumerate?backend="+name, fmt.Sprintf(`{"graph6": %q}`, g6))
+		if status != http.StatusBadRequest || !strings.Contains(body, accepted) {
+			t.Fatalf("backend %q via query: want 400 naming %s, got %d: %s", name, accepted, status, body)
+		}
+		status, body = postRaw(t, ts.URL+"/v1/enumerate", fmt.Sprintf(`{"graph6": %q, "backend": %q}`, g6, name))
+		if status != http.StatusBadRequest || !strings.Contains(body, accepted) {
+			t.Fatalf("backend %q via body: want 400 naming %s, got %d: %s", name, accepted, status, body)
+		}
+	}
+	status, body := postRaw(t, ts.URL+"/v1/batch",
+		fmt.Sprintf(`{"problems": [{"graph6": %q, "backend": "mis-scored"}, {"graph6": %q, "page_size": 1}]}`, g6, g6))
+	if status != http.StatusOK {
+		t.Fatalf("batch: status %d: %s", status, body)
+	}
+	var batch BatchResponse
+	if err := json.Unmarshal([]byte(body), &batch); err != nil {
+		t.Fatal(err)
+	}
+	if batch.Errors != 1 || !strings.Contains(batch.Items[0].Error, accepted) || batch.Items[1].Response == nil {
+		t.Fatalf("batch: want item 0 to name %s and item 1 to succeed, got %s", accepted, body)
 	}
 }
 
@@ -169,31 +191,6 @@ func TestBackendStreamsDoNotAlias(t *testing.T) {
 	stats := getStats(t, ts)
 	if stats.Backends.DP != 1 || stats.Backends.MIS != 1 {
 		t.Fatalf("backend counters after one request each: %+v", stats.Backends)
-	}
-}
-
-// TestMISScoredSessionCompletes exercises the scored backend through the
-// full session lifecycle: C6's 14 triangulations, no duplicates, done=true.
-func TestMISScoredSessionCompletes(t *testing.T) {
-	_, ts := newTestServer(t, Config{PageSize: 4})
-	g6 := cycleGraph6(t, 6)
-	first, _ := postEnumerate(t, ts, fmt.Sprintf(`{"graph6": %q, "cost": "fill", "backend": "mis-scored"}`, g6))
-	if first.Backend != "mis-scored" {
-		t.Fatalf("want mis-scored, got %q", first.Backend)
-	}
-	count := len(first.Results)
-	token := first.Session
-	done := first.Done
-	for !done {
-		page, status := getNext(t, ts, token, 0)
-		if status != http.StatusOK {
-			t.Fatalf("paging: status %d", status)
-		}
-		count += len(page.Results)
-		done = page.Done
-	}
-	if count != 14 {
-		t.Fatalf("C6 via mis-scored: got %d results, want 14", count)
 	}
 }
 

@@ -155,11 +155,9 @@ func (s *Server) compileProblem(req *EnumerateRequest, q url.Values) (*CompiledP
 	if err != nil {
 		return nil, err
 	}
-	kind, ok := core.ParseBackendKind(backendName)
-	if !ok {
-		return nil, fmt.Errorf("unknown backend %q (want auto, dp, mis or mis-scored)", backendName)
+	if cp.Kind, err = core.ParseBackendKind(backendName); err != nil {
+		return nil, err
 	}
-	cp.Kind = kind
 	if cp.Orbits, err = knob(q, "orbits", strconv.ParseBool, req.Orbits, s.cfg.DefaultOrbits); err != nil {
 		return nil, err
 	}
@@ -246,12 +244,12 @@ func (s *Server) buildBackend(ctx context.Context, cp *CompiledProblem) (core.Ba
 		}
 		backend, dpSolver, hit = solver, solver, poolHit
 	} else {
-		// The MIS backends are O(1) to construct — the separator stream and
+		// The MIS backend is O(1) to construct — the separator stream and
 		// the independent-set walk start lazily on the first result — so
 		// there is nothing to pool and no init budget to enforce. The
 		// shared-stream cache still dedups the enumeration work across
 		// consumers by key.
-		opts := core.MISOptions{Scored: cp.Kind == core.BackendMISScored}
+		var opts core.MISOptions
 		if cp.Bound >= 0 {
 			b := cp.Bound
 			opts.WidthBound = &b

@@ -86,7 +86,11 @@
 //
 // Solve knobs can also ride the query string on every POST route —
 // ?backend=, ?orbits=, ?diverse=, ?window= — with a fixed precedence:
-// query parameter over body field over server default. ?diverse=k
+// query parameter over body field over server default. ?backend= takes
+// "dp" (ranked, the default), "mis" (unranked, no solver init: the
+// response says "ranked": false) or "auto" (a bounded separator probe
+// picks one of the two); any other name is a 400 whose error lists
+// these (inside /v1/batch, that member's error). ?diverse=k
 // switches the response to a one-shot diverse portfolio: the first
 // ?window= ranks (default 4k, capped at 4096) are materialized and k
 // results are picked greedily to maximize the minimum pairwise fill-edge
@@ -166,8 +170,13 @@
 //	"workloads": {"enumerate": 40, "batch": 3, "batch_problems": 24,
 //	              "hypergraph": 5, "csp": 2, "csp_solves": 2, "diverse": 4}
 //
-// and the incremental-solve counters aggregated over the cached
-// solvers:
+// the requests served per backend
+//
+//	"backends": {"dp": 38, "mis": 4, "auto_resolved": 3}
+//
+// (auto_resolved counts the requests the auto probe routed; it overlaps
+// the other two), and the incremental-solve counters aggregated over the
+// cached solvers:
 //
 //	"solver": {"constrained_solves": 812, "dirty_blocks": 74692,
 //	           "reused_blocks": 13820, "empty_solves": 96,

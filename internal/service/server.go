@@ -54,11 +54,10 @@ type Config struct {
 	StreamBudgetBytes int64
 	// DefaultBackend is the enumeration backend for requests that name
 	// none: "dp" (the default — ranked-exact, cost order), "mis"
-	// (unordered CKK separator-graph enumeration, no init cost),
-	// "mis-scored" (MIS with a cheap best-first heuristic order) or
-	// "auto" (probe the separator count and pick DP below the budget, MIS
-	// above; see core.SelectBackend). A request's backend field or
-	// ?backend= query knob overrides it per request.
+	// (unordered CKK separator-graph enumeration, no init cost) or "auto"
+	// (probe the separator count and pick DP below the budget, MIS above;
+	// see core.SelectBackend). A request's backend field or ?backend=
+	// query knob overrides it per request.
 	DefaultBackend string
 	// BackendProbeBudget is the separator budget the auto policy probes
 	// under (default core.DefaultProbeBudget).
@@ -208,16 +207,13 @@ func (c *canonCounters) stats() CanonStats {
 // plus how many of them were routed by the auto probe rather than an
 // explicit choice. Snapshotted into /v1/stats.
 type backendCounters struct {
-	dp, mis, misScored, auto atomic.Uint64
+	dp, mis, auto atomic.Uint64
 }
 
 func (b *backendCounters) count(kind core.BackendKind, autoRouted bool) {
-	switch kind {
-	case core.BackendMIS:
+	if kind == core.BackendMIS {
 		b.mis.Add(1)
-	case core.BackendMISScored:
-		b.misScored.Add(1)
-	default:
+	} else {
 		b.dp.Add(1)
 	}
 	if autoRouted {
@@ -229,7 +225,6 @@ func (b *backendCounters) stats() BackendStats {
 	return BackendStats{
 		DP:           b.dp.Load(),
 		MIS:          b.mis.Load(),
-		MISScored:    b.misScored.Load(),
 		AutoResolved: b.auto.Load(),
 	}
 }

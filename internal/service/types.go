@@ -29,9 +29,9 @@ type EnumerateRequest struct {
 	Bound   *int   `json:"bound,omitempty"`
 
 	// Backend selects the enumeration engine: "dp" (ranked-exact, cost
-	// order), "mis" (unordered, no init cost), "mis-scored" (heuristic
-	// best-first) or "auto" (separator-count probe). Empty defers to the
-	// server's default; the ?backend= query knob overrides both.
+	// order), "mis" (unordered, no init cost) or "auto" (separator-count
+	// probe). Empty defers to the server's default; the ?backend= query
+	// knob overrides both. Any other name is a 400 that lists these.
 	Backend string `json:"backend,omitempty"`
 
 	// Orbits selects orbit-reduced enumeration: the stream collapses to
@@ -318,7 +318,6 @@ type CanonStats struct {
 type BackendStats struct {
 	DP           uint64 `json:"dp"`
 	MIS          uint64 `json:"mis"`
-	MISScored    uint64 `json:"mis_scored"`
 	AutoResolved uint64 `json:"auto_resolved"`
 }
 
