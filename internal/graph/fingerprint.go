@@ -14,9 +14,10 @@ import (
 // any in-memory representation detail.
 //
 // The fingerprint is label-sensitive by design: isomorphic graphs with
-// different vertex numberings hash differently (canonical labeling à la
-// nauty is out of scope; clients that want isomorphism-level dedup can
-// canonicalize before submitting).
+// different vertex numberings hash differently. Isomorphism-level keys
+// come from fingerprinting the canonical form instead (CanonicalForm);
+// the serving layer canonicalizes every submitted graph on ingress and
+// fingerprints that, once per request.
 func (g *Graph) Fingerprint() string {
 	h := sha256.New()
 	var buf [8]byte

@@ -17,10 +17,10 @@ import (
 // CompiledProblem is the output of the problem-compilation layer: one
 // submitted problem — whatever endpoint it arrived on — normalized into
 // the form every downstream stage consumes. Graph building, canonical
-// relabeling, cost construction, knob resolution and cache keying all
-// happen exactly once, in compileProblem, so /v1/enumerate, /v1/batch,
-// /v1/hypergraph and /v1/csp cannot drift apart in how they admit,
-// cache or serve a problem.
+// relabeling, cost construction and knob resolution happen exactly once,
+// in compileProblem; cache keying and the engine happen exactly once, in
+// Server.buildBackend. So /v1/enumerate, /v1/batch, /v1/hypergraph and
+// /v1/csp cannot drift apart in how they admit, cache or serve a problem.
 type CompiledProblem struct {
 	// ClientGraph is the graph in the client's own labeling; every wire
 	// result is expressed over it.
@@ -41,7 +41,7 @@ type CompiledProblem struct {
 	Bound int
 	// PageSize is the resolved page size for paged responses.
 	PageSize int
-	// Kind is the requested backend; BackendAuto until ResolveBackend runs
+	// Kind is the requested backend; BackendAuto until buildBackend runs
 	// the separator probe (post-admission — the probe is real work).
 	// AutoRouted records that the probe, not the client, made the choice.
 	Kind       core.BackendKind
@@ -58,10 +58,18 @@ type CompiledProblem struct {
 	// FromCanon maps canonical labels back to the client's labeling on
 	// egress; nil when no relabeling is needed.
 	FromCanon []int
-	// Key identifies the solver/stream serving this problem. The Backend
-	// and Orbits fields are finalized by the server's buildBackend once
-	// auto routing has resolved.
+
+	// The fields below are set by the server's buildBackend, after
+	// admission and auto routing.
+
+	// Key identifies the solver/stream serving this problem.
 	Key SolverKey
+	// Engine serves the problem; Solver is the pooled DP solver behind it
+	// (nil for MIS), reported as SolverInfo; Hit reports that the engine
+	// came from the pool without a new initialization.
+	Engine core.Backend
+	Solver *core.Solver
+	Hit    bool
 }
 
 // knob resolves one per-request serving knob with the uniform precedence
@@ -113,11 +121,9 @@ const maxDiverseWindow = 4096
 // graph and every label-carrying cost parameter, cost construction and
 // cache-key derivation, and resolution of every serving knob (backend,
 // orbits, diverse, page size, bound) under the query > body > default
-// precedence. Every returned error is a client error (HTTP 400).
-//
-// The returned problem's Key carries the requested backend kind; when
-// that is BackendAuto the server resolves it post-admission (see
-// Server.buildBackend) and finalizes the key then.
+// precedence. Every returned error is a client error (HTTP 400). The
+// cache key is left to Server.buildBackend, which resolves the backend
+// kind the key names.
 func (s *Server) compileProblem(req *EnumerateRequest, q url.Values) (*CompiledProblem, error) {
 	g, h, err := buildGraph(req, s.cfg.MaxVertices)
 	if err != nil {
@@ -133,7 +139,7 @@ func (s *Server) compileProblem(req *EnumerateRequest, q url.Values) (*CompiledP
 	// relabeling is needed.
 	cp := &CompiledProblem{ClientGraph: g}
 	cp.Graph, cp.Hyper, cp.FromCanon = s.canonicalize(req, g, h)
-	c, costKey, err := buildCost(req, cp.Graph, cp.Hyper)
+	c, costKey, invariant, err := buildCost(req, cp.Graph, cp.Hyper)
 	if err != nil {
 		return nil, err
 	}
@@ -161,10 +167,8 @@ func (s *Server) compileProblem(req *EnumerateRequest, q url.Values) (*CompiledP
 	if cp.Orbits, err = knob(q, "orbits", strconv.ParseBool, req.Orbits, s.cfg.DefaultOrbits); err != nil {
 		return nil, err
 	}
-	if cp.Orbits {
-		if err := orbitCostCheck(req); err != nil {
-			return nil, err
-		}
+	if cp.Orbits && !invariant {
+		return nil, fmt.Errorf("orbit mode requires a label-invariant cost; %q over these parameters ranks isomorphic triangulations differently", req.Cost)
 	}
 	if cp.Diverse, err = knob(q, "diverse", strconv.Atoi, optInt(req.Diverse), 0); err != nil {
 		return nil, err
@@ -192,37 +196,24 @@ func (s *Server) compileProblem(req *EnumerateRequest, q url.Values) (*CompiledP
 			return nil, fmt.Errorf("window %d exceeds the cap %d", cp.Window, maxDiverseWindow)
 		}
 	}
-	cp.Key = SolverKey{
-		Fingerprint: cp.Graph.Fingerprint(),
-		Cost:        cp.CostKey,
-		Bound:       cp.Bound,
-		Backend:     string(cp.Kind),
-		Orbits:      cp.Orbits,
-	}
 	return cp, nil
 }
 
 // buildBackend is the post-admission half of the pipeline: it resolves
 // auto backend routing (the separator probe is real work, so it runs
-// under an admission slot), obtains the enumeration engine — the pooled,
-// singleflighted DP solver or an O(1) MIS construction — wraps it for
-// orbit reduction, finalizes the cache key, and attributes the
-// canonical-keying cache hit. It returns the engine, the DP solver when
-// one serves the request (for SolverInfo), and whether the engine was
-// served without starting a new initialization. On error the returned
-// status is the HTTP status to report (503 for cancelled or
-// out-of-budget initialization, 500 for genuine server bugs).
-func (s *Server) buildBackend(ctx context.Context, cp *CompiledProblem) (core.Backend, *core.Solver, bool, int, error) {
+// under an admission slot), builds the cache key — the one fingerprint of
+// the request's graph — and sets cp's engine: the pooled, singleflighted
+// DP solver or an O(1) MIS construction, wrapped for orbit reduction. It
+// also attributes the canonical-keying cache hit. On error the returned
+// status is the HTTP status to report (503 for cancelled or out-of-budget
+// initialization, 500 for genuine server bugs).
+func (s *Server) buildBackend(ctx context.Context, cp *CompiledProblem) (int, error) {
 	if cp.AutoRouted = cp.Kind == core.BackendAuto; cp.AutoRouted {
 		cp.Kind = core.SelectBackend(ctx, cp.Graph, cp.Kind, s.cfg.BackendProbeBudget)
 	}
-
-	var backend core.Backend
-	var dpSolver *core.Solver
-	var hit bool
+	cp.Key = SolverKey{Fingerprint: cp.Graph.Fingerprint(), Cost: cp.CostKey, Bound: cp.Bound, Backend: string(cp.Kind)}
 	if cp.Kind == core.BackendDP {
-		key := SolverKey{Fingerprint: cp.Graph.Fingerprint(), Cost: cp.CostKey, Bound: cp.Bound, Backend: string(core.BackendDP)}
-		solver, poolHit, err := s.pool.Get(ctx, key, func(bctx context.Context) (*core.Solver, error) {
+		solver, hit, err := s.pool.Get(ctx, cp.Key, func(bctx context.Context) (*core.Solver, error) {
 			bctx, cancel := context.WithTimeout(bctx, s.cfg.InitTimeout)
 			defer cancel()
 			var opts core.Options
@@ -240,9 +231,10 @@ func (s *Server) buildBackend(ctx context.Context, cp *CompiledProblem) (core.Ba
 			if ctx.Err() != nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 				status = http.StatusServiceUnavailable
 			}
-			return nil, nil, false, status, fmt.Errorf("solver initialization failed (consider ?backend=mis): %v", err)
+			return status, fmt.Errorf("solver initialization failed (consider ?backend=mis): %v", err)
 		}
-		backend, dpSolver, hit = solver, solver, poolHit
+		cp.Engine, cp.Solver, cp.Hit = solver, solver, hit
+		s.stats.dp.Add(1)
 	} else {
 		// The MIS backend is O(1) to construct — the separator stream and
 		// the independent-set walk start lazily on the first result — so
@@ -254,27 +246,29 @@ func (s *Server) buildBackend(ctx context.Context, cp *CompiledProblem) (core.Ba
 			b := cp.Bound
 			opts.WidthBound = &b
 		}
-		backend = core.NewMISBackend(cp.Graph, cp.Cost, opts)
+		cp.Engine = core.NewMISBackend(cp.Graph, cp.Cost, opts)
+		s.stats.mis.Add(1)
 	}
-	s.backends.count(cp.Kind, cp.AutoRouted)
-	cp.Key = SolverKey{Fingerprint: cp.Graph.Fingerprint(), Cost: cp.CostKey, Bound: cp.Bound, Backend: string(cp.Kind)}
+	if cp.AutoRouted {
+		s.stats.autoResolved.Add(1)
+	}
 	if cp.Orbits {
 		// The orbit wrapper goes around whatever engine was resolved, and
 		// the key gains the Orbits bit so the shared stream cache never
 		// serves a reduced sequence to an unreduced consumer or vice versa.
 		// The pooled DP solver itself stays shared across both modes — all
 		// orbit state lives in the wrapper (and its per-enumeration filter).
-		s.orbits.requests.Add(1)
-		backend = core.NewOrbitBackend(backend, &s.orbits.core)
+		s.stats.orbitRequests.Add(1)
+		cp.Engine = core.NewOrbitBackend(cp.Engine, &s.stats.orbit)
 		cp.Key.Orbits = true
 	}
 	// A canonical hit is a relabeled request served by a solver or
 	// materialized stream that some *other* labeling built — counted
 	// before this request acquires the stream itself.
-	if cp.FromCanon != nil && (hit || s.streams.Contains(cp.Key)) {
-		s.canon.hits.Add(1)
+	if cp.FromCanon != nil && (cp.Hit || s.streams.Contains(cp.Key)) {
+		s.stats.canonHits.Add(1)
 	}
-	return backend, dpSolver, hit, 0, nil
+	return 0, nil
 }
 
 // respond serves one compiled problem, after buildBackend, in its
@@ -283,26 +277,24 @@ func (s *Server) buildBackend(ctx context.Context, cp *CompiledProblem) (core.Ba
 // results are the response's results as the shared stream holds them, in
 // canonical labels (cp.FromCanon maps them to the client's); on error the
 // returned status is the HTTP status to report.
-func (s *Server) respond(ctx context.Context, cp *CompiledProblem, backend core.Backend, dpSolver *core.Solver, hit bool) (*EnumerateResponse, []*core.Result, int, error) {
+func (s *Server) respond(ctx context.Context, cp *CompiledProblem) (*EnumerateResponse, []*core.Result, int, error) {
 	if cp.Diverse > 0 {
-		return s.diverseResponse(ctx, cp, backend, dpSolver, hit)
+		return s.diverseResponse(ctx, cp)
 	}
-	return s.pagedResponse(ctx, cp, backend, dpSolver, hit)
+	return s.pagedResponse(ctx, cp)
 }
 
-// responseHeader fills the EnumerateResponse fields both response modes
-// share: what served the problem and the graph it was asked about.
-func responseHeader(cp *CompiledProblem, backend core.Backend, dpSolver *core.Solver, hit bool) *EnumerateResponse {
-	resp := &EnumerateResponse{
-		CacheHit: hit,
-		Cost:     cp.Cost.Name(),
-		Backend:  string(cp.Kind),
-		Ranked:   backend.Ranked(),
-		Orbits:   cp.Orbits,
-		Graph:    &GraphInfo{N: cp.ClientGraph.Universe(), M: cp.ClientGraph.NumEdges(), Fingerprint: cp.Key.Fingerprint},
-	}
-	if dpSolver != nil {
-		resp.Solver = solverInfo(dpSolver)
+// responseHeader stamps onto resp the fields both response modes share:
+// what served the problem and the graph it was asked about.
+func responseHeader(cp *CompiledProblem, resp *EnumerateResponse) *EnumerateResponse {
+	resp.CacheHit = cp.Hit
+	resp.Cost = cp.Cost.Name()
+	resp.Backend = string(cp.Kind)
+	resp.Ranked = cp.Engine.Ranked()
+	resp.Orbits = cp.Orbits
+	resp.Graph = &GraphInfo{N: cp.ClientGraph.Universe(), M: cp.ClientGraph.NumEdges(), Fingerprint: cp.Key.Fingerprint}
+	if cp.Solver != nil {
+		resp.Solver = solverInfo(cp.Solver)
 	}
 	return resp
 }
@@ -313,8 +305,8 @@ func responseHeader(cp *CompiledProblem, backend core.Backend, dpSolver *core.So
 // returned results are the first page in canonical labels (the /v1/csp
 // payoff solver consumes the top one); on error the returned status is
 // the HTTP status to report.
-func (s *Server) pagedResponse(ctx context.Context, cp *CompiledProblem, backend core.Backend, dpSolver *core.Solver, hit bool) (*EnumerateResponse, []*core.Result, int, error) {
-	sess, err := s.sessions.Create(backend, cp.Key, cp.ClientGraph, cp.FromCanon)
+func (s *Server) pagedResponse(ctx context.Context, cp *CompiledProblem) (*EnumerateResponse, []*core.Result, int, error) {
+	sess, err := s.sessions.Create(cp.Engine, cp.Key, cp.ClientGraph, cp.FromCanon)
 	if err != nil {
 		return nil, nil, statusFor(err), err
 	}
@@ -328,13 +320,7 @@ func (s *Server) pagedResponse(ctx context.Context, cp *CompiledProblem, backend
 	if pageErr != nil || ctx.Err() != nil {
 		return nil, nil, http.StatusServiceUnavailable, errors.New("request cancelled")
 	}
-	resp := responseHeader(cp, backend, dpSolver, hit)
-	resp.Done = done
-	resp.Results = pageJSON(cp.ClientGraph, 0, results, cp.FromCanon)
-	if !done {
-		resp.Session = sess.Token
-	}
-	return resp, results, 0, nil
+	return responseHeader(cp, sess.page(0, results, done)), results, 0, nil
 }
 
 // diverseResponse serves one compiled problem in the ?diverse=k response
@@ -345,9 +331,9 @@ func (s *Server) pagedResponse(ctx context.Context, cp *CompiledProblem, backend
 // result keeps its rank in the underlying enumeration as its index. The
 // returned results are the selection in canonical labels; on error the
 // returned status is the HTTP status to report.
-func (s *Server) diverseResponse(ctx context.Context, cp *CompiledProblem, backend core.Backend, dpSolver *core.Solver, hit bool) (*EnumerateResponse, []*core.Result, int, error) {
-	s.workloads.diverse.Add(1)
-	h := s.streams.Acquire(cp.Key, backend)
+func (s *Server) diverseResponse(ctx context.Context, cp *CompiledProblem) (*EnumerateResponse, []*core.Result, int, error) {
+	s.stats.diverse.Add(1)
+	h := s.streams.Acquire(cp.Key, cp.Engine)
 	defer h.Release()
 	pool := make([]*core.Result, 0, cp.Window)
 	for len(pool) < cp.Window {
@@ -367,10 +353,6 @@ func (s *Server) diverseResponse(ctx context.Context, cp *CompiledProblem, backe
 		picks[i] = pool[j]
 		page[i] = wireResult(cp.ClientGraph, j, pool[j], cp.FromCanon)
 	}
-	resp := responseHeader(cp, backend, dpSolver, hit)
-	resp.Done = true
-	resp.Diverse = cp.Diverse
-	resp.Window = len(pool)
-	resp.Results = page
-	return resp, picks, 0, nil
+	resp := &EnumerateResponse{Done: true, Diverse: cp.Diverse, Window: len(pool), Results: page}
+	return responseHeader(cp, resp), picks, 0, nil
 }

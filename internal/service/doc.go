@@ -34,17 +34,22 @@
 //
 // Every ingress route runs through one problem-compilation step
 // (compileProblem): graph construction, canonical relabeling, cost and
-// bound resolution, knob parsing and cache-key derivation happen once,
-// in one place, for /v1/enumerate, /v1/batch, /v1/hypergraph and
-// /v1/csp alike. Endpoints differ only in how they source the request
-// and what they do with the ranked stream afterwards, so every workload
-// shares the solver pool, the stream buffers and the
-// isomorphism-canonical cache keys. On the way out, every read path —
-// first page, next, replay, NDJSON, diverse and batch — builds each wire
-// result straight from the canonical result in the shared buffer: bag
-// and separator vertices map through the request's canonical→client
-// permutation into one slice per result (wireResult), and no copy of the
-// triangulation is made.
+// bound resolution and knob parsing happen once, in one place, for
+// /v1/enumerate, /v1/batch, /v1/hypergraph and /v1/csp alike. After
+// admission, buildBackend derives the cache key from the request's one
+// graph fingerprint and puts the engine on the compiled problem.
+// /v1/enumerate, /v1/hypergraph and /v1/csp share one pipeline
+// (serveProblem: compile, admit, build, then NDJSON or a page or diverse
+// response, then write); they differ only in how they decode their body
+// and in an optional finish step that adds their own response block.
+// /v1/batch compiles every member, takes one admission slot, and builds
+// and responds per member. Every workload shares the solver pool, the
+// stream buffers and the isomorphism-canonical cache keys. On the way
+// out, every read path — first page, next, replay, NDJSON, diverse and
+// batch — builds each wire result straight from the canonical result in
+// the shared buffer: bag and separator vertices map through the
+// request's canonical→client permutation into one slice per result
+// (wireResult), and no copy of the triangulation is made.
 //
 // # HTTP API
 //

@@ -62,11 +62,10 @@ func newEgressRef(t *testing.T, srv *Server, req EnumerateRequest, query string)
 	if err != nil {
 		t.Fatal(err)
 	}
-	backend, _, _, _, err := srv.buildBackend(context.Background(), cp)
-	if err != nil {
+	if _, err := srv.buildBackend(context.Background(), cp); err != nil {
 		t.Fatal(err)
 	}
-	h := srv.streams.Acquire(cp.Key, backend)
+	h := srv.streams.Acquire(cp.Key, cp.Engine)
 	t.Cleanup(h.Release)
 	return &egressRef{t: t, cp: cp, h: h}
 }

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"net/http"
@@ -34,8 +33,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("batch has %d problems; the limit is %d", len(req.Problems), s.cfg.MaxBatchItems))
 		return
 	}
-	s.workloads.batch.Add(1)
-	s.workloads.batchProblems.Add(uint64(len(req.Problems)))
+	s.stats.batch.Add(1)
+	s.stats.batchProblems.Add(uint64(len(req.Problems)))
 
 	q := r.URL.Query()
 	items := make([]BatchItem, len(req.Problems))
@@ -68,7 +67,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			items[i].Error = "request cancelled"
 			continue
 		}
-		items[i] = s.solveItem(ctx, cp)
+		if _, err := s.buildBackend(ctx, cp); err != nil {
+			items[i].Error = err.Error()
+			continue
+		}
+		if items[i].Response, _, _, err = s.respond(ctx, cp); err != nil {
+			items[i].Error = err.Error()
+		}
 	}
 
 	errs := 0
@@ -78,21 +83,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeJSON(w, http.StatusOK, &BatchResponse{Items: items, Errors: errs})
-}
-
-// solveItem runs the post-admission half of the pipeline for one
-// compiled problem and packages the outcome as a batch item. The caller
-// holds the admission slot.
-func (s *Server) solveItem(ctx context.Context, cp *CompiledProblem) BatchItem {
-	backend, dpSolver, hit, _, err := s.buildBackend(ctx, cp)
-	if err != nil {
-		return BatchItem{Error: err.Error()}
-	}
-	resp, _, _, err := s.respond(ctx, cp, backend, dpSolver, hit)
-	if err != nil {
-		return BatchItem{Error: err.Error()}
-	}
-	return BatchItem{Response: resp}
 }
 
 // handleHypergraph serves POST /v1/hypergraph: a hypergraph submitted as
@@ -105,7 +95,6 @@ func (s *Server) solveItem(ctx context.Context, cp *CompiledProblem) BatchItem {
 // usual gate), ?diverse=, bounds, paging, streaming — behave exactly as
 // on /v1/enumerate: the compilation layer underneath is the same.
 func (s *Server) handleHypergraph(w http.ResponseWriter, r *http.Request) {
-	ctx := r.Context()
 	var req EnumerateRequest
 	if !s.decodeRequest(w, r, &req) {
 		return
@@ -121,42 +110,15 @@ func (s *Server) handleHypergraph(w http.ResponseWriter, r *http.Request) {
 	if req.Cost == "" {
 		req.Cost = "hypertree"
 	}
-	s.workloads.hypergraph.Add(1)
-	cp, err := s.compileProblem(&req, r.URL.Query())
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-
-	release, err := s.admit(ctx)
-	if err != nil {
-		writeError(w, http.StatusServiceUnavailable, errors.New("cancelled while waiting for admission"))
-		return
-	}
-	defer release()
-
-	backend, dpSolver, hit, status, err := s.buildBackend(ctx, cp)
-	if err != nil {
-		writeError(w, status, err)
-		return
-	}
-
-	if req.Stream {
-		s.streamResults(w, r, cp.ClientGraph, backend, cp.Key, cp.FromCanon, req.MaxResults)
-		return
-	}
-
-	resp, _, status, err := s.respond(ctx, cp, backend, dpSolver, hit)
-	if err != nil {
-		writeError(w, status, err)
-		return
-	}
-	resp.Hypergraph = &HypergraphInfo{
-		Vertices:    cp.ClientGraph.Universe(),
-		Hyperedges:  len(cp.Hyper.Edges()),
-		PrimalEdges: cp.ClientGraph.NumEdges(),
-	}
-	writeJSON(w, http.StatusOK, resp)
+	s.stats.hypergraph.Add(1)
+	s.serveProblem(w, r, &req, func(cp *CompiledProblem, resp *EnumerateResponse, _ []*core.Result) error {
+		resp.Hypergraph = &HypergraphInfo{
+			Vertices:    cp.ClientGraph.Universe(),
+			Hyperedges:  len(cp.Hyper.Edges()),
+			PrimalEdges: cp.ClientGraph.NumEdges(),
+		}
+		return nil
+	})
 }
 
 // handleCSP serves POST /v1/csp: a binary constraint-satisfaction
@@ -168,7 +130,6 @@ func (s *Server) handleHypergraph(w http.ResponseWriter, r *http.Request) {
 // decomposition as the payoff: the paper's motivating pattern of picking
 // the bag structure before paying for the inference.
 func (s *Server) handleCSP(w http.ResponseWriter, r *http.Request) {
-	ctx := r.Context()
 	var req CSPRequest
 	if !s.decodeRequest(w, r, &req) {
 		return
@@ -178,7 +139,7 @@ func (s *Server) handleCSP(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	s.workloads.csp.Add(1)
+	s.stats.csp.Add(1)
 	if req.Cost == "" {
 		req.Cost = "statespace"
 	}
@@ -198,37 +159,15 @@ func (s *Server) handleCSP(w http.ResponseWriter, r *http.Request) {
 		Diverse:  req.Diverse,
 		Window:   req.Window,
 	}
-	cp, err := s.compileProblem(ereq, r.URL.Query())
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-
-	release, err := s.admit(ctx)
-	if err != nil {
-		writeError(w, http.StatusServiceUnavailable, errors.New("cancelled while waiting for admission"))
-		return
-	}
-	defer release()
-
-	backend, dpSolver, hit, status, err := s.buildBackend(ctx, cp)
-	if err != nil {
-		writeError(w, status, err)
-		return
-	}
-
-	resp, results, status, err := s.respond(ctx, cp, backend, dpSolver, hit)
-	if err != nil {
-		writeError(w, status, err)
-		return
-	}
-
-	if (req.Solve || req.Count) && len(results) > 0 {
+	s.serveProblem(w, r, ereq, func(cp *CompiledProblem, resp *EnumerateResponse, results []*core.Result) error {
+		if !(req.Solve || req.Count) || len(results) == 0 {
+			return nil
+		}
 		// The payoff runs over the top-ranked decomposition in the client's
 		// labeling, under the same admission slot — it is real DP work,
 		// O(nodes · Π domain^bagsize). Results come back in canonical
 		// labels, so only the top one is relabeled.
-		s.workloads.cspSolves.Add(1)
+		s.stats.cspSolves.Add(1)
 		sol := &CSPSolutionJSON{}
 		best := results[0]
 		if cp.FromCanon != nil {
@@ -236,26 +175,24 @@ func (s *Server) handleCSP(w http.ResponseWriter, r *http.Request) {
 		}
 		top := best.Tree
 		if req.Count {
-			n, cerr := p.Count(top)
-			if cerr != nil {
-				writeError(w, http.StatusInternalServerError, fmt.Errorf("csp count over the top decomposition: %v", cerr))
-				return
+			n, err := p.Count(top)
+			if err != nil {
+				return fmt.Errorf("csp count over the top decomposition: %v", err)
 			}
 			sol.Count = &n
 			sol.Satisfiable = n > 0
 		}
 		if req.Solve {
-			asg, ok, serr := p.Solve(top)
-			if serr != nil {
-				writeError(w, http.StatusInternalServerError, fmt.Errorf("csp solve over the top decomposition: %v", serr))
-				return
+			asg, ok, err := p.Solve(top)
+			if err != nil {
+				return fmt.Errorf("csp solve over the top decomposition: %v", err)
 			}
 			sol.Satisfiable = ok
 			sol.Assignment = asg
 		}
 		resp.CSP = sol
-	}
-	writeJSON(w, http.StatusOK, resp)
+		return nil
+	})
 }
 
 // buildCSP validates a wire CSP and materializes it as a csp.Problem.

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/cost"
@@ -559,4 +560,73 @@ func TestMaxBodyBytes(t *testing.T) {
 	if status, data = postJSON(t, ts, "/v1/enumerate", short); status != http.StatusOK {
 		t.Fatalf("small body under a small cap: status %d %s", status, data)
 	}
+}
+
+// TestEndpointsFailAlike pins that /v1/enumerate, /v1/hypergraph and
+// /v1/csp, which share one request pipeline, fail alike at each of its
+// stages: a compile error is a 400, a context cancelled while queued for
+// the only admission slot a 503, and a solver init past its budget a 503
+// naming the MIS escape. /v1/batch queues the same way and carries the
+// same init error in its item.
+func TestEndpointsFailAlike(t *testing.T) {
+	const initErr = "solver initialization failed (consider ?backend=mis)"
+	cycle := `[[0,1],[1,2],[2,3],[3,4],[4,5],[5,0]]`
+	constraints := make([]string, 6)
+	for i := range constraints {
+		constraints[i] = fmt.Sprintf(`{"scope": [%d,%d], "allowed": [[0,1],[1,0]]}`, i, (i+1)%6)
+	}
+	type probe struct{ path, body string }
+	endpoints := []probe{
+		{"/v1/enumerate", `{"edges": ` + cycle + `, "cost": "fill"}`},
+		{"/v1/hypergraph", `{"hyperedges": ` + cycle + `}`},
+		{"/v1/csp", `{"domains": [2,2,2,2,2,2], "constraints": [` + strings.Join(constraints, ",") + `], "solve": true}`},
+	}
+	batch := `{"problems": [` + endpoints[0].body + `]}`
+
+	t.Run("init budget", func(t *testing.T) {
+		_, ts := newTestServer(t, Config{InitTimeout: time.Nanosecond})
+		for _, ep := range endpoints {
+			status, data := postJSON(t, ts, ep.path, ep.body)
+			if status != http.StatusServiceUnavailable || !strings.Contains(string(data), initErr) {
+				t.Errorf("%s: want 503 %q, got %d: %s", ep.path, initErr, status, data)
+			}
+		}
+		status, data := postJSON(t, ts, "/v1/batch", batch)
+		var resp BatchResponse
+		if err := json.Unmarshal(data, &resp); err != nil || status != http.StatusOK {
+			t.Fatalf("/v1/batch: status %d, %v: %s", status, err, data)
+		}
+		if len(resp.Items) != 1 || !strings.Contains(resp.Items[0].Error, initErr) {
+			t.Errorf("/v1/batch: want the item to carry %q, got %s", initErr, data)
+		}
+	})
+
+	t.Run("compile error", func(t *testing.T) {
+		_, ts := newTestServer(t, Config{})
+		for _, ep := range endpoints {
+			status, data := postJSON(t, ts, ep.path+"?backend=bogus", ep.body)
+			if status != http.StatusBadRequest || !strings.Contains(string(data), "unknown backend") {
+				t.Errorf("%s?backend=bogus: want 400 naming the backend, got %d: %s", ep.path, status, data)
+			}
+		}
+	})
+
+	t.Run("admission cancelled", func(t *testing.T) {
+		srv, _ := newTestServer(t, Config{MaxConcurrent: 1})
+		release, err := srv.admit(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer release()
+		for _, ep := range append(endpoints, probe{"/v1/batch", batch}) {
+			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+			req := httptest.NewRequest(http.MethodPost, ep.path, strings.NewReader(ep.body)).WithContext(ctx)
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, req)
+			cancel()
+			if rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), "waiting for admission") {
+				t.Errorf("%s with the only slot held: want 503 while waiting for admission, got %d: %s", ep.path, rec.Code, rec.Body)
+			}
+		}
+	})
 }

@@ -8,7 +8,7 @@ import (
 	"testing"
 )
 
-// Fuzz targets for the request decoders of the workload endpoints: any
+// Fuzz targets for the request decoders of the POST endpoints: any
 // body must produce a well-formed JSON response with a sane status —
 // never a panic, and never an enumeration the configured limits (vertex
 // cap, batch cap, body cap, page cap) would not admit. The servers are
@@ -16,7 +16,7 @@ import (
 // n≤8 problems and each exec stays microseconds.
 //
 // CI runs each target briefly (see .github/workflows/ci.yml); longer
-// local sessions: go test ./internal/service -run='^$' -fuzz=FuzzBatchEndpoint
+// local sessions: go test ./internal/service -run='^$' -fuzz=FuzzEnumerateEndpoint
 
 // fuzzServer is a shared tiny-limit server for the endpoint fuzzers.
 func fuzzServer(f *testing.F) *Server {
@@ -61,6 +61,21 @@ func fuzzPost(t *testing.T, srv *Server, path string, body []byte) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
 		t.Fatalf("%s: status %d with malformed JSON body %q: %v", path, rec.Code, rec.Body.Bytes(), err)
 	}
+}
+
+func FuzzEnumerateEndpoint(f *testing.F) {
+	f.Add(`{"graph6": "DqK", "cost": "fill", "page_size": 2}`)
+	f.Add(`{"edges": [[0,1],[1,2],[2,3],[3,0],[0,4]], "cost": "lex", "orbits": true}`)
+	f.Add(`{"n": 3}`)
+	f.Add(`{"graph6": "DqK", "stream": true, "max_results": 2}`)
+	f.Add(`{"edges": [[0,1],[1,2],[2,3],[3,4],[4,5],[5,0]], "diverse": 2, "window": 5}`)
+	f.Add(`{"hyperedges": [[0,1,2],[2,3],[3,4,0]], "cost": "hypertree", "bound": 2}`)
+	f.Add(`{"edges": [[0,1],[1,2],[2,3],[3,0]], "cost": "statespace", "domains": [2,3,2,2], "backend": "mis"}`)
+	f.Add(`{"graph6": "D?"}`)
+	srv := fuzzServer(f)
+	f.Fuzz(func(t *testing.T, body string) {
+		fuzzPost(t, srv, "/v1/enumerate", []byte(body))
+	})
 }
 
 func FuzzBatchEndpoint(f *testing.F) {

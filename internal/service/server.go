@@ -135,98 +135,31 @@ const defaultMaxBatchItems = 256
 // Server is the ranked-enumeration HTTP service (see the package doc for
 // the API). It is an http.Handler; Close releases every live session.
 type Server struct {
-	cfg       Config
-	pool      *SolverPool
-	streams   *StreamStore
-	sessions  *SessionManager
-	sem       chan struct{}
-	mux       *http.ServeMux
-	start     time.Time
-	requests  atomic.Uint64
-	backends  backendCounters
-	canon     canonCounters
-	orbits    orbitModeCounters
-	workloads workloadCounters
+	cfg      Config
+	pool     *SolverPool
+	streams  *StreamStore
+	sessions *SessionManager
+	sem      chan struct{}
+	mux      *http.ServeMux
+	start    time.Time
+	stats    serverCounters
 }
 
-// workloadCounters counts served requests per ingress shape for the
-// /v1/stats "workloads" block.
-type workloadCounters struct {
-	enumerate, batch, batchProblems, hypergraph, csp, cspSolves, diverse atomic.Uint64
-}
-
-func (c *workloadCounters) stats() WorkloadStats {
-	return WorkloadStats{
-		Enumerate:     c.enumerate.Load(),
-		Batch:         c.batch.Load(),
-		BatchProblems: c.batchProblems.Load(),
-		Hypergraph:    c.hypergraph.Load(),
-		CSP:           c.csp.Load(),
-		CSPSolves:     c.cspSolves.Load(),
-		Diverse:       c.diverse.Load(),
-	}
-}
-
-// orbitModeCounters aggregates orbit-mode serving for /v1/stats: how many
-// enumerate requests ran orbit-reduced, plus the shared core counters
-// every orbit backend this server builds reports into.
-type orbitModeCounters struct {
+// serverCounters are the server's own /v1/stats counters (the pool, the
+// stream store and the session manager keep theirs); handleStats reads
+// them into the wire blocks that document each one.
+type serverCounters struct {
 	requests atomic.Uint64
-	core     core.OrbitCounters
-}
-
-func (o *orbitModeCounters) stats(defaultOn bool) OrbitModeStats {
-	return OrbitModeStats{
-		DefaultOn:  defaultOn,
-		Requests:   o.requests.Load(),
-		OrbitStats: o.core.Snapshot(),
-	}
-}
-
-// canonCounters aggregates the canonical-keying funnel for /v1/stats:
-// how many enumerate requests went through canonical labeling, how many
-// arrived in a non-canonical labeling (i.e. were actually relabeled), how
-// many blew the labeling search budget and fell back to label-sensitive
-// keys, and how many relabeled requests hit a solver or stream some
-// *other* labeling built — the cache hits label-sensitive keying would
-// have missed.
-type canonCounters struct {
-	requests, relabeled, fallbacks, hits atomic.Uint64
-}
-
-func (c *canonCounters) stats() CanonStats {
-	return CanonStats{
-		Requests:  c.requests.Load(),
-		Relabeled: c.relabeled.Load(),
-		Fallbacks: c.fallbacks.Load(),
-		Hits:      c.hits.Load(),
-	}
-}
-
-// backendCounters aggregates served enumerate requests per backend kind,
-// plus how many of them were routed by the auto probe rather than an
-// explicit choice. Snapshotted into /v1/stats.
-type backendCounters struct {
-	dp, mis, auto atomic.Uint64
-}
-
-func (b *backendCounters) count(kind core.BackendKind, autoRouted bool) {
-	if kind == core.BackendMIS {
-		b.mis.Add(1)
-	} else {
-		b.dp.Add(1)
-	}
-	if autoRouted {
-		b.auto.Add(1)
-	}
-}
-
-func (b *backendCounters) stats() BackendStats {
-	return BackendStats{
-		DP:           b.dp.Load(),
-		MIS:          b.mis.Load(),
-		AutoResolved: b.auto.Load(),
-	}
+	// "workloads": requests per ingress shape.
+	enumerate, batch, batchProblems, hypergraph, csp, cspSolves, diverse atomic.Uint64
+	// "backends": served requests per backend kind.
+	dp, mis, autoResolved atomic.Uint64
+	// "canon": the canonical-keying funnel.
+	canonRequests, relabeled, canonFallbacks, canonHits atomic.Uint64
+	// "orbits": orbit-reduced requests, and the counters every orbit
+	// backend this server builds reports into.
+	orbitRequests atomic.Uint64
+	orbit         core.OrbitCounters
 }
 
 // New returns a ready-to-serve Server.
@@ -260,7 +193,7 @@ func New(cfg Config) *Server {
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
+	s.stats.requests.Add(1)
 	s.mux.ServeHTTP(w, r)
 }
 
@@ -308,18 +241,28 @@ func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request, v any) bo
 	return true
 }
 
-// handleEnumerate is the single-problem ingress: compile, admit, build
-// the engine, respond. Every stage is shared with /v1/batch,
-// /v1/hypergraph and /v1/csp — this handler is just the thinnest
-// composition of the compilation layer (see compile.go).
+// handleEnumerate serves POST /v1/enumerate, the plain single-problem
+// ingress: the whole request is the problem.
 func (s *Server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
-	ctx := r.Context()
 	var req EnumerateRequest
 	if !s.decodeRequest(w, r, &req) {
 		return
 	}
-	s.workloads.enumerate.Add(1)
-	cp, err := s.compileProblem(&req, r.URL.Query())
+	s.stats.enumerate.Add(1)
+	s.serveProblem(w, r, &req, nil)
+}
+
+// serveProblem is the single-problem pipeline every POST endpoint but
+// /v1/batch runs once it has decoded and validated its body into req:
+// compile (400), admit (503), build the engine, then stream NDJSON or
+// answer with a first page or a diverse portfolio. finish, when non-nil,
+// completes a JSON response under the admission slot — the endpoint's own
+// block — from the response's results in canonical labels; its error is
+// a 500.
+func (s *Server) serveProblem(w http.ResponseWriter, r *http.Request, req *EnumerateRequest,
+	finish func(cp *CompiledProblem, resp *EnumerateResponse, results []*core.Result) error) {
+	ctx := r.Context()
+	cp, err := s.compileProblem(req, r.URL.Query())
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -332,18 +275,20 @@ func (s *Server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	backend, dpSolver, hit, status, err := s.buildBackend(ctx, cp)
-	if err != nil {
+	if status, err := s.buildBackend(ctx, cp); err != nil {
 		writeError(w, status, err)
 		return
 	}
 
 	if req.Stream {
-		s.streamResults(w, r, cp.ClientGraph, backend, cp.Key, cp.FromCanon, req.MaxResults)
+		s.streamResults(w, r, cp, req.MaxResults)
 		return
 	}
 
-	resp, _, status, err := s.respond(ctx, cp, backend, dpSolver, hit)
+	resp, results, status, err := s.respond(ctx, cp)
+	if err == nil && finish != nil {
+		status, err = http.StatusInternalServerError, finish(cp, resp, results)
+	}
 	if err != nil {
 		writeError(w, status, err)
 		return
@@ -361,10 +306,10 @@ func (s *Server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
 // blew its budget and the key stays label-sensitive — correct, merely
 // missing cross-labeling dedup).
 func (s *Server) canonicalize(req *EnumerateRequest, g *graph.Graph, h *hyper.Hypergraph) (*graph.Graph, *hyper.Hypergraph, []int) {
-	s.canon.requests.Add(1)
+	s.stats.canonRequests.Add(1)
 	canonG, perm, exact := g.CanonicalForm()
 	if !exact {
-		s.canon.fallbacks.Add(1)
+		s.stats.canonFallbacks.Add(1)
 		return g, h, nil
 	}
 	identity := true
@@ -377,7 +322,7 @@ func (s *Server) canonicalize(req *EnumerateRequest, g *graph.Graph, h *hyper.Hy
 	if identity {
 		return g, h, nil
 	}
-	s.canon.relabeled.Add(1)
+	s.stats.relabeled.Add(1)
 	if h != nil {
 		nh := hyper.New(h.NumVertices())
 		for _, e := range h.Edges() {
@@ -416,8 +361,8 @@ const streamWriteTimeout = 30 * time.Second
 // on one (graph, cost, bound, backend) key split a single enumeration
 // between them instead of each running their own.
 // Results are stored canonically; each line is written in the client's
-// labels through fromCanon (see wireResult).
-func (s *Server) streamResults(w http.ResponseWriter, r *http.Request, g *graph.Graph, backend core.Backend, key SolverKey, fromCanon []int, max int) {
+// labels through cp.FromCanon (see wireResult).
+func (s *Server) streamResults(w http.ResponseWriter, r *http.Request, cp *CompiledProblem, max int) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	rc := http.NewResponseController(w)
@@ -425,7 +370,7 @@ func (s *Server) streamResults(w http.ResponseWriter, r *http.Request, g *graph.
 	enc := json.NewEncoder(w)
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.StreamTimeout)
 	defer cancel()
-	h := s.streams.Acquire(key, backend)
+	h := s.streams.Acquire(cp.Key, cp.Engine)
 	defer h.Release()
 	count := 0
 	for max <= 0 || count < max {
@@ -434,7 +379,7 @@ func (s *Server) streamResults(w http.ResponseWriter, r *http.Request, g *graph.
 			break
 		}
 		rc.SetWriteDeadline(time.Now().Add(streamWriteTimeout))
-		if enc.Encode(wireResult(g, count, res, fromCanon)) != nil {
+		if enc.Encode(wireResult(cp.ClientGraph, count, res, cp.FromCanon)) != nil {
 			return // client gone or stalled past the deadline
 		}
 		count++
@@ -460,15 +405,21 @@ func (s *Server) handleNext(w http.ResponseWriter, r *http.Request) {
 		writeError(w, statusFor(err), err)
 		return
 	}
-	pageSize := s.cfg.PageSize
-	if q := r.URL.Query().Get("page_size"); q != "" {
-		n, err := strconv.Atoi(q)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad page_size %q", q))
-			return
-		}
-		if pageSize, err = clampPageSize(n, s.cfg.PageSize); err != nil {
-			writeError(w, http.StatusBadRequest, err)
+	// Malformed knobs are 400s before the request queues for admission: a
+	// client error must not wait behind solver work.
+	q := r.URL.Query()
+	pageSize, err := knob(q, "page_size", strconv.Atoi, nil, 0)
+	if err == nil {
+		pageSize, err = clampPageSize(pageSize, s.cfg.PageSize)
+	}
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	from := -1
+	if raw := q.Get("from"); raw != "" {
+		if from, err = strconv.Atoi(raw); err != nil || from < 0 {
+			writeError(w, http.StatusBadRequest, fmt.Errorf("bad from %q", raw))
 			return
 		}
 	}
@@ -479,12 +430,7 @@ func (s *Server) handleNext(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	if q := r.URL.Query().Get("from"); q != "" {
-		from, err := strconv.Atoi(q)
-		if err != nil || from < 0 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad from %q", q))
-			return
-		}
+	if from >= 0 {
 		// Replay is the recovery path for a page lost in flight: any rank
 		// the session already committed re-serves from the shared stream
 		// buffer. It runs under an admission slot because a buffer the
@@ -510,11 +456,7 @@ func (s *Server) handleNext(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if len(results) > 0 {
-			resp := &EnumerateResponse{Done: done, Results: pageJSON(sess.g, start, results, sess.fromCanon)}
-			if !done {
-				resp.Session = sess.Token
-			}
-			writeJSON(w, http.StatusOK, resp)
+			writeJSON(w, http.StatusOK, sess.page(start, results, done))
 			return
 		}
 		// from equals the live cursor; fall through to normal paging.
@@ -535,11 +477,7 @@ func (s *Server) handleNext(w http.ResponseWriter, r *http.Request) {
 	if done {
 		s.sessions.Remove(sess.Token)
 	}
-	resp := &EnumerateResponse{Done: done, Results: pageJSON(sess.g, start, results, sess.fromCanon)}
-	if !done {
-		resp.Session = sess.Token
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, sess.page(start, results, done))
 }
 
 func (s *Server) handleSessionInfo(w http.ResponseWriter, r *http.Request) {
@@ -560,19 +498,41 @@ func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
+	c := &s.stats
 	writeJSON(w, http.StatusOK, &StatsResponse{
 		UptimeSeconds: time.Since(s.start).Seconds(),
-		Requests:      s.requests.Load(),
+		Requests:      c.requests.Load(),
 		Pool:          s.pool.Stats(),
 		Sessions:      s.sessions.Stats(),
 		Solver:        s.pool.ReuseStats(),
 		Atoms:         s.pool.AtomStats(),
 		Streams:       s.streams.Stats(),
 		Prefetch:      s.streams.PrefetchStats(),
-		Backends:      s.backends.stats(),
-		Canon:         s.canon.stats(),
-		Orbits:        s.orbits.stats(s.cfg.DefaultOrbits),
-		Workloads:     s.workloads.stats(),
+		Backends: BackendStats{
+			DP:           c.dp.Load(),
+			MIS:          c.mis.Load(),
+			AutoResolved: c.autoResolved.Load(),
+		},
+		Canon: CanonStats{
+			Requests:  c.canonRequests.Load(),
+			Relabeled: c.relabeled.Load(),
+			Fallbacks: c.canonFallbacks.Load(),
+			Hits:      c.canonHits.Load(),
+		},
+		Orbits: OrbitModeStats{
+			DefaultOn:  s.cfg.DefaultOrbits,
+			Requests:   c.orbitRequests.Load(),
+			OrbitStats: c.orbit.Snapshot(),
+		},
+		Workloads: WorkloadStats{
+			Enumerate:     c.enumerate.Load(),
+			Batch:         c.batch.Load(),
+			BatchProblems: c.batchProblems.Load(),
+			Hypergraph:    c.hypergraph.Load(),
+			CSP:           c.csp.Load(),
+			CSPSolves:     c.cspSolves.Load(),
+			Diverse:       c.diverse.Load(),
+		},
 	})
 }
 
@@ -595,17 +555,6 @@ func solverInfo(solver *core.Solver) *SolverInfo {
 		info.LargestAtom = dec.LargestAtom()
 	}
 	return info
-}
-
-// pageJSON converts a page of canonical stream results, starting at rank
-// start, for a client of graph g whose labels fromCanon maps to (see
-// wireResult).
-func pageJSON(g *graph.Graph, start int, results []*core.Result, fromCanon []int) []TriangulationJSON {
-	out := make([]TriangulationJSON, len(results))
-	for i, r := range results {
-		out[i] = wireResult(g, start+i, r, fromCanon)
-	}
-	return out
 }
 
 func clampPageSize(requested, def int) (int, error) {

@@ -694,6 +694,36 @@ func TestBadPageSizeQuery(t *testing.T) {
 	}
 }
 
+// TestBadQueryRejectedBeforeAdmission pins that a malformed page_size or
+// from on /next is a 400 even while every admission slot is busy: client
+// errors must not queue behind solver work.
+func TestBadQueryRejectedBeforeAdmission(t *testing.T) {
+	srv, ts := newTestServer(t, Config{MaxConcurrent: 1})
+	first, _ := postEnumerate(t, ts, fmt.Sprintf(`{"graph6": %q, "page_size": 1}`, cycleGraph6(t, 5)))
+	release, err := srv.admit(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+	for _, q := range []string{"from=x", "from=-1", "page_size=5x"} {
+		ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/v1/sessions/"+first.Session+"/next?"+q, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			cancel()
+			t.Fatalf("%s with the only slot held: %v", q, err)
+		}
+		resp.Body.Close()
+		cancel()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s with the only slot held: want 400, got %d", q, resp.StatusCode)
+		}
+	}
+}
+
 func TestHealthz(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	resp, err := http.Get(ts.URL + "/healthz")

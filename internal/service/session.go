@@ -346,6 +346,20 @@ func (s *Session) Replay(ctx context.Context, from, n int) (start int, results [
 	return from, results, s.done && end == s.pos, true, nil
 }
 
+// page is the wire response for results, a page of this session's
+// stream starting at rank start, in the client's labels; it carries the
+// resume token until the enumeration is done.
+func (s *Session) page(start int, results []*core.Result, done bool) *EnumerateResponse {
+	resp := &EnumerateResponse{Done: done, Results: make([]TriangulationJSON, len(results))}
+	for i, r := range results {
+		resp.Results[i] = wireResult(s.g, start+i, r, s.fromCanon)
+	}
+	if !done {
+		resp.Session = s.Token
+	}
+	return resp
+}
+
 // Emitted returns how many results the session has committed so far.
 func (s *Session) Emitted() int {
 	s.mu.Lock()

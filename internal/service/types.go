@@ -491,71 +491,53 @@ func buildGraph(req *EnumerateRequest, maxVertices int) (*graph.Graph, *hyper.Hy
 // width bound, identifies the solver in the pool. Parameterized costs
 // (statespace domains, hypergraph edge sets) contribute their parameters
 // to the key, since they change the ranking.
-func buildCost(req *EnumerateRequest, g *graph.Graph, h *hyper.Hypergraph) (cost.Cost, string, error) {
+//
+// invariant reports whether the ranking is label-invariant, the gate of
+// orbit mode: collapsing an orbit to one representative is only sound
+// when every member has the representative's cost. That holds for width,
+// fill, their lexicographic combination, and statespace under uniform (or
+// default) domains; per-vertex domains that differ, or a ranking that
+// reads a hypergraph, rank isomorphic triangulations differently.
+func buildCost(req *EnumerateRequest, g *graph.Graph, h *hyper.Hypergraph) (c cost.Cost, key string, invariant bool, err error) {
 	name := req.Cost
 	if name == "" {
 		name = "width"
 	}
 	switch name {
 	case "width":
-		return cost.Width{}, "width", nil
+		return cost.Width{}, "width", true, nil
 	case "fill":
-		return cost.FillIn{}, "fill", nil
+		return cost.FillIn{}, "fill", true, nil
 	case "lex", "width-fill":
-		return cost.LexWidthFill{}, "lex", nil
+		return cost.LexWidthFill{}, "lex", true, nil
 	case "statespace":
 		if req.Domains != nil && len(req.Domains) != g.Universe() {
-			return nil, "", fmt.Errorf("domains has %d entries for %d vertices", len(req.Domains), g.Universe())
+			return nil, "", false, fmt.Errorf("domains has %d entries for %d vertices", len(req.Domains), g.Universe())
 		}
+		invariant = true
 		for _, d := range req.Domains {
 			if d < 1 {
-				return nil, "", fmt.Errorf("domain sizes must be positive")
+				return nil, "", false, fmt.Errorf("domain sizes must be positive")
 			}
+			invariant = invariant && d == req.Domains[0]
 		}
-		key := "statespace"
+		key = "statespace"
 		if req.Domains != nil {
 			key = fmt.Sprintf("statespace%v", req.Domains)
 		}
-		return cost.TotalStateSpace{Domain: req.Domains}, key, nil
+		return cost.TotalStateSpace{Domain: req.Domains}, key, invariant, nil
 	case "hypertree":
 		if h == nil {
-			return nil, "", fmt.Errorf("cost %q requires hyperedges input", name)
+			return nil, "", false, fmt.Errorf("cost %q requires hyperedges input", name)
 		}
-		return h.HypertreeWidthCost(), "hypertree:" + hyperFingerprint(h), nil
+		return h.HypertreeWidthCost(), "hypertree:" + hyperFingerprint(h), false, nil
 	case "fractional-htw":
 		if h == nil {
-			return nil, "", fmt.Errorf("cost %q requires hyperedges input", name)
+			return nil, "", false, fmt.Errorf("cost %q requires hyperedges input", name)
 		}
-		return h.FractionalHypertreeWidthCost(), "fractional-htw:" + hyperFingerprint(h), nil
+		return h.FractionalHypertreeWidthCost(), "fractional-htw:" + hyperFingerprint(h), false, nil
 	}
-	return nil, "", fmt.Errorf("unknown cost %q", name)
-}
-
-// orbitCostCheck gates orbit mode on label-invariant costs. Collapsing an
-// orbit to one representative is only sound when every member has the
-// representative's cost — true of width, fill and their lexicographic
-// combination, and of statespace under uniform (or default) domains, but
-// false once per-vertex domains differ or the ranking reads a hypergraph
-// (hypertree, fractional-htw): there, isomorphic triangulations rank
-// differently and the collapse would hide real answers. Runs after
-// buildCost, so unknown cost names are already rejected.
-func orbitCostCheck(req *EnumerateRequest) error {
-	name := req.Cost
-	if name == "" {
-		name = "width"
-	}
-	switch name {
-	case "width", "fill", "lex", "width-fill":
-		return nil
-	case "statespace":
-		for _, d := range req.Domains {
-			if d != req.Domains[0] {
-				return fmt.Errorf("orbit mode requires a label-invariant cost: statespace with non-uniform domains ranks isomorphic triangulations differently")
-			}
-		}
-		return nil
-	}
-	return fmt.Errorf("orbit mode requires a label-invariant cost; %q is label-sensitive", name)
+	return nil, "", false, fmt.Errorf("unknown cost %q", name)
 }
 
 // hyperFingerprint hashes the hyperedge multiset (order-insensitively) so
