@@ -243,12 +243,12 @@ func BenchmarkRankedDelay(b *testing.B) {
 
 func BenchmarkCKKDelay(b *testing.B) {
 	g := benchGraph(14, 0.3, 7)
-	e := ckk.New(g, nil)
+	e := ckk.New(g)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, ok := e.Next(); !ok {
 			b.StopTimer()
-			e = ckk.New(g, nil)
+			e = ckk.New(g)
 			b.StartTimer()
 		}
 	}
@@ -266,7 +266,7 @@ func BenchmarkMCSM(b *testing.B) {
 	g := benchGraph(40, 0.15, 7)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		triang.MCSM(g)
+		triang.MCSMOrder(g)
 	}
 }
 
@@ -304,23 +304,14 @@ func BenchmarkAblationCombinableFastPath(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationCKKBlackBox compares LB-Triang against MCS-M as CKK's
-// black-box triangulator (the paper chose LB-Triang for result quality).
+// BenchmarkAblationCKKBlackBox drains CKK with LB-Triang, its fixed
+// black-box triangulator; DESIGN.md "Backend selection" records the MCS-M
+// comparison that fixed it.
 func BenchmarkAblationCKKBlackBox(b *testing.B) {
 	g := benchGraph(13, 0.3, 7)
 	b.Run("lbtriang", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			e := ckk.New(g, nil)
-			for {
-				if _, ok := e.Next(); !ok {
-					break
-				}
-			}
-		}
-	})
-	b.Run("mcsm", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			e := ckk.New(g, func(x *graph.Graph) *graph.Graph { return triang.MCSM(x) })
+			e := ckk.New(g)
 			for {
 				if _, ok := e.Next(); !ok {
 					break

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -24,7 +25,7 @@ import (
 func main() {
 	var (
 		file      = flag.String("file", "", "input graph file")
-		format    = flag.String("format", "pace", "file format: edges|dimacs|pace")
+		format    = flag.String("format", "pace", "file format: edges|dimacs|pace|graph6")
 		named     = flag.String("named", "", "use a named graph instead of a file")
 		msBudget  = flag.Duration("ms-budget", time.Minute, "budget for minimal separator generation")
 		pmcBudget = flag.Duration("pmc-budget", 30*time.Minute, "budget for PMC generation")
@@ -40,7 +41,9 @@ func main() {
 	fmt.Printf("graph: %d vertices, %d edges\n", g.NumVertices(), g.NumEdges())
 
 	start := time.Now()
-	seps, ok := minsep.AllWithDeadline(g, start.Add(*msBudget))
+	ctx, cancel := context.WithTimeout(context.Background(), *msBudget)
+	seps, ok := minsep.AllCtx(ctx, g)
+	cancel()
 	if !ok {
 		fmt.Printf("minimal separators: NOT TERMINATED within %v (≥ %d found)\n", *msBudget, len(seps))
 		os.Exit(2)
@@ -54,14 +57,25 @@ func main() {
 	fmt.Printf("full blocks: %d\n", len(pmc.FullBlocks(g, seps)))
 
 	start = time.Now()
-	pmcs, err := pmc.AllWithDeadline(g, start.Add(*pmcBudget))
+	ctx, cancel = context.WithTimeout(context.Background(), *pmcBudget)
+	pmcs, err := pmc.AllCtx(ctx, g)
+	cancel()
 	if err != nil {
 		fmt.Printf("PMCs: NOT TERMINATED within %v\n", *pmcBudget)
 		os.Exit(3)
 	}
 	fmt.Printf("PMCs: %d (%.3fs)\n", len(pmcs), time.Since(start).Seconds())
-	ratio := float64(len(seps)) / float64(g.NumEdges())
-	fmt.Printf("minseps/edges: %.2f (poly-MS %s)\n", ratio, verdict(ratio))
+	fmt.Println(ratioLine(len(seps), g.NumEdges()))
+}
+
+// ratioLine reports the separator-to-edge ratio and its verdict; an
+// edgeless graph has no ratio to judge.
+func ratioLine(seps, edges int) string {
+	if edges == 0 {
+		return "minseps/edges: n/a (no edges)"
+	}
+	ratio := float64(seps) / float64(edges)
+	return fmt.Sprintf("minseps/edges: %.2f (poly-MS %s)", ratio, verdict(ratio))
 }
 
 func verdict(r float64) string {
@@ -83,13 +97,5 @@ func loadGraph(file, format, named string) (*graph.Graph, error) {
 		return nil, err
 	}
 	defer f.Close()
-	switch format {
-	case "edges":
-		return graph.ReadEdgeList(f)
-	case "dimacs":
-		return graph.ReadDIMACS(f)
-	case "pace":
-		return graph.ReadPACE(f)
-	}
-	return nil, fmt.Errorf("unknown format %q", format)
+	return graph.ReadFormat(f, format)
 }

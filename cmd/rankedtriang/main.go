@@ -7,7 +7,8 @@
 //	rankedtriang -named petersen -cost fill -k 5 -proper
 //	rankedtriang -file query.edges -format edges -cost lex -bound 3
 //
-// Formats: edges (whitespace edge list), dimacs (.col), pace (.gr).
+// Formats: edges (whitespace edge list), dimacs (.col), pace (.gr),
+// graph6 (first graph of the file).
 // Costs: width, fill, lex (width then fill), statespace.
 package main
 
@@ -148,24 +149,7 @@ func loadGraph(file, format, named string) (*graph.Graph, error) {
 		return nil, err
 	}
 	defer f.Close()
-	switch format {
-	case "edges":
-		return graph.ReadEdgeList(f)
-	case "dimacs":
-		return graph.ReadDIMACS(f)
-	case "pace":
-		return graph.ReadPACE(f)
-	case "graph6":
-		gs, err := graph.ReadGraph6(f)
-		if err != nil {
-			return nil, err
-		}
-		if len(gs) == 0 {
-			return nil, fmt.Errorf("graph6 file holds no graphs")
-		}
-		return gs[0], nil
-	}
-	return nil, fmt.Errorf("unknown format %q", format)
+	return graph.ReadFormat(f, format)
 }
 
 func pickCost(name string, g *graph.Graph) (cost.Cost, error) {

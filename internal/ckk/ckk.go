@@ -6,13 +6,14 @@
 // Parra–Scheffler separator graph (vertices: minimal separators, edges:
 // crossing pairs) without materializing it. The extension oracle saturates
 // a pairwise-parallel family of minimal separators and hands the result to
-// a black-box minimal triangulator (LB-Triang by default, the choice of
-// the paper's experiments). The separator universe is produced lazily by
-// minsep.Stream, the Berry–Bordat–Cogis generator, interleaved with the
-// independent-set moves, so there is no expensive upfront initialization —
-// the practical difference from RankedTriang that the paper's Table 2
-// measures, and the reason the service's MIS backend can answer on graphs
-// whose |MinSep|-exponential PMC-table init blows the ranked DP's budget.
+// LB-Triang, the black-box minimal triangulator of the paper's
+// experiments (DESIGN.md "Backend selection" says why it is fixed). The
+// separator universe is produced lazily by minsep.Stream, the
+// Berry–Bordat–Cogis generator, interleaved with the independent-set
+// moves, so there is no expensive upfront initialization — the practical
+// difference from RankedTriang that the paper's Table 2 measures, and the
+// reason the service's MIS backend can answer on graphs whose
+// |MinSep|-exponential PMC-table init blows the ranked DP's budget.
 //
 // Separators are interned into dense integer IDs (internal/intern) as they
 // are discovered: result deduplication keys on the sorted ID set of the
@@ -35,10 +36,6 @@ import (
 	"repro/internal/vset"
 )
 
-// Triangulator is the black-box minimal triangulation routine the
-// enumeration relies on.
-type Triangulator func(*graph.Graph) *graph.Graph
-
 // Result is one enumerated minimal triangulation.
 type Result struct {
 	H    *graph.Graph
@@ -51,8 +48,7 @@ type Result struct {
 // particular order. Create one with New, then call Next/NextContext until
 // exhaustion.
 type Enumerator struct {
-	g   *graph.Graph
-	tri Triangulator
+	g *graph.Graph
 
 	// tab interns every separator the enumeration touches — stream draws
 	// and the minimal separators of produced triangulations — so moves and
@@ -73,15 +69,10 @@ type Enumerator struct {
 	next    int   // round-robin pointer
 }
 
-// New starts the CKK enumeration of the minimal triangulations of g,
-// using tri as the black box (nil selects LB-Triang).
-func New(g *graph.Graph, tri Triangulator) *Enumerator {
-	if tri == nil {
-		tri = triang.Minimal
-	}
+// New starts the CKK enumeration of the minimal triangulations of g.
+func New(g *graph.Graph) *Enumerator {
 	e := &Enumerator{
 		g:      g,
-		tri:    tri,
 		tab:    intern.New(16),
 		seen:   map[string]bool{},
 		tried:  map[string]bool{},
@@ -107,10 +98,10 @@ func idKey(buf []byte, sorted []int) []byte {
 // MinSep(G) that determines the triangulation uniquely, so the sorted set
 // of their interned IDs is the dedup key.
 func (e *Enumerator) produce(p []vset.Set) {
-	h := e.tri(minsep.Saturate(e.g, p))
+	h := triang.Minimal(minsep.Saturate(e.g, p))
 	seps, err := chordal.MinimalSeparators(h)
 	if err != nil {
-		panic("ckk: black-box triangulator returned a non-chordal graph: " + err.Error())
+		panic("ckk: LB-Triang returned a non-chordal graph: " + err.Error())
 	}
 	ids := make([]int, len(seps))
 	for i, s := range seps {

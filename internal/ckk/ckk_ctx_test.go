@@ -13,7 +13,7 @@ import (
 func TestNextContextCancelled(t *testing.T) {
 	g := gen.Cycle(8)
 	ctx, cancel := context.WithCancel(context.Background())
-	e := New(g, nil)
+	e := New(g)
 	if _, ok := e.NextContext(ctx); !ok {
 		t.Fatal("first result should be available before cancellation")
 	}
@@ -32,7 +32,7 @@ func TestAllContextTruncates(t *testing.T) {
 	g := gen.Cycle(6)
 	for stop := 0; stop <= 14; stop++ {
 		ctx, cancel := context.WithCancel(context.Background())
-		e := New(g, nil)
+		e := New(g)
 		var got []*Result
 		for i := 0; i < stop; i++ {
 			r, ok := e.NextContext(ctx)
@@ -59,7 +59,7 @@ func TestInternedDedupMatchesEdgeKeys(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		g := gen.GNP(rng, 3+rng.Intn(5), 0.5)
 		famSeen := map[string]bool{}
-		for _, r := range New(g, nil).All() {
+		for _, r := range New(g).All() {
 			keys := make([]string, len(r.Seps))
 			for i, s := range r.Seps {
 				keys[i] = s.Key()
@@ -107,7 +107,7 @@ func TestMoveFamilyPreDedup(t *testing.T) {
 	}
 	g.AddEdge(0, 4)
 	want := bruteforce.AllMinimalTriangulations(g)
-	got := New(g, nil).All()
+	got := New(g).All()
 	if len(got) != len(want) {
 		t.Fatalf("K4+pendant: %d vs oracle %d", len(got), len(want))
 	}

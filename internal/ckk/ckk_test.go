@@ -8,12 +8,11 @@ import (
 	"repro/internal/chordal"
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/triang"
 )
 
 func TestPaperExample(t *testing.T) {
 	g := gen.PaperExample()
-	results := New(g, nil).All()
+	results := New(g).All()
 	if len(results) != 2 {
 		t.Fatalf("CKK found %d triangulations, want 2", len(results))
 	}
@@ -30,7 +29,7 @@ func TestCompletenessAgainstOracle(t *testing.T) {
 		n := 2 + rng.Intn(6)
 		g := gen.GNP(rng, n, 0.2+rng.Float64()*0.6)
 		want := bruteforce.AllMinimalTriangulations(g)
-		got := New(g, nil).All()
+		got := New(g).All()
 		if len(got) != len(want) {
 			t.Fatalf("trial %d (n=%d): CKK found %d, oracle %d (edges=%v)",
 				trial, n, len(got), len(want), g.Edges())
@@ -51,25 +50,11 @@ func TestCompletenessAgainstOracle(t *testing.T) {
 	}
 }
 
-func TestCompletenessWithMCSM(t *testing.T) {
-	// The enumeration must be complete regardless of the black box.
-	rng := rand.New(rand.NewSource(707))
-	for trial := 0; trial < 60; trial++ {
-		g := gen.GNP(rng, 2+rng.Intn(6), 0.4)
-		want := bruteforce.AllMinimalTriangulations(g)
-		got := New(g, func(x *graph.Graph) *graph.Graph { return triang.MCSM(x) }).All()
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: MCS-M black box: %d vs oracle %d (edges=%v)",
-				trial, len(got), len(want), g.Edges())
-		}
-	}
-}
-
 func TestResultsAreMinimal(t *testing.T) {
 	rng := rand.New(rand.NewSource(808))
 	for trial := 0; trial < 40; trial++ {
 		g := gen.GNP(rng, 3+rng.Intn(5), 0.4)
-		for _, r := range New(g, nil).All() {
+		for _, r := range New(g).All() {
 			if !bruteforce.IsMinimalTriangulation(r.H, g) {
 				t.Fatalf("non-minimal triangulation emitted")
 			}
@@ -85,20 +70,20 @@ func TestResultsAreMinimal(t *testing.T) {
 }
 
 func TestTrivialInputs(t *testing.T) {
-	if got := New(graph.New(1), nil).All(); len(got) != 1 {
+	if got := New(graph.New(1)).All(); len(got) != 1 {
 		t.Fatalf("single vertex: %d results", len(got))
 	}
-	if got := New(gen.Complete(4), nil).All(); len(got) != 1 {
+	if got := New(gen.Complete(4)).All(); len(got) != 1 {
 		t.Fatalf("K4: %d results", len(got))
 	}
-	if got := New(gen.Path(5), nil).All(); len(got) != 1 {
+	if got := New(gen.Path(5)).All(); len(got) != 1 {
 		t.Fatalf("chordal graph: %d results, want 1 (itself)", len(got))
 	}
 }
 
 func TestStreamingMatchesAll(t *testing.T) {
 	g := gen.Cycle(6)
-	e := New(g, nil)
+	e := New(g)
 	count := 0
 	for {
 		_, ok := e.Next()
@@ -123,7 +108,7 @@ func TestDisconnected(t *testing.T) {
 	g.AddEdge(6, 7)
 	g.AddEdge(7, 4) // another C4
 	want := bruteforce.AllMinimalTriangulations(g)
-	got := New(g, nil).All()
+	got := New(g).All()
 	if len(got) != len(want) {
 		t.Fatalf("disconnected: %d vs oracle %d", len(got), len(want))
 	}

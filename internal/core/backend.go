@@ -61,8 +61,6 @@ type Backend interface {
 	Ranked() bool
 	// Graph returns the input graph the backend enumerates over.
 	Graph() *graph.Graph
-	// Cost returns the cost the backend evaluates results under.
-	Cost() cost.Cost
 	// EnumerateContext starts a fresh enumeration bound to ctx (see
 	// Solver.EnumerateContext for the cancellation semantics).
 	EnumerateContext(ctx context.Context) *Enumerator
@@ -115,7 +113,6 @@ func NewMISBackend(g *graph.Graph, c cost.Cost, opts MISOptions) Backend {
 func (b *misBackend) BackendKind() BackendKind { return BackendMIS }
 func (b *misBackend) Ranked() bool             { return false }
 func (b *misBackend) Graph() *graph.Graph      { return b.g }
-func (b *misBackend) Cost() cost.Cost          { return b.c }
 
 // EnumerateParallelContext on the MIS backend ignores workers: the
 // separator-graph MIS walk advances one move at a time with nothing
@@ -133,7 +130,7 @@ func (b *misBackend) EnumerateContext(ctx context.Context) *Enumerator {
 		m.empty = true
 		return &Enumerator{m: m}
 	}
-	m.inner = ckk.New(b.g, nil)
+	m.inner = ckk.New(b.g)
 	return &Enumerator{m: m}
 }
 

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/cost"
 	"repro/internal/graph"
 )
 
@@ -131,7 +130,6 @@ func NewOrbitBackend(inner Backend, counters *OrbitCounters) Backend {
 func (b *orbitBackend) BackendKind() BackendKind { return b.inner.BackendKind() }
 func (b *orbitBackend) Ranked() bool             { return b.inner.Ranked() }
 func (b *orbitBackend) Graph() *graph.Graph      { return b.inner.Graph() }
-func (b *orbitBackend) Cost() cost.Cost          { return b.inner.Cost() }
 
 // Aut returns the automorphism group the backend reduces under, computing
 // it on first use.

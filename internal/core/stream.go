@@ -229,15 +229,6 @@ func (st *SharedStream) Produced() int {
 	return st.base + len(st.buf)
 }
 
-// Exhausted reports whether the enumeration has been driven to its end
-// (every result is in the buffer). False after a Reset until the rebuild
-// reaches the end again.
-func (st *SharedStream) Exhausted() bool {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.exhausted
-}
-
 // Bytes returns the estimated in-memory footprint of the buffer (the sum
 // of the buffered results' SizeEstimates).
 func (st *SharedStream) Bytes() int64 {

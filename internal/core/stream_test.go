@@ -37,6 +37,14 @@ func resultSig(r *Result) string {
 	return fmt.Sprintf("%g|%v|%v", r.Cost, r.Bags, r.Seps)
 }
 
+// exhausted reports whether st has been driven to its end (every result
+// is in the buffer), reading the flag under the stream's lock.
+func exhausted(st *SharedStream) bool {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.exhausted
+}
+
 func newStreamSolver(t testing.TB) (*Solver, []*Result) {
 	t.Helper()
 	s := mustNew(gen.Cycle(7), cost.FillIn{})
@@ -68,8 +76,8 @@ func TestSharedStreamMatchesEnumerator(t *testing.T) {
 			t.Fatalf("rank %d differs from oracle", i)
 		}
 	}
-	if !st.Exhausted() || st.Buffered() != len(oracle) {
-		t.Fatalf("exhausted stream should buffer everything: exhausted=%v buffered=%d", st.Exhausted(), st.Buffered())
+	if !exhausted(st) || st.Buffered() != len(oracle) {
+		t.Fatalf("exhausted stream should buffer everything: exhausted=%v buffered=%d", exhausted(st), st.Buffered())
 	}
 	if st.Bytes() <= 0 {
 		t.Fatal("buffered stream reports no bytes")
@@ -137,7 +145,7 @@ func TestSharedStreamResetReplaysDeterministically(t *testing.T) {
 		}
 	}
 	st.Reset()
-	if st.Buffered() != 0 || st.Exhausted() || st.Bytes() != 0 {
+	if st.Buffered() != 0 || exhausted(st) || st.Bytes() != 0 {
 		t.Fatalf("reset left state behind: buffered=%d bytes=%d", st.Buffered(), st.Bytes())
 	}
 	// A cursor parked at rank 25 forces a rebuild that replays 0..25.

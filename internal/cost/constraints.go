@@ -12,8 +12,9 @@ import (
 // S ⊆ V(H) is not.
 //
 // The Lawler–Murty enumeration compiles these into the cost function
-// (κ[I,X], Lemma 6.2); the dynamic program consults them through
-// Satisfied.
+// (κ[I,X], Lemma 6.2): the dynamic program compiles each pair into
+// per-separator pair-coverage masks (core's compileConstraints) and never
+// calls Satisfied, which checks a finished triangulation directly.
 type Constraints struct {
 	Include []vset.Set
 	Exclude []vset.Set
@@ -63,48 +64,6 @@ func (c *Constraints) Satisfied(h *graph.Graph) bool {
 	}
 	for _, s := range c.Exclude {
 		if s.SubsetOf(h.Vertices()) && h.IsClique(s) {
-			return false
-		}
-	}
-	return true
-}
-
-// SatisfiedByBags reports whether the triangulation induced by saturating
-// the given bags over g satisfies [I, X]. A pair of a separator is present
-// in the saturation iff it is an edge of g or co-occurs in a bag.
-func (c *Constraints) SatisfiedByBags(g *graph.Graph, bags []vset.Set) bool {
-	if c.IsEmpty() {
-		return true
-	}
-	covered := func(u, v int) bool {
-		if g.HasEdge(u, v) {
-			return true
-		}
-		for _, b := range bags {
-			if b.Contains(u) && b.Contains(v) {
-				return true
-			}
-		}
-		return false
-	}
-	clique := func(s vset.Set) bool {
-		vs := s.Slice()
-		for i := 0; i < len(vs); i++ {
-			for j := i + 1; j < len(vs); j++ {
-				if !covered(vs[i], vs[j]) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	for _, s := range c.Include {
-		if !clique(s) {
-			return false
-		}
-	}
-	for _, s := range c.Exclude {
-		if clique(s) {
 			return false
 		}
 	}

@@ -225,72 +225,6 @@ func (c WeightedWidth) Value(_ *graph.Graph, max, _ float64) float64 { return ma
 // MergeKind implements Mergeable: a pure max-type cost.
 func (c WeightedWidth) MergeKind() MergeKind { return MergeMax }
 
-// WeightedFill is Furuse–Yamazaki's fill_c: the sum over added edges of a
-// per-edge weight.
-type WeightedFill struct {
-	// EdgeWeight prices the fill edge {u, v}.
-	EdgeWeight func(u, v int) float64
-	// CostName labels the cost; defaults to "weighted-fill".
-	CostName string
-}
-
-// Name implements Cost.
-func (c WeightedFill) Name() string {
-	if c.CostName != "" {
-		return c.CostName
-	}
-	return "weighted-fill"
-}
-
-// Eval implements Cost.
-func (c WeightedFill) Eval(g *graph.Graph, bags []vset.Set) float64 {
-	seen := map[[2]int]bool{}
-	total := 0.0
-	for _, b := range bags {
-		vs := b.Slice()
-		for i := 0; i < len(vs); i++ {
-			for j := i + 1; j < len(vs); j++ {
-				p := [2]int{vs[i], vs[j]}
-				if seen[p] || g.HasEdge(vs[i], vs[j]) {
-					seen[p] = true
-					continue
-				}
-				seen[p] = true
-				total += c.EdgeWeight(vs[i], vs[j])
-			}
-		}
-	}
-	return total
-}
-
-// BagMax implements Combinable.
-func (c WeightedFill) BagMax(_ *graph.Graph, _ vset.Set) float64 { return 0 }
-
-// BagSum implements Combinable.
-func (c WeightedFill) BagSum(g *graph.Graph, omega, sep vset.Set) float64 {
-	vs := omega.Slice()
-	total := 0.0
-	for i := 0; i < len(vs); i++ {
-		for j := i + 1; j < len(vs); j++ {
-			if g.HasEdge(vs[i], vs[j]) {
-				continue
-			}
-			if sep.Contains(vs[i]) && sep.Contains(vs[j]) {
-				continue
-			}
-			total += c.EdgeWeight(vs[i], vs[j])
-		}
-	}
-	return total
-}
-
-// Value implements Combinable.
-func (c WeightedFill) Value(_ *graph.Graph, _, sum float64) float64 { return sum }
-
-// MergeKind implements Mergeable: a pure sum-type cost over disjoint
-// fill sets.
-func (c WeightedFill) MergeKind() MergeKind { return MergeSum }
-
 // TotalStateSpace is the paper's "sum over the exponents of the bag
 // cardinalities": Σ over bags of Π over bag members of the member's domain
 // size — exactly the total clique-table size of a junction tree in
@@ -385,9 +319,4 @@ func (c LexWidthFill) BagSum(g *graph.Graph, omega, sep vset.Set) float64 {
 // Value implements Combinable.
 func (c LexWidthFill) Value(g *graph.Graph, max, sum float64) float64 {
 	return c.multiplier(g)*max + sum
-}
-
-// PaperLex is the exact combination the paper prints: |E(G)|·width + fill.
-func PaperLex(g *graph.Graph) LexWidthFill {
-	return LexWidthFill{Multiplier: float64(g.NumEdges())}
 }

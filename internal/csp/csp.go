@@ -167,7 +167,6 @@ type state struct {
 	bags    [][]int // sorted vertex lists per node
 	roots   []int
 	parent  []int
-	order   []int
 	covered []bool
 	memo    map[int]*bagTable
 }
@@ -371,13 +370,4 @@ func decode(idx int, vars []int, domains []int, out []int) {
 		out[i] = idx % d
 		idx /= d
 	}
-}
-
-// encodeAligned is the inverse of decode (used by tests).
-func encodeAligned(vars []int, domains []int, assign []int) int {
-	idx := 0
-	for i, v := range vars {
-		idx = idx*domains[v] + assign[i]
-	}
-	return idx
 }

@@ -263,3 +263,12 @@ func TestAllowPanicsOnUnary(t *testing.T) {
 	}()
 	NewProblem([]int{2}).Allow(0, 0, 0, 0)
 }
+
+// encodeAligned is the inverse of decode.
+func encodeAligned(vars []int, domains []int, assign []int) int {
+	idx := 0
+	for i, v := range vars {
+		idx = idx*domains[v] + assign[i]
+	}
+	return idx
+}

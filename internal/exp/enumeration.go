@@ -70,7 +70,7 @@ func RunCKK(g *graph.Graph, budget time.Duration) EnumRun {
 	start := time.Now()
 	deadline := start.Add(budget)
 	run := EnumRun{Algorithm: "ckk"}
-	e := ckk.New(g, nil)
+	e := ckk.New(g)
 	for time.Now().Before(deadline) {
 		r, ok := e.Next()
 		if !ok {

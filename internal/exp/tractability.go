@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -61,14 +62,18 @@ type Figure5Row struct {
 // minimal separators under msBudget, then the PMCs under pmcBudget.
 func ClassifyGraph(g *graph.Graph, msBudget, pmcBudget time.Duration) TractabilityResult {
 	res := TractabilityResult{Edges: g.NumEdges()}
-	seps, ok := minsep.AllWithDeadline(g, time.Now().Add(msBudget))
+	ctx, cancel := context.WithTimeout(context.Background(), msBudget)
+	seps, ok := minsep.AllCtx(ctx, g)
+	cancel()
 	if !ok {
 		res.Outcome = NotTerminated
 		return res
 	}
 	res.MinSeps = len(seps)
 	res.Seps = seps
-	pmcs, err := pmc.AllWithDeadline(g, time.Now().Add(pmcBudget))
+	ctx, cancel = context.WithTimeout(context.Background(), pmcBudget)
+	pmcs, err := pmc.AllCtx(ctx, g)
+	cancel()
 	if err != nil {
 		res.Outcome = MSTerminated
 		return res
@@ -162,7 +167,9 @@ func Figure7(seed int64, ns []int, ps []float64, draws int, budget time.Duration
 		for _, p := range ps {
 			for d := 0; d < draws; d++ {
 				g := gen.GNP(rng, n, p)
-				seps, ok := minsep.AllWithDeadline(g, time.Now().Add(budget))
+				ctx, cancel := context.WithTimeout(context.Background(), budget)
+				seps, ok := minsep.AllCtx(ctx, g)
+				cancel()
 				pts = append(pts, Figure7Point{N: n, P: p, MinSeps: len(seps), TimedOut: !ok})
 			}
 		}

@@ -3,17 +3,16 @@ package graph
 import (
 	"encoding/binary"
 	"math/big"
-	"sort"
 )
 
 // This file promotes the automorphisms the canonical-labeling search
 // discovers as a by-product (canon.go) into a first-class group object:
-// generators, the vertex-orbit partition they induce, and the exact group
-// order computed by a textbook Schreier–Sims stabilizer chain (the
-// orbit-stabilizer theorem applied level by level: |G| is the product of
-// the base-point orbit sizes). The group powers orbit-reduced enumeration
-// in internal/core, which closes each new orbit of triangulations under
-// the generators and reports the order in its counters.
+// generators and the exact group order computed by a textbook
+// Schreier–Sims stabilizer chain (the orbit-stabilizer theorem applied
+// level by level: |G| is the product of the base-point orbit sizes). The
+// group powers orbit-reduced enumeration in internal/core, which closes
+// each new orbit of triangulations under the generators and reports the
+// order in its counters.
 
 // AutGroup is (a subgroup of) the automorphism group of a graph, given by
 // generators over the graph's universe {0..n-1}. When Exact is true the
@@ -22,10 +21,8 @@ import (
 // reported automorphism is still genuine, so consumers degrade to less
 // reduction, never to wrong answers.
 type AutGroup struct {
-	n          int
 	generators [][]int
 	exact      bool
-	orbitRep   []int // vertex -> smallest vertex in its orbit
 	order      *big.Int
 }
 
@@ -46,9 +43,8 @@ func (g *Graph) AutomorphismsBudget(maxNodes int) *AutGroup {
 // newAutGroup packages generators over {0..n-1}: it feeds them into a
 // Schreier–Sims stabilizer chain for the group order, keeping only those
 // that enlarge the group generated so far (each at least doubles the
-// order, by Lagrange, so at most log2|G| remain), and builds the vertex
-// orbit partition by union-find over the kept generators' images. It
-// filters gens in place; the caller hands over the slice.
+// order, by Lagrange, so at most log2|G| remain). It filters gens in
+// place; the caller hands over the slice.
 func newAutGroup(n int, gens [][]int, exact bool) *AutGroup {
 	chain := newStabChain(n)
 	kept := gens[:0]
@@ -57,46 +53,7 @@ func newAutGroup(n int, gens [][]int, exact bool) *AutGroup {
 			kept = append(kept, p)
 		}
 	}
-	a := &AutGroup{n: n, generators: kept, exact: exact, order: chain.order()}
-
-	parent := make([]int, n)
-	for v := range parent {
-		parent[v] = v
-	}
-	var find func(x int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	for _, p := range kept {
-		for v, pv := range p {
-			ra, rb := find(v), find(pv)
-			if ra != rb {
-				parent[ra] = rb
-			}
-		}
-	}
-	// Normalize each orbit's representative to its smallest member, so
-	// OrbitRep is a deterministic function of the group, not of the
-	// union-find's merge order.
-	minOf := make([]int, n)
-	for v := range minOf {
-		minOf[v] = n
-	}
-	for v := 0; v < n; v++ {
-		r := find(v)
-		if v < minOf[r] {
-			minOf[r] = v
-		}
-	}
-	a.orbitRep = make([]int, n)
-	for v := 0; v < n; v++ {
-		a.orbitRep[v] = minOf[find(v)]
-	}
-	return a
+	return &AutGroup{generators: kept, exact: exact, order: chain.order()}
 }
 
 // Generators returns the generator permutations (not to be mutated).
@@ -111,32 +68,6 @@ func (a *AutGroup) Order() *big.Int { return new(big.Int).Set(a.order) }
 
 // IsTrivial reports whether the generated group is the identity group.
 func (a *AutGroup) IsTrivial() bool { return a.order.Cmp(big.NewInt(1)) == 0 }
-
-// OrbitRep returns the smallest vertex in v's orbit under the group.
-func (a *AutGroup) OrbitRep(v int) int { return a.orbitRep[v] }
-
-// SameOrbit reports whether some group element maps u to v.
-func (a *AutGroup) SameOrbit(u, v int) bool { return a.orbitRep[u] == a.orbitRep[v] }
-
-// Orbits returns the vertex orbits, each sorted ascending, ordered by
-// their smallest member.
-func (a *AutGroup) Orbits() [][]int {
-	byRep := make(map[int][]int)
-	for v := 0; v < a.n; v++ {
-		r := a.orbitRep[v]
-		byRep[r] = append(byRep[r], v)
-	}
-	reps := make([]int, 0, len(byRep))
-	for r := range byRep {
-		reps = append(reps, r)
-	}
-	sort.Ints(reps)
-	out := make([][]int, len(reps))
-	for i, r := range reps {
-		out[i] = byRep[r]
-	}
-	return out
-}
 
 // stabChain is a Schreier–Sims stabilizer chain: level i holds a base
 // point, the orbit of that point under the generators of the i-th

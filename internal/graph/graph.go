@@ -105,11 +105,6 @@ func (g *Graph) Neighbors(v int) vset.Set { return g.adj[v] }
 // Degree returns |N(v)|.
 func (g *Graph) Degree(v int) int { return g.adj[v].Len() }
 
-// ClosedNeighborhood returns N[v] = N(v) ∪ {v}.
-func (g *Graph) ClosedNeighborhood(v int) vset.Set {
-	return g.adj[v].Add(v)
-}
-
 // NeighborsOfSet returns N(C) = (∪_{v∈C} N(v)) \ C over active vertices.
 func (g *Graph) NeighborsOfSet(c vset.Set) vset.Set {
 	out := vset.New(g.n)
@@ -313,20 +308,6 @@ func (g *Graph) MissingPairsWithin(u vset.Set) int {
 		return true
 	})
 	return pairs - present/2
-}
-
-// Union returns the graph with the union of vertices and edges of g and h,
-// which must share a universe.
-func (g *Graph) Union(h *Graph) *Graph {
-	if g.n != h.n {
-		panic("graph: universe mismatch in Union")
-	}
-	c := g.Clone()
-	c.verts.UnionInPlace(h.verts)
-	for v := 0; v < g.n; v++ {
-		c.adj[v].UnionInPlace(h.adj[v])
-	}
-	return c
 }
 
 // String renders a compact description of the graph.

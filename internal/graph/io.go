@@ -191,6 +191,30 @@ func ReadPACE(r io.Reader) (*Graph, error) {
 	return g, nil
 }
 
+// ReadFormat reads one graph from r in the named format: "edges"
+// (ReadEdgeList), "dimacs" (ReadDIMACS), "pace" (ReadPACE) or "graph6"
+// (the first graph ReadGraph6 finds; input holding none is an error).
+func ReadFormat(r io.Reader, format string) (*Graph, error) {
+	switch format {
+	case "edges":
+		return ReadEdgeList(r)
+	case "dimacs":
+		return ReadDIMACS(r)
+	case "pace":
+		return ReadPACE(r)
+	case "graph6":
+		gs, err := ReadGraph6(r)
+		if err != nil {
+			return nil, err
+		}
+		if len(gs) == 0 {
+			return nil, fmt.Errorf("graph6 input holds no graphs")
+		}
+		return gs[0], nil
+	}
+	return nil, fmt.Errorf("unknown format %q", format)
+}
+
 // WritePACE writes g in the PACE ".gr" format over its active vertices.
 // Inactive universe slots are still counted in the header so the file
 // round-trips to an isomorphic graph when all vertices are active.
@@ -211,29 +235,4 @@ func WritePACE(w io.Writer, g *Graph) error {
 		}
 	}
 	return nil
-}
-
-// WriteDOT writes g in Graphviz DOT format, mainly for debugging and docs.
-func WriteDOT(w io.Writer, g *Graph) error {
-	if _, err := fmt.Fprintln(w, "graph G {"); err != nil {
-		return err
-	}
-	var firstErr error
-	g.Vertices().ForEach(func(v int) bool {
-		if _, err := fmt.Fprintf(w, "  %q;\n", g.Name(v)); err != nil {
-			firstErr = err
-			return false
-		}
-		return true
-	})
-	if firstErr != nil {
-		return firstErr
-	}
-	for _, e := range g.Edges() {
-		if _, err := fmt.Fprintf(w, "  %q -- %q;\n", g.Name(e[0]), g.Name(e[1])); err != nil {
-			return err
-		}
-	}
-	_, err := fmt.Fprintln(w, "}")
-	return err
 }

@@ -1,9 +1,11 @@
 // Package heur implements the classic greedy triangulation heuristics the
 // paper's introduction contrasts with ([2, 4]): min-degree and min-fill
-// orderings with elimination-game fill. They produce (not necessarily
-// minimal) triangulations fast and serve as quality baselines for the
-// exact machinery — and as seeds an application can compare against the
-// ranked stream.
+// elimination orderings, and the width of the tree decomposition the
+// elimination game induces under them. They give fast (not necessarily
+// optimal) widths that serve as quality baselines for the exact
+// machinery — and as seeds an application can compare against the ranked
+// stream. triang.LBTriang under such an order yields a minimal
+// triangulation.
 package heur
 
 import (
@@ -64,21 +66,6 @@ func Order(g *graph.Graph, s Strategy) []int {
 func fillOf(h *graph.Graph, v int, remaining vset.Set) int {
 	nv := h.Neighbors(v).Intersect(remaining)
 	return h.MissingPairsWithin(nv)
-}
-
-// Triangulate runs the elimination game under the greedy order and
-// returns the resulting triangulation (chordal, contains g, but not
-// necessarily minimal — use triang.LBTriang with this order to minimalize).
-func Triangulate(g *graph.Graph, s Strategy) *graph.Graph {
-	order := Order(g, s)
-	h := g.Clone()
-	remaining := g.Vertices().Clone()
-	for _, v := range order {
-		nv := h.Neighbors(v).Intersect(remaining)
-		h.SaturateInPlace(nv)
-		remaining.RemoveInPlace(v)
-	}
-	return h
 }
 
 // Width returns the width of the elimination order on g: the maximum

@@ -6,7 +6,6 @@ package minsep
 import (
 	"context"
 	"sort"
-	"time"
 
 	"repro/internal/graph"
 	"repro/internal/intern"
@@ -22,20 +21,6 @@ import (
 func All(g *graph.Graph) []vset.Set {
 	out, _ := AllCtx(context.Background(), g)
 	return out
-}
-
-// AllWithDeadline is All with a wall-clock deadline: it returns ok=false
-// (and a partial list, unordered) when the deadline passes before the
-// closure completes. A zero deadline disables the check. This powers the
-// paper's tractability experiments (Figure 5), which classify graphs by
-// whether the separators can be generated within a time budget.
-func AllWithDeadline(g *graph.Graph, deadline time.Time) ([]vset.Set, bool) {
-	if deadline.IsZero() {
-		return AllCtx(context.Background(), g)
-	}
-	ctx, cancel := context.WithDeadline(context.Background(), deadline)
-	defer cancel()
-	return AllCtx(ctx, g)
 }
 
 // AllCtx is All with cancellation: it returns ok=false (and a partial
@@ -138,16 +123,11 @@ func (st *Stream) Next(ctx context.Context) (vset.Set, bool) {
 	return vset.Set{}, false
 }
 
-// AtMost returns the minimal separators of g of size at most k, by
-// filtering All. This preserves the semantics MinTriangB needs; the
-// fixed-parameter pruning the paper alludes to is a complexity-only
+// AtMostCtx returns the minimal separators of g of size at most k, by
+// filtering AllCtx; it returns ok=false when ctx is cancelled or its
+// deadline passes first. This preserves the semantics MinTriangB needs;
+// the fixed-parameter pruning the paper alludes to is a complexity-only
 // optimization and is intentionally not replicated (see DESIGN.md).
-func AtMost(g *graph.Graph, k int) []vset.Set {
-	out, _ := AtMostCtx(context.Background(), g, k)
-	return out
-}
-
-// AtMostCtx is AtMost with cancellation (see AllCtx).
 func AtMostCtx(ctx context.Context, g *graph.Graph, k int) ([]vset.Set, bool) {
 	seps, ok := AllCtx(ctx, g)
 	if !ok {
@@ -184,43 +164,6 @@ func Crosses(g *graph.Graph, s, t vset.Set) bool {
 // Parallel reports whether s and t are parallel (non-crossing) in g.
 func Parallel(g *graph.Graph, s, t vset.Set) bool {
 	return !Crosses(g, s, t)
-}
-
-// PairwiseParallel reports whether every two members of seps are parallel.
-func PairwiseParallel(g *graph.Graph, seps []vset.Set) bool {
-	for i := range seps {
-		for j := i + 1; j < len(seps); j++ {
-			if Crosses(g, seps[i], seps[j]) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// IsMaximalParallel reports whether seps is a maximal set of pairwise
-// parallel minimal separators with respect to the universe all.
-func IsMaximalParallel(g *graph.Graph, seps, all []vset.Set) bool {
-	if !PairwiseParallel(g, seps) {
-		return false
-	}
-	inSet := intern.FromSets(seps)
-	for _, t := range all {
-		if inSet.Contains(t) {
-			continue
-		}
-		crossesSome := false
-		for _, s := range seps {
-			if Crosses(g, s, t) {
-				crossesSome = true
-				break
-			}
-		}
-		if !crossesSome {
-			return false
-		}
-	}
-	return true
 }
 
 // Saturate returns g with every separator in seps saturated. When seps is

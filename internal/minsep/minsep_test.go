@@ -1,6 +1,7 @@
 package minsep
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"repro/internal/chordal"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/intern"
 	"repro/internal/vset"
 )
 
@@ -44,17 +46,17 @@ func TestPaperExampleCrossing(t *testing.T) {
 	if Crosses(g, s2, s3) || Crosses(g, s3, s2) {
 		t.Errorf("S2 and S3 should be parallel")
 	}
-	if !PairwiseParallel(g, []vset.Set{s1, s3}) {
-		t.Errorf("PairwiseParallel({S1,S3}) = false")
+	if !pairwiseParallel(g, []vset.Set{s1, s3}) {
+		t.Errorf("pairwiseParallel({S1,S3}) = false")
 	}
-	if PairwiseParallel(g, []vset.Set{s1, s2, s3}) {
-		t.Errorf("PairwiseParallel should detect the S1/S2 crossing")
+	if pairwiseParallel(g, []vset.Set{s1, s2, s3}) {
+		t.Errorf("pairwiseParallel should detect the S1/S2 crossing")
 	}
 	all := All(g)
-	if !IsMaximalParallel(g, []vset.Set{s1, s3}, all) {
+	if !isMaximalParallel(g, []vset.Set{s1, s3}, all) {
 		t.Errorf("{S1,S3} should be maximal parallel")
 	}
-	if IsMaximalParallel(g, []vset.Set{s3}, all) {
+	if isMaximalParallel(g, []vset.Set{s3}, all) {
 		t.Errorf("{S3} is not maximal (S1 and S2 are both parallel to it)")
 	}
 }
@@ -146,7 +148,7 @@ func TestParraSchefflerRoundTrip(t *testing.T) {
 				family = append(family, cand)
 			}
 		}
-		if !IsMaximalParallel(g, family, all) {
+		if !isMaximalParallel(g, family, all) {
 			t.Fatalf("greedy family not maximal")
 		}
 		h := Saturate(g, family)
@@ -177,13 +179,56 @@ func TestParraSchefflerRoundTrip(t *testing.T) {
 
 func TestAtMost(t *testing.T) {
 	g := gen.PaperExample()
-	small := AtMost(g, 2)
-	if len(small) != 2 {
-		t.Fatalf("AtMost(2) = %d separators, want 2 (S2, S3)", len(small))
+	small, ok := AtMostCtx(context.Background(), g, 2)
+	if !ok || len(small) != 2 {
+		t.Fatalf("AtMostCtx(2) = %d separators (ok=%v), want 2 (S2, S3)", len(small), ok)
 	}
 	for _, s := range small {
 		if s.Len() > 2 {
-			t.Fatalf("AtMost returned oversized separator %v", s)
+			t.Fatalf("AtMostCtx returned oversized separator %v", s)
 		}
 	}
+	// A cancelled context stops the closure with no partial list.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if out, ok := AtMostCtx(ctx, g, 2); out != nil || ok {
+		t.Fatalf("cancelled AtMostCtx = %v, %v; want nil, false", out, ok)
+	}
+}
+
+// pairwiseParallel reports whether every two members of seps are parallel.
+func pairwiseParallel(g *graph.Graph, seps []vset.Set) bool {
+	for i := range seps {
+		for j := i + 1; j < len(seps); j++ {
+			if Crosses(g, seps[i], seps[j]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// isMaximalParallel reports whether seps is a maximal set of pairwise
+// parallel minimal separators with respect to the universe all.
+func isMaximalParallel(g *graph.Graph, seps, all []vset.Set) bool {
+	if !pairwiseParallel(g, seps) {
+		return false
+	}
+	inSet := intern.FromSets(seps)
+	for _, t := range all {
+		if inSet.Contains(t) {
+			continue
+		}
+		crossesSome := false
+		for _, s := range seps {
+			if Crosses(g, s, t) {
+				crossesSome = true
+				break
+			}
+		}
+		if !crossesSome {
+			return false
+		}
+	}
+	return true
 }

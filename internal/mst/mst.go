@@ -172,16 +172,3 @@ func treeKey(tree []int) string {
 	}
 	return string(b)
 }
-
-// CountAll drains an enumeration and returns the number of maximum
-// spanning trees (testing convenience).
-func CountAll(n int, edges []Edge) int {
-	e := Enumerate(n, edges)
-	count := 0
-	for {
-		if _, ok := e.Next(); !ok {
-			return count
-		}
-		count++
-	}
-}

@@ -58,7 +58,7 @@ func TestMaxDisconnected(t *testing.T) {
 func TestEnumerateCayley(t *testing.T) {
 	// Equal weights on K_n: all n^(n-2) spanning trees are maximum.
 	for n, want := range map[int]int{2: 1, 3: 3, 4: 16, 5: 125} {
-		got := CountAll(n, completeEdges(n, func(_, _ int) int { return 1 }))
+		got := countAll(n, completeEdges(n, func(_, _ int) int { return 1 }))
 		if got != want {
 			t.Errorf("K%d: %d maximum spanning trees, want %d (Cayley)", n, got, want)
 		}
@@ -68,7 +68,7 @@ func TestEnumerateCayley(t *testing.T) {
 func TestEnumerateUnique(t *testing.T) {
 	// Distinct weights: unique maximum spanning tree.
 	edges := completeEdges(5, func(a, b int) int { return 10*a + b })
-	if got := CountAll(5, edges); got != 1 {
+	if got := countAll(5, edges); got != 1 {
 		t.Fatalf("distinct weights: %d trees, want 1", got)
 	}
 }
@@ -112,7 +112,7 @@ func TestEnumerateMatchesBruteForce(t *testing.T) {
 	for trial := 0; trial < 80; trial++ {
 		n := 2 + rng.Intn(4)
 		edges := completeEdges(n, func(_, _ int) int { return rng.Intn(3) })
-		got := CountAll(n, edges)
+		got := countAll(n, edges)
 		want := bruteForceMaxTrees(n, edges)
 		if got != want {
 			t.Fatalf("trial %d (n=%d): enumerated %d, brute force %d, edges=%v",
@@ -168,5 +168,18 @@ func TestTreeKeyDistinct(t *testing.T) {
 	sort.Ints(a)
 	if treeKey(a) != treeKey([]int{1, 2, 3}) {
 		t.Fatalf("key not canonical")
+	}
+}
+
+// countAll drains an enumeration and returns the number of maximum
+// spanning trees.
+func countAll(n int, edges []Edge) int {
+	e := Enumerate(n, edges)
+	count := 0
+	for {
+		if _, ok := e.Next(); !ok {
+			return count
+		}
+		count++
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"errors"
 	"math/bits"
 	"sort"
-	"time"
 
 	"repro/internal/graph"
 	"repro/internal/intern"
@@ -113,17 +112,6 @@ func All(g *graph.Graph) []vset.Set {
 // ErrDeadline reports that a deadline-bounded enumeration ran out of time.
 var ErrDeadline = errors.New("pmc: deadline exceeded")
 
-// AllWithDeadline is All with a wall-clock deadline; it returns
-// ErrDeadline when the budget runs out (Figure 5 tractability runs).
-func AllWithDeadline(g *graph.Graph, deadline time.Time) ([]vset.Set, error) {
-	if deadline.IsZero() {
-		return All(g), nil
-	}
-	ctx, cancel := context.WithDeadline(context.Background(), deadline)
-	defer cancel()
-	return AllCtx(ctx, g)
-}
-
 // AllCtx is All with cancellation: it returns ErrDeadline when ctx is
 // cancelled or times out before the enumeration completes. Long-lived
 // services use it to abandon initialization for disconnected clients.
@@ -135,16 +123,11 @@ func AllCtx(ctx context.Context, g *graph.Graph) ([]vset.Set, error) {
 	return out, nil
 }
 
-// AtMost enumerates the PMCs of g of size at most k (the bags allowed by
-// MinTriangB for width bound k-1). Candidates above the size bound are
-// pruned during enumeration, but the separator lists are still complete
-// (see minsep.AtMost for the discussion).
-func AtMost(g *graph.Graph, k int) []vset.Set {
-	out, _ := enumerate(context.Background(), g, k)
-	return out
-}
-
-// AtMostCtx is AtMost with cancellation (see AllCtx).
+// AtMostCtx enumerates the PMCs of g of size at most k (the bags allowed
+// by MinTriangB for width bound k-1); it returns ErrDeadline when ctx is
+// cancelled or times out first. Candidates above the size bound are pruned
+// during enumeration, but the separator lists are still complete (see
+// minsep.AtMostCtx for the discussion).
 func AtMostCtx(ctx context.Context, g *graph.Graph, k int) ([]vset.Set, error) {
 	out, ok := enumerate(ctx, g, k)
 	if !ok {
@@ -218,23 +201,6 @@ func enumerate(ctx context.Context, g *graph.Graph, maxSize int) ([]vset.Set, bo
 	return out, true
 }
 
-// Associated returns the minimal separators MinSep_G(Ω) and blocks
-// Blck_G(Ω) associated with the PMC Ω in g: for each component C of
-// G \ Ω, the pair (N(C), C). Each N(C) is a minimal separator of g and
-// (N(C), C) is a full block (Section 5.1 of the paper).
-func Associated(g *graph.Graph, omega vset.Set) (seps []vset.Set, blocks []Block) {
-	seen := intern.New(4)
-	g.ForEachComponent(g.Vertices().Diff(omega), func(c, nc vset.Set) bool {
-		s := nc.Clone()
-		blocks = append(blocks, Block{S: s, C: c.Clone()})
-		if _, fresh := seen.Intern(s); fresh {
-			seps = append(seps, s)
-		}
-		return true
-	})
-	return seps, blocks
-}
-
 // Block is a block (S, C) of a graph: a minimal separator S together with
 // an S-component C. The block is identified with the vertex set S ∪ C.
 type Block struct {
@@ -247,17 +213,6 @@ func (b Block) Vertices() vset.Set { return b.S.Union(b.C) }
 
 // Key returns a canonical map key for the block.
 func (b Block) Key() string { return b.S.Key() + "|" + b.C.Key() }
-
-// IsFull reports whether the block is full in g: every vertex of S has a
-// neighbor in C.
-func (b Block) IsFull(g *graph.Graph) bool {
-	return g.NeighborsOfSet(b.C).Equal(b.S)
-}
-
-// Realization returns R(S, C) = G[S ∪ C] ∪ K_S.
-func (b Block) Realization(g *graph.Graph) *graph.Graph {
-	return g.Realization(b.S, b.C)
-}
 
 // FullBlocks returns every full block (S, C) of g over the given minimal
 // separators, sorted by increasing |S ∪ C| — the processing order of the

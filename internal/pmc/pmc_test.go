@@ -1,6 +1,8 @@
 package pmc
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -109,10 +111,13 @@ func TestAllMatchesBruteForceStructured(t *testing.T) {
 
 func TestAtMostFilters(t *testing.T) {
 	g := gen.PaperExample()
-	small := AtMost(g, 3)
+	small, err := AtMostCtx(context.Background(), g, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, o := range small {
 		if o.Len() > 3 {
-			t.Fatalf("AtMost returned oversized PMC %v", o)
+			t.Fatalf("AtMostCtx returned oversized PMC %v", o)
 		}
 	}
 	// All PMCs of size ≤ 3 must be present.
@@ -123,59 +128,13 @@ func TestAtMostFilters(t *testing.T) {
 		}
 	}
 	if len(small) != count {
-		t.Fatalf("AtMost(3) = %d PMCs, want %d", len(small), count)
+		t.Fatalf("AtMostCtx(3) = %d PMCs, want %d", len(small), count)
 	}
-}
-
-func TestAssociatedPaperExample(t *testing.T) {
-	// Example 5.2: for Ω = {w1,u,v}, MinSep(Ω) = {S2, S3} and the blocks
-	// are (S2,{w2}), (S2,{w3}), (S3,{v'}).
-	g := gen.PaperExample()
-	omega := vset.Of(6, 0, 1, 3)
-	seps, blocks := Associated(g, omega)
-	if len(seps) != 2 || len(blocks) != 3 {
-		t.Fatalf("got %d seps, %d blocks", len(seps), len(blocks))
-	}
-	sepKeys := map[string]bool{}
-	for _, s := range seps {
-		sepKeys[s.Key()] = true
-	}
-	if !sepKeys[vset.Of(6, 0, 1).Key()] || !sepKeys[vset.Of(6, 1).Key()] {
-		t.Fatalf("wrong associated separators: %v", seps)
-	}
-	for _, b := range blocks {
-		if !b.IsFull(g) {
-			t.Errorf("associated block %v not full", b.Vertices())
-		}
-		if !bruteforce.IsMinimalSeparator(g, b.S) {
-			t.Errorf("associated separator %v not minimal", b.S)
-		}
-	}
-}
-
-func TestAssociatedSeparatorsAreMinimal(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 60; trial++ {
-		g := gen.ConnectedGNP(rng, 4+rng.Intn(6), 0.4)
-		for _, omega := range All(g) {
-			if omega.Equal(g.Vertices()) {
-				continue // no components, no separators
-			}
-			seps, blocks := Associated(g, omega)
-			for _, s := range seps {
-				if !bruteforce.IsMinimalSeparator(g, s) {
-					t.Fatalf("associated sep %v of PMC %v not minimal", s, omega)
-				}
-				if !s.SubsetOf(omega) {
-					t.Fatalf("associated sep %v ⊄ Ω %v", s, omega)
-				}
-			}
-			for _, b := range blocks {
-				if !b.IsFull(g) {
-					t.Fatalf("associated block not full")
-				}
-			}
-		}
+	// A cancelled context stops the enumeration with no partial list.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if out, err := AtMostCtx(ctx, g, 3); out != nil || !errors.Is(err, ErrDeadline) {
+		t.Fatalf("cancelled AtMostCtx = %v, %v; want nil, ErrDeadline", out, err)
 	}
 }
 
@@ -197,10 +156,10 @@ func TestFullBlocks(t *testing.T) {
 		}
 	}
 	for _, b := range blocks {
-		if !b.IsFull(g) {
+		if !g.NeighborsOfSet(b.C).Equal(b.S) {
 			t.Fatalf("non-full block reported")
 		}
-		r := b.Realization(g)
+		r := g.Realization(b.S, b.C)
 		if !r.IsClique(b.S) {
 			t.Fatalf("realization separator not saturated")
 		}

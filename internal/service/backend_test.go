@@ -178,7 +178,7 @@ func TestBackendStreamsDoNotAlias(t *testing.T) {
 	if dpResp.Backend == misResp.Backend {
 		t.Fatalf("both requests report backend %q", dpResp.Backend)
 	}
-	if got := srv.Streams().Len(); got != 2 {
+	if got := srv.streams.Len(); got != 2 {
 		t.Fatalf("want 2 distinct stream entries (dp + mis), got %d", got)
 	}
 

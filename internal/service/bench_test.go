@@ -177,7 +177,7 @@ func BenchmarkCanonFanout(b *testing.B) {
 			}
 			wg.Wait()
 			b.StopTimer()
-			solves += srv.Pool().ReuseStats().ConstrainedSolves
+			solves += srv.pool.ReuseStats().ConstrainedSolves
 			srv.Close()
 			b.StartTimer()
 		}
@@ -278,7 +278,7 @@ func BenchmarkBatchThroughput(b *testing.B) {
 		// Keep the session table from saturating across iterations.
 		for _, item := range out.Items {
 			if item.Response != nil && item.Response.Session != "" {
-				srv.Sessions().Remove(item.Response.Session)
+				srv.sessions.Remove(item.Response.Session)
 			}
 		}
 	}
@@ -340,7 +340,7 @@ func BenchmarkWarmEgress(b *testing.B) {
 					if !bytes.HasPrefix(out, []byte(prefix)) || len(out) < len(prefix)+32 {
 						b.Fatalf("page without a session token: %.80s", out)
 					}
-					srv.Sessions().Remove(string(out[len(prefix) : len(prefix)+32]))
+					srv.sessions.Remove(string(out[len(prefix) : len(prefix)+32]))
 				}
 				for _, body := range bodies {
 					serve(body) // build the solver and materialize each stream

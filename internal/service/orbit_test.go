@@ -57,7 +57,7 @@ func TestOrbitModeEndToEnd(t *testing.T) {
 			t.Fatalf("plain result carries orbit_size %d", r.OrbitSize)
 		}
 	}
-	if got := srv.Streams().Len(); got != 2 {
+	if got := srv.streams.Len(); got != 2 {
 		t.Fatalf("want 2 distinct stream entries (orbit + plain), got %d", got)
 	}
 

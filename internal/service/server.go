@@ -204,15 +204,6 @@ func (s *Server) Close() {
 	s.sessions.Close()
 }
 
-// Pool exposes the solver pool (stats, tests).
-func (s *Server) Pool() *SolverPool { return s.pool }
-
-// Streams exposes the shared ranked-stream cache (stats, tests).
-func (s *Server) Streams() *StreamStore { return s.streams }
-
-// Sessions exposes the session manager (stats, tests).
-func (s *Server) Sessions() *SessionManager { return s.sessions }
-
 // admit blocks until a concurrency slot frees up or ctx is cancelled.
 func (s *Server) admit(ctx context.Context) (release func(), err error) {
 	select {

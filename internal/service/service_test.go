@@ -254,7 +254,7 @@ func TestCancelledEnumerateLeavesNoSession(t *testing.T) {
 	if w.Code == http.StatusOK {
 		t.Fatalf("cancelled request should not succeed, got %d: %s", w.Code, w.Body)
 	}
-	if live := srv.Sessions().Stats().Live; live != 0 {
+	if live := srv.sessions.Stats().Live; live != 0 {
 		t.Fatalf("cancelled request left %d live sessions", live)
 	}
 }
@@ -287,7 +287,7 @@ func TestStreamNDJSON(t *testing.T) {
 	if !last.Done || last.Count != 5 {
 		t.Fatalf("bad summary line: %s", lines[len(lines)-1])
 	}
-	if live := srv.Sessions().Stats().Live; live != 0 {
+	if live := srv.sessions.Stats().Live; live != 0 {
 		t.Fatalf("streaming must not create sessions, got %d", live)
 	}
 }

@@ -360,13 +360,6 @@ func (s *Session) page(start int, results []*core.Result, done bool) *EnumerateR
 	return resp
 }
 
-// Emitted returns how many results the session has committed so far.
-func (s *Session) Emitted() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.pos
-}
-
 // Info returns the session's wire metadata.
 func (s *Session) Info() SessionInfo {
 	s.mu.Lock()

@@ -333,8 +333,8 @@ func TestReplayAcrossPagesAndEviction(t *testing.T) {
 	if _, results, _, ok, _ := sess.Replay(ctx, 18, 100); !ok || len(results) != 2 {
 		t.Fatalf("replay(18,100) should clamp to the cursor: ok=%v n=%d", ok, len(results))
 	}
-	if sess.Emitted() != 20 {
-		t.Fatalf("replay advanced the cursor to %d", sess.Emitted())
+	if sess.Info().Emitted != 20 {
+		t.Fatalf("replay advanced the cursor to %d", sess.Info().Emitted)
 	}
 	// Beyond the cursor: not replayable.
 	if _, _, _, ok, _ := sess.Replay(ctx, 21, 4); ok {

@@ -1,7 +1,7 @@
 // Package td defines tree decompositions: trees of bags together with the
 // validity checks from the paper's preliminaries (vertex cover, edge cover,
-// junction-tree property), widths and fill, bag equivalence, and the
-// clique-tree test that characterizes proper tree decompositions.
+// junction-tree property), widths and fill, and the clique-tree test that
+// characterizes proper tree decompositions.
 package td
 
 import (
@@ -191,30 +191,6 @@ func (d *Decomposition) Validate(g *graph.Graph) error {
 		return true
 	})
 	return junctionErr
-}
-
-// BagSets returns the set of distinct bags as a map from canonical key to bag.
-func (d *Decomposition) BagSets() map[string]vset.Set {
-	out := make(map[string]vset.Set, len(d.Bags))
-	for _, b := range d.Bags {
-		out[b.Key()] = b
-	}
-	return out
-}
-
-// BagEquivalent reports whether d and other have exactly the same bags
-// (possibly connected differently), the paper's bag equivalence.
-func (d *Decomposition) BagEquivalent(other *Decomposition) bool {
-	a, b := d.BagSets(), other.BagSets()
-	if len(a) != len(b) {
-		return false
-	}
-	for k := range a {
-		if _, ok := b[k]; !ok {
-			return false
-		}
-	}
-	return true
 }
 
 // IsCliqueTreeOf reports whether d is a clique tree of h: its bags are

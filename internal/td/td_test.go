@@ -131,28 +131,6 @@ func TestFillInAndSaturation(t *testing.T) {
 	}
 }
 
-func TestBagEquivalence(t *testing.T) {
-	d := paperT2()
-	// T2'' connects the same bags differently (Figure 1(c)): still
-	// bag-equivalent.
-	d2 := New()
-	a := d2.AddNode(vset.Of(6, 0, 1, 4))
-	b := d2.AddNode(vset.Of(6, 0, 1, 3))
-	c := d2.AddNode(vset.Of(6, 0, 1, 5))
-	e := d2.AddNode(vset.Of(6, 1, 2))
-	d2.AddEdge(a, b)
-	d2.AddEdge(a, c)
-	d2.AddEdge(a, e)
-	if !d.BagEquivalent(d2) || !d2.BagEquivalent(d) {
-		t.Fatalf("T2 and T2'' should be bag equivalent")
-	}
-	d3 := New()
-	d3.AddNode(vset.Of(6, 0, 1, 3))
-	if d.BagEquivalent(d3) {
-		t.Fatalf("different bag sets reported equivalent")
-	}
-}
-
 func TestAdhesions(t *testing.T) {
 	d := paperT2()
 	adh := d.Adhesions(6)

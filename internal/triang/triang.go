@@ -37,19 +37,13 @@ func LBTriang(g *graph.Graph, order []int) *graph.Graph {
 	return h
 }
 
-// MCSM returns a minimal triangulation of g computed by MCS-M, a
+// MCSMOrder returns a minimal triangulation of g computed by MCS-M, a
 // maximum-cardinality-search variant: at each step an unnumbered vertex v
 // of maximum weight is chosen, and a fill edge {u, v} is added for every
 // unnumbered u reachable from v through unnumbered vertices of weight
 // strictly smaller than w(u); those u get their weight bumped.
 // Ties are broken by smallest vertex number, making the result
-// deterministic.
-func MCSM(g *graph.Graph) *graph.Graph {
-	h, _ := MCSMOrder(g)
-	return h
-}
-
-// MCSMOrder is MCSM returning also the order in which the vertices were
+// deterministic. It returns also the order in which the vertices were
 // numbered. The reverse of that order is a minimal elimination ordering of
 // the returned triangulation (Berry, Blair, Heggernes, Peyton 2004) — the
 // ordering the clique-minimal-separator decomposition of internal/atoms
@@ -132,8 +126,7 @@ func MCSMOrder(g *graph.Graph) (*graph.Graph, []int) {
 }
 
 // Minimal returns a deterministic minimal triangulation of g (LB-Triang in
-// ascending vertex order). It is the default black box used by the CKK
-// baseline.
+// ascending vertex order). It is the black box the CKK baseline uses.
 func Minimal(g *graph.Graph) *graph.Graph {
 	return LBTriang(g, nil)
 }

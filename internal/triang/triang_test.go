@@ -57,7 +57,7 @@ func TestMCSMMinimalAgainstOracle(t *testing.T) {
 	for trial := 0; trial < 80; trial++ {
 		n := 3 + rng.Intn(5)
 		g := gen.GNP(rng, n, 0.2+rng.Float64()*0.5)
-		h := MCSM(g)
+		h, _ := MCSMOrder(g)
 		if !chordal.IsTriangulationOf(h, g) {
 			t.Fatalf("MCS-M output not a triangulation (n=%d, edges=%v)", n, g.Edges())
 		}
@@ -71,7 +71,7 @@ func TestMCSMChordalIsIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 30; trial++ {
 		g := gen.KTree(rng, 4+rng.Intn(10), 1+rng.Intn(3), 0)
-		h := MCSM(g)
+		h, _ := MCSMOrder(g)
 		if h.EdgeSetKey() != g.EdgeSetKey() {
 			t.Fatalf("MCS-M added fill to a chordal graph")
 		}
@@ -85,7 +85,8 @@ func TestTriangulatorsOnLargerGraphs(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 15; trial++ {
 		g := gen.ConnectedGNP(rng, 12+rng.Intn(10), 0.25)
-		for name, h := range map[string]*graph.Graph{"lb": LBTriang(g, nil), "mcsm": MCSM(g)} {
+		mcsm, _ := MCSMOrder(g)
+		for name, h := range map[string]*graph.Graph{"lb": LBTriang(g, nil), "mcsm": mcsm} {
 			if !chordal.IsTriangulationOf(h, g) {
 				t.Fatalf("%s: not a triangulation", name)
 			}

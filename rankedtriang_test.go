@@ -96,7 +96,6 @@ func TestCostConstructors(t *testing.T) {
 	g := c4()
 	for _, c := range []Cost{Width(), FillIn(), WidthThenFill(), StateSpace(nil),
 		cost.WeightedWidth{CostName: "bw", BagWeight: func(_ *Graph, b VertexSet) float64 { return float64(b.Len()) }},
-		cost.WeightedFill{CostName: "ew", EdgeWeight: func(u, v int) float64 { return 1 }},
 	} {
 		if _, err := mustSolver(g, c).MinTriang(nil); err != nil {
 			t.Fatalf("%s: %v", c.Name(), err)

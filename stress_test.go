@@ -102,7 +102,7 @@ func TestStressCKK(t *testing.T) {
 		n := 2 + rng.Intn(6)
 		g := gen.GNP(rng, n, 0.15+rng.Float64()*0.7)
 		want := bruteforce.AllMinimalTriangulations(g)
-		got := ckk.New(g, nil).All()
+		got := ckk.New(g).All()
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: CKK %d vs oracle %d (edges=%v)",
 				trial, len(got), len(want), g.Edges())
