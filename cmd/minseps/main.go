@@ -58,7 +58,7 @@ func main() {
 
 	start = time.Now()
 	ctx, cancel = context.WithTimeout(context.Background(), *pmcBudget)
-	pmcs, err := pmc.AllCtx(ctx, g)
+	pmcs, err := pmc.Enumerate(ctx, g, seps, -1)
 	cancel()
 	if err != nil {
 		fmt.Printf("PMCs: NOT TERMINATED within %v\n", *pmcBudget)

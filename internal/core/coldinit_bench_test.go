@@ -2,41 +2,31 @@ package core
 
 import (
 	"context"
-	"math/rand"
 	"testing"
 
 	"repro/internal/cost"
 	"repro/internal/gen"
-	"repro/internal/graph"
 )
-
-// coldInitCorpus returns graphs shaped like the ranked classes of a
-// cold-solve request mix: connected G(n, p) with n 14–18, 4×4 CSP grids,
-// clique chains (which decompose into atoms, so New builds per-atom
-// sub-solvers in parallel) and sparse trees plus chords.
-func coldInitCorpus() []*graph.Graph {
-	rng := rand.New(rand.NewSource(61))
-	var out []*graph.Graph
-	for i := 0; i < 5; i++ {
-		out = append(out, gen.ConnectedGNP(rng, 14+i, 0.2+0.06*float64(i)))
-	}
-	out = append(out,
-		gen.CSPGrid(rng, 4, 4, 2),
-		gen.CSPGrid(rng, 4, 4, 4),
-		gen.CliqueChain(rng, 4, 8, 2, 0.5),
-		gen.CliqueChain(rng, 5, 9, 2, 0.5),
-		gen.TreePlusChords(rng, 40, 3),
-	)
-	return out
-}
 
 // BenchmarkColdInit measures solver initialization — MinSep(G), PMC(G),
 // the block structure and the baseline DP — over a fixed corpus under
 // width and fill, the cost every request of a write path pays before its
 // first result. One op initializes every (graph, cost) pair once.
-func BenchmarkColdInit(b *testing.B) {
-	graphs := coldInitCorpus()
+func BenchmarkColdInit(b *testing.B) { benchCold(b, false) }
+
+// BenchmarkColdFirstResult measures what a cold request waits for before
+// its first result: New plus the first Next over the same corpus and
+// costs as BenchmarkColdInit. The enumeration emits before it splits, so
+// the first Next only pops the initial optimum; solves/op counts the
+// constrained solves and skipped branches the first results paid for.
+func BenchmarkColdFirstResult(b *testing.B) { benchCold(b, true) }
+
+// benchCold initializes every (graph, cost) pair once per op and, when
+// first is set, draws each solver's first result.
+func benchCold(b *testing.B, first bool) {
+	graphs := gen.ColdInitCorpus()
 	costs := []cost.Cost{cost.Width{}, cost.FillIn{}}
+	var branches uint64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -49,8 +39,19 @@ func BenchmarkColdInit(b *testing.B) {
 				if s.NumFullBlocks() == 0 {
 					b.Fatalf("graph %d %s: no full blocks", gi, c.Name())
 				}
+				if !first {
+					continue
+				}
+				if _, ok := s.EnumerateContext(context.Background()).Next(); !ok {
+					b.Fatalf("graph %d %s: no first result", gi, c.Name())
+				}
+				st := s.ReuseStats()
+				branches += st.ConstrainedSolves + st.EmptyBranches
 			}
 		}
+	}
+	if first {
+		b.ReportMetric(float64(branches)/float64(b.N), "solves/op")
 	}
 	b.ReportMetric(float64(len(graphs)*len(costs)), "inits/op")
 }

@@ -40,15 +40,21 @@ func (e *Enumerator) Next() (*Result, bool) { return e.m.Next() }
 //
 // Each partition of the unexplored space is an inclusion/exclusion
 // constraint pair [I, X] held in a priority queue together with that
-// partition's cheapest member; popping a partition emits its member and
-// splits the remainder Lawler–Murty style over the member's minimal
-// separators. Constraint pairs are kept in compiled form and extended by
-// single-separator deltas, so a branch solve never recompiles its
-// ancestors' constraints and reuses their precomputed dirty cones.
+// partition's cheapest member. Next emits before it splits: it pops a
+// partition, returns its member at once and keeps the partition pending;
+// the next call first splits the pending remainder Lawler–Murty style
+// over the member's minimal separators, then pops. The queue holds the
+// same entries at every pop as when the split ran before the emit, so
+// the stream is the same, but the first result waits only for
+// initialization and a read of k results runs k−1 splits (DESIGN.md,
+// "Emit before split"). Constraint pairs are kept in compiled form and
+// extended by single-separator deltas, so a branch solve never recompiles
+// its ancestors' constraints and reuses their precomputed dirty cones.
 type lmEnumerator struct {
 	s       *Solver
 	ctx     context.Context // cancellation for the branch-solving hot loop
 	queue   partitionQueue
+	pending *partition // emitted by the last Next, not yet split
 	seq     int
 	workers int // parallel branch solving when > 1
 }
@@ -120,13 +126,27 @@ func (e *lmEnumerator) push(r *Result, cc *compiledConstraints) {
 	heap.Push(&e.queue, &partition{res: r, cc: cc, seq: e.seq})
 }
 
-// Next pops the cheapest partition, emits its member and splits the
-// remainder (see the Enumerator doc).
+// Next splits the partition the previous call emitted, then pops the
+// cheapest partition and emits its member. A split that ctx cancels may
+// leave branches unqueued, so Next checks ctx again before it pops.
 func (e *lmEnumerator) Next() (*Result, bool) {
+	if e.ctx.Err() != nil {
+		return nil, false
+	}
+	if p := e.pending; p != nil {
+		e.pending = nil
+		e.split(p)
+	}
 	if len(e.queue) == 0 || e.ctx.Err() != nil {
 		return nil, false
 	}
-	p := heap.Pop(&e.queue).(*partition)
+	e.pending = heap.Pop(&e.queue).(*partition)
+	return e.pending.res, true
+}
+
+// split queues the solved branches of partition p minus its member: the
+// Lawler–Murty step of Figure 4.
+func (e *lmEnumerator) split(p *partition) {
 	// Queued partitions carry their constraint masks in released form
 	// (O(depth) memory); rebuild them before branching on this one.
 	e.s.rematerialize(p.cc)
@@ -228,7 +248,6 @@ func (e *lmEnumerator) Next() (*Result, bool) {
 			e.push(r, branches[i])
 		}
 	}
-	return p.res, true
 }
 
 // blockedBy returns, over separator IDs, the separators no triangulation

@@ -160,12 +160,16 @@ func (q *comboQueue) Pop() any {
 // successor per atom under the standard prefix rule — atom a's index may
 // only be advanced when every later atom still sits at rank 0 — which
 // reaches every index vector exactly once, so no visited set is needed
-// and the frontier stays O(emitted · #atoms).
+// and the frontier stays O(emitted · #atoms). Like lmEnumerator it emits
+// before it splits: the popped combination is returned at once and kept
+// pending, and the next call pushes its successors, pulling each
+// advanced atom's next rank, before it pops.
 type productEnumerator struct {
 	s       *Solver
 	ctx     context.Context
 	streams []*atomStream
 	queue   comboQueue
+	pending *combo // emitted by the last Next, successors not yet pushed
 	seq     int
 }
 
@@ -216,13 +220,31 @@ func (pe *productEnumerator) push(c *combo) {
 	heap.Push(&pe.queue, c)
 }
 
-// Next pops the cheapest unexplored combination, expands its successors,
-// and emits the glued Result.
+// Next pushes the successors of the combination the previous call
+// emitted, then pops the cheapest unexplored combination and emits the
+// glued Result.
 func (pe *productEnumerator) Next() (*Result, bool) {
+	if pe.ctx.Err() != nil {
+		return nil, false
+	}
+	if c := pe.pending; c != nil {
+		pe.pending = nil
+		pe.expand(c)
+	}
 	if len(pe.queue) == 0 || pe.ctx.Err() != nil {
 		return nil, false
 	}
 	c := heap.Pop(&pe.queue).(*combo)
+	pe.pending = c
+	parts := make([]*Result, len(c.idx))
+	for a, i := range c.idx {
+		parts[a] = pe.streams[a].buf[i]
+	}
+	return pe.s.combineResults(parts), true
+}
+
+// expand pushes c's successors under the prefix rule.
+func (pe *productEnumerator) expand(c *combo) {
 	for a := len(c.idx) - 1; a >= 0; a-- {
 		if r, ok := pe.streams[a].get(c.idx[a] + 1); ok && r != nil {
 			child := &combo{idx: append([]int(nil), c.idx...)}
@@ -234,9 +256,4 @@ func (pe *productEnumerator) Next() (*Result, bool) {
 			break // the prefix rule: only trailing zeros may advance past here
 		}
 	}
-	parts := make([]*Result, len(c.idx))
-	for a, i := range c.idx {
-		parts[a] = pe.streams[a].buf[i]
-	}
-	return pe.s.combineResults(parts), true
 }

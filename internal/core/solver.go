@@ -212,24 +212,31 @@ func New(ctx context.Context, g *graph.Graph, c cost.Cost, opts Options) (*Solve
 			}
 		}
 	}
-	var sepsOK bool
+	// PMC enumeration needs all of MinSep(G), whatever the bound; a
+	// bounded solver keeps the separators of size at most b (Theorem 5.6).
+	seps, sepsOK := minsep.AllCtx(ctx, g)
 	var pmcErr error
-	if bound >= 0 {
-		s.seps, sepsOK = minsep.AtMostCtx(ctx, g, bound)
-		if sepsOK {
-			s.pmcs, pmcErr = pmc.AtMostCtx(ctx, g, bound+1)
+	if sepsOK {
+		maxSize := -1
+		if bound >= 0 {
+			maxSize = bound + 1
 		}
-	} else {
-		s.seps, sepsOK = minsep.AllCtx(ctx, g)
-		if sepsOK {
-			s.pmcs, pmcErr = pmc.AllCtx(ctx, g)
-		}
+		s.pmcs, pmcErr = pmc.Enumerate(ctx, g, seps, maxSize)
 	}
 	if !sepsOK || pmcErr != nil {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		return nil, pmcErr
+	}
+	s.seps = seps
+	if bound >= 0 {
+		s.seps = nil
+		for _, sep := range seps {
+			if sep.Len() <= bound {
+				s.seps = append(s.seps, sep)
+			}
+		}
 	}
 	s.sepTab = intern.FromSets(s.seps)
 	if err := s.buildBlocks(ctx); err != nil {

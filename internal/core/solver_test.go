@@ -12,6 +12,7 @@ import (
 	"repro/internal/cost"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/pmc"
 	"repro/internal/vset"
 )
 
@@ -392,6 +393,33 @@ func TestSolverAccessors(t *testing.T) {
 	}
 	if mono.NumFullBlocks() != 7 {
 		t.Fatalf("mono full blocks = %d", mono.NumFullBlocks())
+	}
+}
+
+// TestBoundedSolverSeparators: a solver of width bound b keeps the
+// minimal separators of size at most b and the PMCs of size at most b+1,
+// from the one MinSep(G) it computes.
+func TestBoundedSolverSeparators(t *testing.T) {
+	g := gen.PaperExample()
+	b := 2
+	s, err := New(context.Background(), g, cost.Width{}, Options{WidthBound: &b, noDecompose: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// S3 = {v} and S2 = {u, v}, in canonical order; S1 = {w1, w2, w3} is
+	// too large.
+	seps := s.MinimalSeparators()
+	if len(seps) != 2 || !seps[0].Equal(vset.Of(6, 1)) || !seps[1].Equal(vset.Of(6, 0, 1)) {
+		t.Fatalf("bound-2 separators = %v, want [{1} {0, 1}]", seps)
+	}
+	want := 0
+	for _, omega := range pmc.All(g) {
+		if omega.Len() <= b+1 {
+			want++
+		}
+	}
+	if len(s.PMCs()) != want {
+		t.Fatalf("bound-2 PMCs = %v, want the %d of size at most 3", s.PMCs(), want)
 	}
 }
 

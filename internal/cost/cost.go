@@ -283,20 +283,15 @@ func (c TotalStateSpace) MergeKind() MergeKind { return MergeSum }
 
 // LexWidthFill orders decompositions by width first and fill second, via
 // the linear combination multiplier·width + fill the paper suggests
-// (Section 3, with multiplier |E(G)|). A zero Multiplier means
-// n·(n-1)/2 + 1, which strictly dominates any possible fill and therefore
-// realizes the true lexicographic order.
-type LexWidthFill struct {
-	Multiplier float64
-}
+// (Section 3). The multiplier is n·(n-1)/2 + 1, not the paper's |E(G)|:
+// it strictly dominates any possible fill and therefore realizes the true
+// lexicographic order.
+type LexWidthFill struct{}
 
 // Name implements Cost.
 func (LexWidthFill) Name() string { return "lex-width-fill" }
 
-func (c LexWidthFill) multiplier(g *graph.Graph) float64 {
-	if c.Multiplier > 0 {
-		return c.Multiplier
-	}
+func (LexWidthFill) multiplier(g *graph.Graph) float64 {
 	n := float64(g.Universe())
 	return n*(n-1)/2 + 1
 }

@@ -72,7 +72,7 @@ func ClassifyGraph(g *graph.Graph, msBudget, pmcBudget time.Duration) Tractabili
 	res.MinSeps = len(seps)
 	res.Seps = seps
 	ctx, cancel = context.WithTimeout(context.Background(), pmcBudget)
-	pmcs, err := pmc.AllCtx(ctx, g)
+	pmcs, err := pmc.Enumerate(ctx, g, seps, -1)
 	cancel()
 	if err != nil {
 		res.Outcome = MSTerminated

@@ -265,6 +265,27 @@ func CliqueChain(rng *rand.Rand, blobs, blobSize, sepSize int, p float64) *graph
 	return g
 }
 
+// ColdInitCorpus returns graphs shaped like the ranked classes of a
+// cold-solve request mix: connected G(n, p) with n 14–18, 4×4 CSP grids,
+// clique chains (which decompose into atoms, so core.New builds per-atom
+// sub-solvers in parallel) and sparse trees plus chords. The solver
+// initialization benchmarks and the PMC candidate count share it.
+func ColdInitCorpus() []*graph.Graph {
+	rng := rand.New(rand.NewSource(61))
+	var out []*graph.Graph
+	for i := 0; i < 5; i++ {
+		out = append(out, ConnectedGNP(rng, 14+i, 0.2+0.06*float64(i)))
+	}
+	out = append(out,
+		CSPGrid(rng, 4, 4, 2),
+		CSPGrid(rng, 4, 4, 4),
+		CliqueChain(rng, 4, 8, 2, 0.5),
+		CliqueChain(rng, 5, 9, 2, 0.5),
+		TreePlusChords(rng, 40, 3),
+	)
+	return out
+}
+
 // Relabel returns a copy of g with its vertices renamed by a random
 // permutation drawn from rng — one client of a templated workload. The
 // result is isomorphic to g but (almost always) fingerprints differently

@@ -123,25 +123,6 @@ func (st *Stream) Next(ctx context.Context) (vset.Set, bool) {
 	return vset.Set{}, false
 }
 
-// AtMostCtx returns the minimal separators of g of size at most k, by
-// filtering AllCtx; it returns ok=false when ctx is cancelled or its
-// deadline passes first. This preserves the semantics MinTriangB needs;
-// the fixed-parameter pruning the paper alludes to is a complexity-only
-// optimization and is intentionally not replicated (see DESIGN.md).
-func AtMostCtx(ctx context.Context, g *graph.Graph, k int) ([]vset.Set, bool) {
-	seps, ok := AllCtx(ctx, g)
-	if !ok {
-		return nil, false
-	}
-	var out []vset.Set
-	for _, s := range seps {
-		if s.Len() <= k {
-			out = append(out, s)
-		}
-	}
-	return out, true
-}
-
 // Crosses reports whether s crosses t in g: some two vertices of t are
 // separated by s, i.e. t meets at least two components of G \ s.
 // The relation is symmetric (Parra–Scheffler). Separators are parallel

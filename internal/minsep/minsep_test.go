@@ -1,7 +1,6 @@
 package minsep
 
 import (
-	"context"
 	"math/rand"
 	"testing"
 
@@ -174,25 +173,6 @@ func TestParraSchefflerRoundTrip(t *testing.T) {
 				t.Fatalf("MinSep(H) contains %v outside the family", s)
 			}
 		}
-	}
-}
-
-func TestAtMost(t *testing.T) {
-	g := gen.PaperExample()
-	small, ok := AtMostCtx(context.Background(), g, 2)
-	if !ok || len(small) != 2 {
-		t.Fatalf("AtMostCtx(2) = %d separators (ok=%v), want 2 (S2, S3)", len(small), ok)
-	}
-	for _, s := range small {
-		if s.Len() > 2 {
-			t.Fatalf("AtMostCtx returned oversized separator %v", s)
-		}
-	}
-	// A cancelled context stops the closure with no partial list.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if out, ok := AtMostCtx(ctx, g, 2); out != nil || ok {
-		t.Fatalf("cancelled AtMostCtx = %v, %v; want nil, false", out, ok)
 	}
 }
 

@@ -89,23 +89,13 @@ func rank(s vset.Set, v int) int {
 }
 
 // All enumerates PMC(G) with the vertex-incremental Bouchitté–Todinca
-// algorithm: processing active vertices a1..an, the PMCs of
-// G_{i+1} = G[{a1..a_{i+1}}] are found among
-//
-//	(1) the PMCs of G_i,
-//	(2) those PMCs extended with a_{i+1},
-//	(3) S ∪ {a_{i+1}} for minimal separators S of G_{i+1}, and
-//	(4) S ∪ (T ∩ C) for minimal separators S of G_{i+1} not containing
-//	    a_{i+1} that are not separators of G_i, minimal separators T of
-//	    G_i, and components C of G_{i+1} \ S,
-//
-// each candidate filtered with IsPMC. The result is in canonical order.
+// algorithm (see Enumerate). The result is in canonical order.
 //
 // The running time is polynomial in |MinSep(G)| (the poly-MS assumption of
 // the paper); completeness is property-tested against the brute-force
 // oracle.
 func All(g *graph.Graph) []vset.Set {
-	out, _ := enumerate(context.Background(), g, -1)
+	out, _ := AllCtx(context.Background(), g)
 	return out
 }
 
@@ -113,92 +103,123 @@ func All(g *graph.Graph) []vset.Set {
 var ErrDeadline = errors.New("pmc: deadline exceeded")
 
 // AllCtx is All with cancellation: it returns ErrDeadline when ctx is
-// cancelled or times out before the enumeration completes. Long-lived
-// services use it to abandon initialization for disconnected clients.
+// cancelled or times out before the enumeration completes.
 func AllCtx(ctx context.Context, g *graph.Graph) ([]vset.Set, error) {
-	out, ok := enumerate(ctx, g, -1)
+	seps, ok := minsep.AllCtx(ctx, g)
+	if !ok {
+		return nil, ErrDeadline
+	}
+	return Enumerate(ctx, g, seps, -1)
+}
+
+// Enumerate lists the PMCs of g of size at most maxSize (all of them when
+// maxSize < 0; size k+1 bounds the bags MinTriangB allows for width k),
+// in canonical order, given seps = MinSep(g) as minsep.AllCtx returns it.
+// It returns ErrDeadline when ctx is cancelled or times out first.
+//
+// Processing the active vertices a1..an in order, the PMCs of
+// G_{i+1} = G[{a1..a_{i+1}}], a = a_{i+1}, are found among
+//
+//	(1–2) each PMC Ω of G_i or Ω ∪ {a}: exactly one of the two is a PMC
+//	    of G_{i+1}, so only Ω is tested;
+//	(3) S ∪ {a} for minimal separators S ∌ a of G_{i+1}, tested; and
+//	(4) S ∪ (T ∩ C), tested, for minimal separators S ∌ a of G_{i+1}
+//	    that are not separators of G_i, minimal separators T of G_i, and
+//	    the one full component C of S that avoids a.
+//
+// DESIGN.md, "Initialization kernel", proves the restrictions.
+// Candidates above the size bound are never tested, but the separator
+// lists of the prefixes are complete. The last prefix is g itself, whose
+// separators the caller passes in.
+func Enumerate(ctx context.Context, g *graph.Graph, seps []vset.Set, maxSize int) ([]vset.Set, error) {
+	out, _, ok := enumerate(ctx, g, seps, maxSize)
 	if !ok {
 		return nil, ErrDeadline
 	}
 	return out, nil
 }
 
-// AtMostCtx enumerates the PMCs of g of size at most k (the bags allowed
-// by MinTriangB for width bound k-1); it returns ErrDeadline when ctx is
-// cancelled or times out first. Candidates above the size bound are pruned
-// during enumeration, but the separator lists are still complete (see
-// minsep.AtMostCtx for the discussion).
-func AtMostCtx(ctx context.Context, g *graph.Graph, k int) ([]vset.Set, error) {
-	out, ok := enumerate(ctx, g, k)
-	if !ok {
-		return nil, ErrDeadline
-	}
-	return out, nil
-}
-
-func enumerate(ctx context.Context, g *graph.Graph, maxSize int) ([]vset.Set, bool) {
+// enumerate is Enumerate; it also returns the number of IsPMC calls it
+// made, which tests pin, and ok=false when ctx ends first.
+func enumerate(ctx context.Context, g *graph.Graph, seps []vset.Set, maxSize int) (out []vset.Set, tests int, ok bool) {
 	verts := g.Vertices().Slice()
 	n := g.Universe()
+	fits := func(omega vset.Set) bool { return maxSize < 0 || omega.Len() <= maxSize }
 	current := intern.New(0)
 	var prevSeps []vset.Set
 	prevSepTab := intern.New(0)
 	prefix := vset.New(n)
 	for i, a := range verts {
 		if ctx.Err() != nil {
-			return nil, false
+			return nil, tests, false
 		}
 		prefix.AddInPlace(a)
-		gi := g.InducedSubgraph(prefix)
 		// Candidate dedup and the seen-separator test run once per
 		// candidate; interned IDs keep both a single hash away.
 		next := intern.New(current.Len())
-		consider := func(omega vset.Set) {
-			if maxSize >= 0 && omega.Len() > maxSize {
-				return
-			}
-			if next.Contains(omega) || !IsPMC(gi, omega) {
-				return
-			}
-			next.Intern(omega)
-		}
 		if i == 0 {
-			consider(vset.Of(n, a))
+			// {a} is the one PMC of a single vertex, which has no
+			// separators.
+			if one := vset.Of(n, a); fits(one) {
+				next.Intern(one)
+			}
 			current = next
-			prevSeps, _ = minsep.AllCtx(ctx, gi)
-			prevSepTab = intern.FromSets(prevSeps)
 			continue
 		}
-		seps, sepsOK := minsep.AllCtx(ctx, gi)
-		if !sepsOK {
-			return nil, false
-		}
-		for _, omega := range current.Sets() {
-			consider(omega)
-			consider(omega.Add(a))
-		}
-		for _, s := range seps {
-			if !s.Contains(a) {
-				consider(s.Add(a))
-				if !prevSepTab.Contains(s) {
-					// Case (4): new separators combine with old ones.
-					gi.ForEachComponent(gi.Vertices().Diff(s), func(c, _ vset.Set) bool {
-						for _, t := range prevSeps {
-							if t.Intersects(c) {
-								consider(s.Union(t.Intersect(c)))
-							}
-						}
-						return true
-					})
-				}
+		gi := g.InducedSubgraph(prefix)
+		consider := func(omega vset.Set) {
+			if !fits(omega) || next.Contains(omega) {
+				return
+			}
+			tests++
+			if IsPMC(gi, omega) {
+				next.Intern(omega)
 			}
 		}
+		sepsI := seps
+		if i < len(verts)-1 {
+			var sepsOK bool
+			if sepsI, sepsOK = minsep.AllCtx(ctx, gi); !sepsOK {
+				return nil, tests, false
+			}
+		}
+		for _, omega := range current.Sets() {
+			tests++
+			if IsPMC(gi, omega) {
+				next.Intern(omega)
+			} else if up := omega.Add(a); fits(up) {
+				next.Intern(up)
+			}
+		}
+		for _, s := range sepsI {
+			if s.Contains(a) {
+				continue
+			}
+			consider(s.Add(a))
+			if prevSepTab.Contains(s) {
+				continue
+			}
+			// Case (4): S is new, so exactly one of its full components
+			// avoids a.
+			gi.ForEachComponent(gi.Vertices().Diff(s), func(c, nc vset.Set) bool {
+				if c.Contains(a) || !nc.Equal(s) {
+					return true
+				}
+				for _, t := range prevSeps {
+					if t.Intersects(c) {
+						consider(s.Union(t.Intersect(c)))
+					}
+				}
+				return false
+			})
+		}
 		current = next
-		prevSeps = seps
-		prevSepTab = intern.FromSets(seps)
+		prevSeps = sepsI
+		prevSepTab = intern.FromSets(sepsI)
 	}
-	out := append([]vset.Set(nil), current.Sets()...)
+	out = append([]vset.Set(nil), current.Sets()...)
 	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
-	return out, true
+	return out, tests, true
 }
 
 // Block is a block (S, C) of a graph: a minimal separator S together with

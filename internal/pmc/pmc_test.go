@@ -111,13 +111,14 @@ func TestAllMatchesBruteForceStructured(t *testing.T) {
 
 func TestAtMostFilters(t *testing.T) {
 	g := gen.PaperExample()
-	small, err := AtMostCtx(context.Background(), g, 3)
+	seps := minsep.All(g)
+	small, err := Enumerate(context.Background(), g, seps, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, o := range small {
 		if o.Len() > 3 {
-			t.Fatalf("AtMostCtx returned oversized PMC %v", o)
+			t.Fatalf("Enumerate(3) returned oversized PMC %v", o)
 		}
 	}
 	// All PMCs of size ≤ 3 must be present.
@@ -128,13 +129,13 @@ func TestAtMostFilters(t *testing.T) {
 		}
 	}
 	if len(small) != count {
-		t.Fatalf("AtMostCtx(3) = %d PMCs, want %d", len(small), count)
+		t.Fatalf("Enumerate(3) = %d PMCs, want %d", len(small), count)
 	}
 	// A cancelled context stops the enumeration with no partial list.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if out, err := AtMostCtx(ctx, g, 3); out != nil || !errors.Is(err, ErrDeadline) {
-		t.Fatalf("cancelled AtMostCtx = %v, %v; want nil, ErrDeadline", out, err)
+	if out, err := Enumerate(ctx, g, seps, 3); out != nil || !errors.Is(err, ErrDeadline) {
+		t.Fatalf("cancelled Enumerate = %v, %v; want nil, ErrDeadline", out, err)
 	}
 }
 

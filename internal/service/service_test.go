@@ -308,6 +308,31 @@ func TestStreamMaxResults(t *testing.T) {
 	}
 }
 
+// TestStreamFirstResultSolvesNothing: an NDJSON request for one result
+// on a graph the server never saw waits only for solver initialization.
+// The enumeration emits before it splits, so no constrained solve runs
+// and no branch is skipped.
+func TestStreamFirstResultSolvesNothing(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	body := fmt.Sprintf(`{"graph6": %q, "cost": "fill", "stream": true, "max_results": 1}`, cycleGraph6(t, 7))
+	resp, err := http.Post(ts.URL+"/v1/enumerate", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if lines := strings.Split(strings.TrimSpace(string(data)), "\n"); len(lines) != 2 {
+		t.Fatalf("want 1 result + summary, got %d lines: %s", len(lines), data)
+	}
+	stats := getStats(t, ts)
+	if stats.Pool.Misses != 1 {
+		t.Fatalf("want one solver built, pool %+v", stats.Pool)
+	}
+	if stats.Solver.ConstrainedSolves != 0 || stats.Solver.EmptyBranches != 0 {
+		t.Fatalf("the first result split: solver %+v", stats.Solver)
+	}
+}
+
 // TestEdgeListAndCosts smoke-tests the edge-list input and each cost.
 func TestEdgeListAndCosts(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
