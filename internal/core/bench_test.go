@@ -20,9 +20,10 @@ func delayBenchGraph(n int, p float64, seed int64) *graph.Graph {
 // Each iteration advances a warm enumeration by one result; exhausted
 // enumerations are restarted (and their first result consumed) off the
 // clock. This is the headline number the incremental constraint-aware DP
-// targets: every Next() solves one Lawler–Murty branch per fresh
-// separator of the popped result, except the branches the
-// separator-crossing test proves empty (reported as emptybranches/op).
+// targets: every Next() solves the Lawler–Murty branches that reach the
+// top of the queue, at most one per fresh separator of each earlier
+// result, and none the separator-crossing test proves empty (reported
+// as emptybranches/op).
 func BenchmarkEnumerateDelay(b *testing.B) {
 	cases := []struct {
 		name string
@@ -72,12 +73,13 @@ func BenchmarkEnumerateDelay(b *testing.B) {
 
 // BenchmarkBranchParallel measures the per-rank delay of the parallel
 // branch solver at increasing worker counts on a separator-rich G(n, p)
-// instance. Each Next() of the ranked enumeration solves one constrained
-// branch per fresh separator of the popped result — independent solves
-// the paper notes can run concurrently (§7.1) — so on a multi-core host
-// the delay should shrink toward the longest single branch as workers
-// grow. Run on one core the worker pool only adds scheduling overhead;
-// interpret the scaling numbers alongside GOMAXPROCS.
+// instance. Each Next() of the ranked enumeration solves the unsolved
+// partitions at the top of the queue, up to one per worker at a time —
+// independent solves the paper notes can run concurrently (§7.1) — so a
+// batch wider than one only pays where several branches would be solved
+// anyway. Run on one core the worker pool only adds scheduling overhead;
+// interpret the scaling numbers alongside GOMAXPROCS (DESIGN.md,
+// "Parallel branch solving").
 func BenchmarkBranchParallel(b *testing.B) {
 	g := delayBenchGraph(16, 0.25, 7)
 	for _, workers := range []int{1, 2, 4, 8} {

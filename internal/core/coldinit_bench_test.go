@@ -12,21 +12,27 @@ import (
 // the block structure and the baseline DP — over a fixed corpus under
 // width and fill, the cost every request of a write path pays before its
 // first result. One op initializes every (graph, cost) pair once.
-func BenchmarkColdInit(b *testing.B) { benchCold(b, false) }
+func BenchmarkColdInit(b *testing.B) { benchCold(b, 0) }
 
 // BenchmarkColdFirstResult measures what a cold request waits for before
 // its first result: New plus the first Next over the same corpus and
 // costs as BenchmarkColdInit. The enumeration emits before it splits, so
-// the first Next only pops the initial optimum; solves/op counts the
-// constrained solves and skipped branches the first results paid for.
-func BenchmarkColdFirstResult(b *testing.B) { benchCold(b, true) }
+// its solves/op reads 0.
+func BenchmarkColdFirstResult(b *testing.B) { benchCold(b, 1) }
 
-// benchCold initializes every (graph, cost) pair once per op and, when
-// first is set, draws each solver's first result.
-func benchCold(b *testing.B, first bool) {
+// BenchmarkColdFirstPage measures a cold bounded read, the shape of a
+// cold-solve request: New plus 20 Next calls at GOMAXPROCS branch
+// workers over the same corpus and costs. Branches are solved only when
+// they reach the top of the queue, so solves/op counts the constrained
+// solves those 20 results needed (DESIGN.md, "Solve on pop").
+func BenchmarkColdFirstPage(b *testing.B) { benchCold(b, 20) }
+
+// benchCold initializes every (graph, cost) pair once per op and draws
+// up to results results from each solver at GOMAXPROCS branch workers.
+func benchCold(b *testing.B, results int) {
 	graphs := gen.ColdInitCorpus()
 	costs := []cost.Cost{cost.Width{}, cost.FillIn{}}
-	var branches uint64
+	var solves uint64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -39,19 +45,24 @@ func benchCold(b *testing.B, first bool) {
 				if s.NumFullBlocks() == 0 {
 					b.Fatalf("graph %d %s: no full blocks", gi, c.Name())
 				}
-				if !first {
+				if results == 0 {
 					continue
 				}
-				if _, ok := s.EnumerateContext(context.Background()).Next(); !ok {
-					b.Fatalf("graph %d %s: no first result", gi, c.Name())
+				e := s.EnumerateParallelContext(context.Background(), 0)
+				for k := 0; k < results; k++ {
+					if _, ok := e.Next(); !ok {
+						if k == 0 {
+							b.Fatalf("graph %d %s: no first result", gi, c.Name())
+						}
+						break
+					}
 				}
-				st := s.ReuseStats()
-				branches += st.ConstrainedSolves + st.EmptyBranches
+				solves += s.ReuseStats().ConstrainedSolves
 			}
 		}
 	}
-	if first {
-		b.ReportMetric(float64(branches)/float64(b.N), "solves/op")
+	if results > 0 {
+		b.ReportMetric(float64(solves)/float64(b.N), "solves/op")
 	}
 	b.ReportMetric(float64(len(graphs)*len(costs)), "inits/op")
 }

@@ -84,23 +84,18 @@ func (s *Solver) buildSepCov(cov *sepCov, sep vset.Set) {
 
 // compiledConstraints is the DP-ready form of κ[I,X]: one word-aligned
 // coverage slot per constraint, each backed by its separator's
-// precomputed sepCov, plus the two interned-ID masks the incremental
-// solver branches on. dirty marks the blocks whose span contains some
+// precomputed sepCov. dirty marks the blocks whose span contains some
 // constraint separator — the only blocks whose DP solution can deviate
-// from the unconstrained baseline — and includeIDs marks the separator
-// IDs of the inclusion side so the enumerator finds the fresh separators
-// of a popped result without hashing set keys.
+// from the unconstrained baseline.
 type compiledConstraints struct {
-	words      int // total coverage words across constraints
-	cons       []conInfo
-	dirty      intern.Bitset // over block indices
-	includeIDs intern.Bitset // over separator IDs
+	words int // total coverage words across constraints
+	cons  []conInfo
+	dirty intern.Bitset // over block indices
 }
 
 type conInfo struct {
 	cov     *sepCov
 	cone    intern.Bitset // blocks whose span contains the separator
-	sepID   int           // interned separator ID, or -1 for extras
 	off     int           // word offset of this constraint's coverage slot
 	include bool
 }
@@ -113,10 +108,7 @@ func (s *Solver) compileConstraints(c *cost.Constraints) *compiledConstraints {
 	if c.IsEmpty() {
 		return nil
 	}
-	cc := &compiledConstraints{
-		dirty:      intern.NewBitset(len(s.blocks)),
-		includeIDs: intern.NewBitset(s.sepTab.Len()),
-	}
+	cc := &compiledConstraints{dirty: intern.NewBitset(len(s.blocks))}
 	for _, sep := range c.Include {
 		s.addConstraint(cc, sep, true)
 	}
@@ -126,82 +118,37 @@ func (s *Solver) compileConstraints(c *cost.Constraints) *compiledConstraints {
 	return cc
 }
 
+// compileSeps builds the compiled form of a Lawler–Murty partition's
+// constraint list, whose separators are all interned. The enumerator
+// compiles a partition once, when it solves it; the queue holds only the
+// list.
+func (s *Solver) compileSeps(cons []sepCon) *compiledConstraints {
+	cc := &compiledConstraints{
+		cons:  make([]conInfo, 0, len(cons)),
+		dirty: intern.NewBitset(len(s.blocks)),
+	}
+	for _, c := range cons {
+		cc.add(s.sepCovFor(c.sepID), s.dirtyBySep[c.sepID], c.include)
+	}
+	return cc
+}
+
 // addConstraint appends one separator's constraint to cc.
 func (s *Solver) addConstraint(cc *compiledConstraints, sep vset.Set, include bool) {
-	info := conInfo{sepID: -1}
 	if id, ok := s.sepTab.Lookup(sep); ok {
-		info.cov = s.sepCovFor(id)
-		info.cone = s.dirtyBySep[id]
-		info.sepID = id
-		if include {
-			cc.includeIDs.Set(id)
-		}
-	} else {
-		info.cov, info.cone = s.extraCovFor(sep)
-	}
-	info.include = include
-	info.off = cc.words
-	cc.words += info.cov.words
-	cc.dirty.Or(info.cone)
-	cc.cons = append(cc.cons, info)
-}
-
-// release drops the materialized dirty/includeIDs masks — O(#blocks +
-// #seps) bits per compiled set — once a branch has been solved and only
-// waits in the partition queue. rematerialize rebuilds both from the
-// cons list (each entry keeps its cone and separator ID), so a queued
-// partition costs O(constraint depth) memory like the uncompiled
-// representation did.
-func (cc *compiledConstraints) release() {
-	cc.dirty = nil
-	cc.includeIDs = nil
-}
-
-func (s *Solver) rematerialize(cc *compiledConstraints) {
-	if cc == nil || cc.dirty != nil {
+		cc.add(s.sepCovFor(id), s.dirtyBySep[id], include)
 		return
 	}
-	cc.dirty = intern.NewBitset(len(s.blocks))
-	cc.includeIDs = intern.NewBitset(s.sepTab.Len())
-	for i := range cc.cons {
-		info := &cc.cons[i]
-		cc.dirty.Or(info.cone)
-		if info.include && info.sepID >= 0 {
-			cc.includeIDs.Set(info.sepID)
-		}
-	}
+	cov, cone := s.extraCovFor(sep)
+	cc.add(cov, cone, include)
 }
 
-// extendConstraints returns cc (nil for the empty pair) extended with one
-// more constraint on an interned separator — the single-separator branch
-// delta of the Lawler–Murty split. The parent's coverage layout is a
-// prefix of the child's; its dirty cone is a precomputed mask OR rather
-// than a recompile.
-func (s *Solver) extendConstraints(cc *compiledConstraints, sepID int, include bool) *compiledConstraints {
-	out := &compiledConstraints{}
-	if cc == nil {
-		out.dirty = intern.NewBitset(len(s.blocks))
-		out.includeIDs = intern.NewBitset(s.sepTab.Len())
-	} else {
-		out.words = cc.words
-		out.cons = append(make([]conInfo, 0, len(cc.cons)+1), cc.cons...)
-		out.dirty = cc.dirty.Clone()
-		out.includeIDs = cc.includeIDs.Clone()
-	}
-	cov := s.sepCovFor(sepID)
-	out.cons = append(out.cons, conInfo{
-		cov:     cov,
-		cone:    s.dirtyBySep[sepID],
-		sepID:   sepID,
-		off:     out.words,
-		include: include,
-	})
-	out.words += cov.words
-	out.dirty.Or(s.dirtyBySep[sepID])
-	if include {
-		out.includeIDs.Set(sepID)
-	}
-	return out
+// add appends a constraint with geometry cov and dirty cone cone, giving
+// it the next coverage slot.
+func (cc *compiledConstraints) add(cov *sepCov, cone intern.Bitset, include bool) {
+	cc.cons = append(cc.cons, conInfo{cov: cov, cone: cone, off: cc.words, include: include})
+	cc.words += cov.words
+	cc.dirty.Or(cone)
 }
 
 // bagMask returns the full coverage-mask contribution of the PMC Ω with

@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"context"
 	"runtime"
+	"slices"
 	"sync"
 
 	"repro/internal/intern"
@@ -29,27 +30,30 @@ type machine interface {
 
 // Next returns the next minimal triangulation, or ok=false when the
 // enumeration is complete. Solver enumerators emit in non-decreasing cost
-// order with time between consecutive calls polynomial in the
-// initialization size (polynomial delay under poly-MS, Theorem 4.4) — for
-// a decomposed solver, in the initialization size of the atoms. Other
-// backends emit per their Ranked contract.
+// order. They solve a Lawler–Murty branch only when it reaches the top
+// of their queue, so the polynomial delay of Theorem 4.4 (under poly-MS,
+// in the initialization size — for a decomposed solver, that of the
+// atoms) holds amortized: the first k results cost at most k − 1 splits,
+// but the call that leaves a tied cost level solves every branch still
+// waiting at that level (DESIGN.md, "Solve on pop"). Other backends emit
+// per their Ranked contract.
 func (e *Enumerator) Next() (*Result, bool) { return e.m.Next() }
 
 // lmEnumerator is the monolithic machine — the RankedTriang algorithm of
 // Figure 4.
 //
 // Each partition of the unexplored space is an inclusion/exclusion
-// constraint pair [I, X] held in a priority queue together with that
-// partition's cheapest member. Next emits before it splits: it pops a
-// partition, returns its member at once and keeps the partition pending;
-// the next call first splits the pending remainder Lawler–Murty style
-// over the member's minimal separators, then pops. The queue holds the
-// same entries at every pop as when the split ran before the emit, so
-// the stream is the same, but the first result waits only for
-// initialization and a read of k results runs k−1 splits (DESIGN.md,
-// "Emit before split"). Constraint pairs are kept in compiled form and
-// extended by single-separator deltas, so a branch solve never recompiles
-// its ancestors' constraints and reuses their precomputed dirty cones.
+// constraint pair [I, X] held in a priority queue. Next emits before it
+// splits: it pops a partition, returns its member at once and keeps the
+// partition pending; the next call first splits the pending remainder
+// Lawler–Murty style over the member's minimal separators, then pops
+// (DESIGN.md, "Emit before split"). The split queues its branches
+// unsolved, keyed by the parent's cost, a lower bound on their own; a
+// branch is compiled and solved only when it reaches the top of the
+// queue, and then re-queued under its own cost (DESIGN.md, "Solve on
+// pop"). Every pop emits what it would if the split solved its branches
+// at once, so the stream is the same, but a read of k results solves
+// only the branches that reach the top before its k-th emit.
 type lmEnumerator struct {
 	s       *Solver
 	ctx     context.Context // cancellation for the branch-solving hot loop
@@ -59,19 +63,34 @@ type lmEnumerator struct {
 	workers int // parallel branch solving when > 1
 }
 
+// partition is one part [I, X] of the unexplored space, as the list of
+// constraints the splits that made it added. Until it is solved, res is
+// nil and cost is its parent's cost: the partition lies inside its
+// parent's, whose member is the cheapest there, so its own cost is no
+// lower. Solving sets res to the partition's cheapest member and cost to
+// res.Cost. seq is assigned once, by the split in branch order, and
+// breaks cost ties in both states.
 type partition struct {
-	res *Result
-	cc  *compiledConstraints // nil for the unconstrained root partition
-	seq int
+	res  *Result
+	cost float64
+	cons []sepCon // nil for the unconstrained root partition
+	seq  int
 }
 
-// partitionQueue is a min-heap on (cost, insertion sequence).
+// sepCon is one constraint of a partition: the interned separator sepID
+// is forced to be a clique (include) or not to be one.
+type sepCon struct {
+	sepID   int
+	include bool
+}
+
+// partitionQueue is a min-heap on (cost, sequence number).
 type partitionQueue []*partition
 
 func (q partitionQueue) Len() int { return len(q) }
 func (q partitionQueue) Less(i, j int) bool {
-	if q[i].res.Cost != q[j].res.Cost {
-		return q[i].res.Cost < q[j].res.Cost
+	if q[i].cost != q[j].cost {
+		return q[i].cost < q[j].cost
 	}
 	return q[i].seq < q[j].seq
 }
@@ -101,12 +120,12 @@ func (s *Solver) EnumerateContext(ctx context.Context) *Enumerator {
 // branch optimizations solved by a pool of workers — the delay-reduction
 // parallelization the paper sketches in Section 7.1 (footnote 3). A
 // worker count of 1 means sequential; zero or negative means GOMAXPROCS.
-// The emitted sequence is identical for every worker count: branches are
-// re-ordered deterministically before entering the queue. The solver's
-// static structures are read-only during enumeration, so the cost function
-// must merely be safe for concurrent Eval calls (all built-ins are). On a
-// decomposed solver the workers apply inside each atom's Lawler–Murty
-// branch solving.
+// The emitted sequence is identical for every worker count: a solved
+// branch re-enters the queue under the sequence number its split gave
+// it. The solver's static structures are read-only during enumeration,
+// so the cost function must merely be safe for concurrent Eval calls
+// (all built-ins are). On a decomposed solver the workers apply inside
+// each atom's Lawler–Murty branch solving.
 func (s *Solver) EnumerateParallelContext(ctx context.Context, workers int) *Enumerator {
 	workers = effectiveWorkers(workers)
 	if s.dec != nil {
@@ -115,20 +134,22 @@ func (s *Solver) EnumerateParallelContext(ctx context.Context, workers int) *Enu
 	lm := &lmEnumerator{s: s, ctx: ctx, workers: workers}
 	if ctx.Err() == nil {
 		if r, err := s.MinTriang(nil); err == nil {
-			lm.push(r, nil)
+			lm.push(&partition{res: r, cost: r.Cost})
 		}
 	}
 	return &Enumerator{m: lm}
 }
 
-func (e *lmEnumerator) push(r *Result, cc *compiledConstraints) {
+func (e *lmEnumerator) push(p *partition) {
 	e.seq++
-	heap.Push(&e.queue, &partition{res: r, cc: cc, seq: e.seq})
+	p.seq = e.seq
+	heap.Push(&e.queue, p)
 }
 
-// Next splits the partition the previous call emitted, then pops the
-// cheapest partition and emits its member. A split that ctx cancels may
-// leave branches unqueued, so Next checks ctx again before it pops.
+// Next splits the partition the previous call emitted, solves the
+// partitions that reach the top of the queue until a solved one is
+// there, then pops it and emits its member. Cancellation can drop
+// partitions unsolved, so Next checks ctx again before it pops.
 func (e *lmEnumerator) Next() (*Result, bool) {
 	if e.ctx.Err() != nil {
 		return nil, false
@@ -137,6 +158,9 @@ func (e *lmEnumerator) Next() (*Result, bool) {
 		e.pending = nil
 		e.split(p)
 	}
+	for len(e.queue) > 0 && e.queue[0].res == nil && e.ctx.Err() == nil {
+		e.solveTop()
+	}
 	if len(e.queue) == 0 || e.ctx.Err() != nil {
 		return nil, false
 	}
@@ -144,35 +168,75 @@ func (e *lmEnumerator) Next() (*Result, bool) {
 	return e.pending.res, true
 }
 
-// split queues the solved branches of partition p minus its member: the
-// Lawler–Murty step of Figure 4.
-func (e *lmEnumerator) split(p *partition) {
-	// Queued partitions carry their constraint masks in released form
-	// (O(depth) memory); rebuild them before branching on this one.
-	e.s.rematerialize(p.cc)
+// solveTop takes up to workers unsolved partitions off the top of the
+// queue, solves them (concurrently when workers > 1), drops the empty
+// ones and re-queues the rest under their own cost and their split-time
+// sequence numbers. Solving only raises a key, so the queue orders the
+// solved partitions as it would if every branch had been solved at its
+// split.
+func (e *lmEnumerator) solveTop() {
+	var batch []*partition
+	for len(batch) < e.workers && len(e.queue) > 0 && e.queue[0].res == nil {
+		batch = append(batch, heap.Pop(&e.queue).(*partition))
+	}
+	solve := func(p *partition) {
+		if e.ctx.Err() != nil {
+			return
+		}
+		if r, err := e.s.minTriangCompiled(e.s.compileSeps(p.cons)); err == nil {
+			p.res = r
+		}
+	}
+	if len(batch) == 1 {
+		solve(batch[0])
+	} else {
+		var wg sync.WaitGroup
+		for _, p := range batch {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				solve(p)
+			}()
+		}
+		wg.Wait()
+	}
+	for _, p := range batch {
+		if p.res != nil {
+			p.cost = p.res.Cost
+			heap.Push(&e.queue, p)
+		}
+	}
+}
 
-	// Split the remainder of the partition. Let S1..Sk be the minimal
-	// separators of the popped triangulation outside I; branch i forces
-	// S1..S_{i-1} in and Si out. Note the loop runs to k (not the paper's
-	// k-1; see DESIGN.md — the k-th branch "all but Sk" is nonempty in
-	// general and dropping it loses completeness). Separators are compared
-	// by interned ID against the partition's include mask — no set keys
+// split queues the branches of partition p minus its member, unsolved
+// and keyed by p's cost: the Lawler–Murty step of Figure 4.
+func (e *lmEnumerator) split(p *partition) {
+	// Let S1..Sk be the minimal separators of the popped triangulation
+	// outside I; branch i forces S1..S_{i-1} in and Si out. Note the loop
+	// runs to k (not the paper's k-1; see DESIGN.md — the k-th branch
+	// "all but Sk" is nonempty in general and dropping it loses
+	// completeness). Separators are compared by interned ID — no set keys
 	// are hashed on this path.
+	included := intern.NewBitset(e.s.sepTab.Len())
+	for _, c := range p.cons {
+		if c.include {
+			included.Set(c.sepID)
+		}
+	}
 	var fresh []int
 	for _, id := range p.res.sepIDs {
-		if p.cc == nil || !p.cc.includeIDs.Has(id) {
+		if !included.Has(id) {
 			fresh = append(fresh, id)
 		}
 	}
-	// Build each branch's constraints as a delta on the partition's: one
-	// appended exclusion over the accumulated inclusions. The branches are
-	// then solved (in parallel when workers > 1) and pushed in branch
-	// order, which keeps the queue state — and hence the output —
-	// identical to the sequential run.
+	// Each branch is the partition's constraint list plus the inclusion
+	// chain S1..S_{i-1} and the exclusion Si. Branches are queued in
+	// branch order, so their sequence numbers keep the order the
+	// sequential eager split gave them.
 	//
-	// A branch the separator-crossing test proves empty is never built or
-	// solved (DESIGN.md, "Empty branches"): branch i holds a triangulation
-	// H only if every exclusion x of the branch — the partition's and Si —
+	// A branch the separator-crossing test proves empty is never queued
+	// (DESIGN.md, "Empty branches"): branch i holds a triangulation H
+	// only if every exclusion x of the branch — the partition's and Si —
 	// is crossed by a separator of H, hence by one that is neither Si, nor
 	// excluded, nor crossing an inclusion. blocked collects the separators
 	// so ruled out apart from Si and grows as Si joins the inclusion
@@ -183,91 +247,46 @@ func (e *lmEnumerator) split(p *partition) {
 	var blocked intern.Bitset
 	var excluded []intern.Bitset
 	if filter {
-		blocked, excluded = e.s.blockedBy(p.cc)
+		blocked, excluded = e.s.blockedBy(p.cons)
 	}
-	branches := make([]*compiledConstraints, 0, len(fresh))
-	cc := p.cc
-	for i, id := range fresh {
+	chain := make([]sepCon, len(p.cons), len(p.cons)+len(fresh))
+	copy(chain, p.cons)
+	for _, id := range fresh {
 		var row intern.Bitset
 		if filter {
 			row = e.s.crossRow(id)
 		}
+		branch := slices.Concat(chain, []sepCon{{sepID: id}})
 		if !filter || witnessed(blocked, id, row) && witnessed(blocked, id, excluded...) {
-			branches = append(branches, e.s.extendConstraints(cc, id, false))
+			e.push(&partition{cost: p.cost, cons: branch})
 		} else {
 			e.s.statSkipped.Add(1)
 			if e.s.auditSkipped != nil {
 				// The only error is ErrNoTriangulation, which leaves r nil.
-				r, _ := e.s.minTriangCompiled(e.s.extendConstraints(cc, id, false))
+				r, _ := e.s.minTriangCompiled(e.s.compileSeps(branch))
 				e.s.auditSkipped(r)
 			}
 		}
-		if i+1 < len(fresh) {
-			cc = e.s.extendConstraints(cc, id, true)
-			if row != nil {
-				blocked.Or(row)
-			}
-		}
-	}
-	results := make([]*Result, len(branches))
-	if e.workers <= 1 || len(branches) <= 1 {
-		for i, b := range branches {
-			if e.ctx.Err() != nil {
-				break
-			}
-			if r, err := e.s.minTriangCompiled(b); err == nil {
-				results[i] = r
-			}
-		}
-	} else {
-		var wg sync.WaitGroup
-		work := make(chan int)
-		for w := 0; w < e.workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range work {
-					if e.ctx.Err() != nil {
-						continue
-					}
-					if r, err := e.s.minTriangCompiled(branches[i]); err == nil {
-						results[i] = r
-					}
-				}
-			}()
-		}
-		for i := range branches {
-			work <- i
-		}
-		close(work)
-		wg.Wait()
-	}
-	for i, r := range results {
-		if r != nil {
-			branches[i].release()
-			e.push(r, branches[i])
+		chain = append(chain, sepCon{sepID: id, include: true})
+		if row != nil {
+			blocked.Or(row)
 		}
 	}
 }
 
 // blockedBy returns, over separator IDs, the separators no triangulation
-// satisfying cc can contain — its exclusions, and every separator
+// satisfying cons can contain — its exclusions, and every separator
 // crossing one of its inclusions (the separators of a minimal
 // triangulation are pairwise parallel) — and the crossing rows of its
 // exclusions. A constraint whose crossing row is unavailable contributes
 // no row, which keeps the set a sound under-approximation and leaves that
-// exclusion untested. cc is a partition's constraint set, built by the
-// split from interned separator IDs only.
-func (s *Solver) blockedBy(cc *compiledConstraints) (blocked intern.Bitset, excluded []intern.Bitset) {
+// exclusion untested.
+func (s *Solver) blockedBy(cons []sepCon) (blocked intern.Bitset, excluded []intern.Bitset) {
 	blocked = intern.NewBitset(s.sepTab.Len())
-	if cc == nil {
-		return blocked, nil
-	}
-	for i := range cc.cons {
-		info := &cc.cons[i]
-		row := s.crossRow(info.sepID)
-		if !info.include {
-			blocked.Set(info.sepID)
+	for _, c := range cons {
+		row := s.crossRow(c.sepID)
+		if !c.include {
+			blocked.Set(c.sepID)
 			if row != nil {
 				excluded = append(excluded, row)
 			}

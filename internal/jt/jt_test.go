@@ -299,3 +299,61 @@ func relDiff(a, b float64) float64 {
 	}
 	return math.Abs(a-b) / math.Abs(b)
 }
+
+// TestFactorSetAt fills a factor that Model.AddFactor created through
+// Set, reads every entry back with At and in Values' row-major order
+// (first variable slowest), and checks that the model it belongs to has
+// the partition function of a model built from the same values slice.
+func TestFactorSetAt(t *testing.T) {
+	card := []int{2, 3, 2}
+	vars := []int{2, 0, 1} // factor cardinalities 2, 2, 3
+	value := func(a []int) float64 { return float64(1 + a[0] + 2*a[1] + 5*a[2]) }
+
+	set := NewModel(card)
+	f, err := set.AddFactor(vars, make([]float64, 12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rowMajor [][]int
+	for a0 := 0; a0 < 2; a0++ {
+		for a1 := 0; a1 < 2; a1++ {
+			for a2 := 0; a2 < 3; a2++ {
+				rowMajor = append(rowMajor, []int{a0, a1, a2})
+			}
+		}
+	}
+	for _, a := range rowMajor {
+		f.Set(a, value(a))
+	}
+	want := make([]float64, len(rowMajor))
+	for i, a := range rowMajor {
+		want[i] = value(a)
+		if got := f.At(a); got != want[i] {
+			t.Fatalf("At(%v) = %v, want %v", a, got, want[i])
+		}
+		if f.Values[i] != want[i] {
+			t.Fatalf("Values = %v, want row-major %v", f.Values, want)
+		}
+	}
+
+	fromSlice := NewModel(card)
+	mustAdd(t, fromSlice, vars, want)
+	for _, m := range []*Model{set, fromSlice} {
+		mustAdd(t, m, []int{1}, []float64{0.5, 1, 2})
+	}
+	r, err := mustSolver(moralGraph(set), cost.TotalStateSpace{Domain: card}).MinTriang(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var z [2]float64
+	for i, m := range []*Model{set, fromSlice} {
+		tree, err := Build(m, r.Tree)
+		if err != nil {
+			t.Fatal(err)
+		}
+		z[i] = tree.Z()
+	}
+	if wantZ, _ := bruteJoint(fromSlice); z[0] != z[1] || relDiff(z[0], wantZ) > 1e-9 {
+		t.Fatalf("Z filled through Set = %v, from the values slice = %v, brute force %v", z[0], z[1], wantZ)
+	}
+}
