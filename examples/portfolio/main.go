@@ -5,7 +5,8 @@
 // different* cheap decompositions to probe at runtime, not five
 // near-duplicates of the optimum. DiverseTopK greedily picks a portfolio
 // from the ranked stream maximizing pairwise fill distance; the ranked
-// stream itself is produced with parallel Lawler–Murty branch solving.
+// stream itself solves its Lawler–Murty branches over GOMAXPROCS
+// goroutines, as every enumeration does.
 //
 // Run with: go run ./examples/portfolio
 package main
@@ -13,8 +14,6 @@ package main
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"time"
 
 	rankedtriang "repro"
 )
@@ -34,28 +33,6 @@ func main() {
 	fmt.Printf("init: %v (%d separators, %d PMCs)\n",
 		solver.InitDuration, len(solver.MinimalSeparators()), len(solver.PMCs()))
 
-	// Sequential vs parallel delay over the first results.
-	const probe = 40
-	seqStart := time.Now()
-	seq := solver.EnumerateContext(ctx)
-	for i := 0; i < probe; i++ {
-		if _, ok := seq.Next(); !ok {
-			break
-		}
-	}
-	seqTime := time.Since(seqStart)
-
-	parStart := time.Now()
-	par := solver.EnumerateParallelContext(ctx, runtime.NumCPU())
-	for i := 0; i < probe; i++ {
-		if _, ok := par.Next(); !ok {
-			break
-		}
-	}
-	parTime := time.Since(parStart)
-	fmt.Printf("first %d results: sequential %v, parallel(%d workers) %v\n\n",
-		probe, seqTime, runtime.NumCPU(), parTime)
-
 	// The diverse portfolio.
 	portfolio := solver.DiverseTopK(4, 40)
 	fmt.Printf("diverse portfolio (%d decompositions):\n", len(portfolio))
@@ -69,7 +46,7 @@ func main() {
 		fmt.Println()
 	}
 	fmt.Println("\nfor comparison, the plain top-4 are often near-identical:")
-	for i, r := range solver.TopK(ctx, 4, 0) {
+	for i, r := range solver.TopK(ctx, 4) {
 		if i == 0 {
 			fmt.Printf("  #1 (optimum)\n")
 			continue

@@ -160,10 +160,13 @@ func TestCSPFacade(t *testing.T) {
 	}
 }
 
+// TestParallelFacade drains C6 under fill through the facade's one
+// entry point, which solves Lawler–Murty branches over GOMAXPROCS
+// goroutines: all 14 minimal triangulations come out.
 func TestParallelFacade(t *testing.T) {
 	g := gen.Cycle(6)
 	s := mustSolver(g, FillIn())
-	e := s.EnumerateParallelContext(context.Background(), 3)
+	e := s.EnumerateContext(context.Background())
 	count := 0
 	for {
 		if _, ok := e.Next(); !ok {

@@ -276,8 +276,9 @@ func TestAtomOracleBounded(t *testing.T) {
 	}
 }
 
-// TestAtomOracleParallelTopK asserts the parallel decomposed TopK emits
-// exactly the sequential prefix — tie order included.
+// TestAtomOracleParallelTopK asserts a decomposed enumeration's first 40
+// results at four branch workers are exactly those at one — tie order
+// included.
 func TestAtomOracleParallelTopK(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 6; i++ {
@@ -286,13 +287,13 @@ func TestAtomOracleParallelTopK(t *testing.T) {
 		if !s.Decomposed() {
 			continue
 		}
-		seq := s.TopK(context.Background(), 40, 1)
-		par := s.TopK(context.Background(), 40, 4)
+		seq := collectEnumeration(withWorkers(s.EnumerateContext(context.Background()), 1), 40)
+		par := collectEnumeration(withWorkers(s.EnumerateContext(context.Background()), 4), 40)
 		if len(seq) != len(par) {
-			t.Fatalf("parallel TopK %d results, sequential %d", len(par), len(seq))
+			t.Fatalf("parallel prefix has %d results, sequential %d", len(par), len(seq))
 		}
 		for j := range seq {
-			if seq[j].Cost != par[j].Cost || seq[j].H.EdgeSetKey() != par[j].H.EdgeSetKey() {
+			if seq[j] != par[j] {
 				t.Fatalf("rank %d: parallel deviates from sequential", j)
 			}
 		}

@@ -62,15 +62,10 @@ type Backend interface {
 	// Graph returns the input graph the backend enumerates over.
 	Graph() *graph.Graph
 	// EnumerateContext starts a fresh enumeration bound to ctx (see
-	// Solver.EnumerateContext for the cancellation semantics).
+	// Solver.EnumerateContext for the cancellation semantics and the
+	// GOMAXPROCS branch solves of the DP backend; the MIS walk advances
+	// one move at a time).
 	EnumerateContext(ctx context.Context) *Enumerator
-	// EnumerateParallelContext is EnumerateContext with the independent
-	// sub-solves of each Next fanned over a worker pool where the machine
-	// supports it — the Lawler–Murty branch solves on the DP backend. The
-	// emitted sequence is identical for every worker count; machines with
-	// no parallelizable inner step (the MIS walk is inherently sequential)
-	// ignore workers and behave exactly like EnumerateContext.
-	EnumerateParallelContext(ctx context.Context, workers int) *Enumerator
 }
 
 // BackendKind on a Solver: the ranked-exact DP.
@@ -113,14 +108,6 @@ func NewMISBackend(g *graph.Graph, c cost.Cost, opts MISOptions) Backend {
 func (b *misBackend) BackendKind() BackendKind { return BackendMIS }
 func (b *misBackend) Ranked() bool             { return false }
 func (b *misBackend) Graph() *graph.Graph      { return b.g }
-
-// EnumerateParallelContext on the MIS backend ignores workers: the
-// separator-graph MIS walk advances one move at a time with nothing
-// independent to fan out (each move's admissibility depends on the set
-// reached so far), so parallel and sequential enumeration coincide.
-func (b *misBackend) EnumerateParallelContext(ctx context.Context, workers int) *Enumerator {
-	return b.EnumerateContext(ctx)
-}
 
 func (b *misBackend) EnumerateContext(ctx context.Context) *Enumerator {
 	m := &misEnumerator{b: b, ctx: ctx}

@@ -72,12 +72,12 @@ func BenchmarkEnumerateDelay(b *testing.B) {
 }
 
 // BenchmarkBranchParallel measures the per-rank delay of the parallel
-// branch solver at increasing worker counts on a separator-rich G(n, p)
-// instance. Each Next() of the ranked enumeration solves the unsolved
-// partitions at the top of the queue, up to one per worker at a time —
-// independent solves the paper notes can run concurrently (§7.1) — so a
-// batch wider than one only pays where several branches would be solved
-// anyway. Run on one core the worker pool only adds scheduling overhead;
+// branch solver at increasing worker counts, set through withWorkers, on
+// a separator-rich G(n, p) instance. Each Next() of the ranked
+// enumeration solves the unsolved partitions at the top of the queue, up
+// to one per worker at a time — independent solves the paper notes can
+// run concurrently (§7.1) — so a batch wider than one only pays where
+// several branches would be solved anyway. Run on one core the worker pool only adds scheduling overhead;
 // interpret the scaling numbers alongside GOMAXPROCS (DESIGN.md,
 // "Parallel branch solving").
 func BenchmarkBranchParallel(b *testing.B) {
@@ -90,7 +90,7 @@ func BenchmarkBranchParallel(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			e := s.EnumerateParallelContext(context.Background(), workers)
+			e := withWorkers(s.EnumerateContext(context.Background()), workers)
 			if _, ok := e.Next(); !ok {
 				b.Fatal("empty enumeration")
 			}
@@ -98,7 +98,7 @@ func BenchmarkBranchParallel(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, ok := e.Next(); !ok {
 					b.StopTimer()
-					e = s.EnumerateParallelContext(context.Background(), workers)
+					e = withWorkers(s.EnumerateContext(context.Background()), workers)
 					if _, ok := e.Next(); !ok {
 						b.Fatal("empty enumeration")
 					}

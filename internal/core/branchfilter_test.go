@@ -139,7 +139,7 @@ func TestEmptyBranchFilterKeepsStream(t *testing.T) {
 				off.setBranchFilter(false)
 				want := collectEnumeration(off.EnumerateContext(context.Background()), max)
 				for _, workers := range []int{1, 4} {
-					got := collectEnumeration(on.EnumerateParallelContext(context.Background(), workers), max)
+					got := collectEnumeration(withWorkers(on.EnumerateContext(context.Background()), workers), max)
 					if len(got) != len(want) {
 						t.Fatalf("%s %s %s workers %d: filtered stream has %d results, unfiltered %d",
 							fc.name, c.Name(), m.name, workers, len(got), len(want))
@@ -271,7 +271,7 @@ func TestStaticBagTermsOncePerCandidate(t *testing.T) {
 func TestSharedSolverPlainAndOrbitParallel(t *testing.T) {
 	g := disjointUnion(gen.Grid(2, 4), gen.Cycle(6))
 	drain := func(b Backend, workers int) []string {
-		e := b.EnumerateParallelContext(context.Background(), workers)
+		e := withWorkers(b.EnumerateContext(context.Background()), workers)
 		var out []string
 		for {
 			r, ok := e.Next()

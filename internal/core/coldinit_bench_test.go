@@ -48,7 +48,7 @@ func benchCold(b *testing.B, results int) {
 				if results == 0 {
 					continue
 				}
-				e := s.EnumerateParallelContext(context.Background(), 0)
+				e := s.EnumerateContext(context.Background())
 				for k := 0; k < results; k++ {
 					if _, ok := e.Next(); !ok {
 						if k == 0 {

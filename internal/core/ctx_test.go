@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"math/rand"
-	"runtime"
 	"testing"
 	"time"
 
@@ -107,39 +106,6 @@ func TestEnumerateContextMatchesPlainEnumeration(t *testing.T) {
 		}
 		if a.Cost != b.Cost {
 			t.Fatalf("cost mismatch: %g vs %g", a.Cost, b.Cost)
-		}
-	}
-}
-
-// TestTopKWorkersDefault is the regression test for the silent-
-// serial bug: a worker count of zero (or negative) must mean "use
-// GOMAXPROCS", not "run sequentially", and the emitted prefix must be
-// identical to the sequential run for every normalized count.
-func TestTopKWorkersDefault(t *testing.T) {
-	if got := effectiveWorkers(0); got != runtime.GOMAXPROCS(0) {
-		t.Fatalf("effectiveWorkers(0) = %d, want GOMAXPROCS = %d", got, runtime.GOMAXPROCS(0))
-	}
-	if got := effectiveWorkers(-3); got != runtime.GOMAXPROCS(0) {
-		t.Fatalf("effectiveWorkers(-3) = %d, want GOMAXPROCS = %d", got, runtime.GOMAXPROCS(0))
-	}
-	if got := effectiveWorkers(1); got != 1 {
-		t.Fatalf("effectiveWorkers(1) = %d, want 1 (sequential stays opt-in)", got)
-	}
-	if got := effectiveWorkers(5); got != 5 {
-		t.Fatalf("effectiveWorkers(5) = %d, want 5", got)
-	}
-
-	rng := rand.New(rand.NewSource(31))
-	g := gen.GNP(rng, 9, 0.4)
-	s := mustNew(g, cost.FillIn{})
-	seq := s.TopK(context.Background(), 25, 1)
-	def := s.TopK(context.Background(), 25, 0)
-	if len(seq) != len(def) {
-		t.Fatalf("workers=0 emitted %d results, sequential %d", len(def), len(seq))
-	}
-	for i := range seq {
-		if seq[i].Cost != def[i].Cost || seq[i].H.EdgeSetKey() != def[i].H.EdgeSetKey() {
-			t.Fatalf("rank %d: workers=0 deviates from the sequential enumeration", i)
 		}
 	}
 }

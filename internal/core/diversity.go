@@ -126,8 +126,8 @@ func DiverseSelect(g *graph.Graph, pool []*Result, k int) []int {
 // portfolio of cheap-but-structurally-different decompositions for the
 // application to evaluate, rather than k near-duplicates.
 //
-// window ≤ 0 means 4k. The enumeration stops early when the space is
-// exhausted.
+// A window below k, zero and negative included, means 4k. The
+// enumeration stops early when the space is exhausted.
 func (s *Solver) DiverseTopK(k, window int) []*Result {
 	if k <= 0 {
 		return nil
@@ -135,7 +135,7 @@ func (s *Solver) DiverseTopK(k, window int) []*Result {
 	if window < k {
 		window = 4 * k
 	}
-	pool := s.TopK(context.TODO(), window, 0)
+	pool := s.TopK(context.TODO(), window)
 	idx := DiverseSelect(s.g, pool, k)
 	out := make([]*Result, len(idx))
 	for i, j := range idx {

@@ -95,7 +95,7 @@ func TestDiverseSelectMatchesReference(t *testing.T) {
 	for gi, g := range graphs {
 		s := mustNew(g, costs[gi%len(costs)])
 		window := 4 + rng.Intn(40) // often past the stream's end
-		pool := s.TopK(context.Background(), window, 0)
+		pool := s.TopK(context.Background(), window)
 		if len(pool) > 24 {
 			pool = pool[:24]
 		}
@@ -132,7 +132,7 @@ func TestDiverseSelectLargePool(t *testing.T) {
 		t.Skip("materializes 4096 results")
 	}
 	g := gen.Cycle(12) // Catalan(10) = 16796 minimal triangulations
-	pool := mustNew(g, cost.FillIn{}).TopK(context.Background(), 4096, 0)
+	pool := mustNew(g, cost.FillIn{}).TopK(context.Background(), 4096)
 	if len(pool) != 4096 {
 		t.Fatalf("pool has %d results, want 4096", len(pool))
 	}
@@ -177,7 +177,7 @@ func TestDiverseTopKExceedsTotal(t *testing.T) {
 	g := gen.Cycle(5) // 5 minimal triangulations
 	s := mustNew(g, cost.FillIn{})
 	div := s.DiverseTopK(9, 50)
-	ranked := s.TopK(context.Background(), 5, 0)
+	ranked := s.TopK(context.Background(), 5)
 	if len(div) != 5 {
 		t.Fatalf("selected %d, want all 5", len(div))
 	}
@@ -194,7 +194,7 @@ func TestDiverseTopKExceedsTotal(t *testing.T) {
 func TestDiverseTopKWidthBound(t *testing.T) {
 	g := gen.PaperExample()
 	unbounded := mustNew(g, cost.Width{})
-	all := unbounded.TopK(context.Background(), 1<<20, 0)
+	all := unbounded.TopK(context.Background(), 1<<20)
 	minWidth := all[0].Tree.Width()
 	inBound := 0
 	for _, r := range all {

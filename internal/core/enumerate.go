@@ -35,8 +35,10 @@ type machine interface {
 // in the initialization size — for a decomposed solver, that of the
 // atoms) holds amortized: the first k results cost at most k − 1 splits,
 // but the call that leaves a tied cost level solves every branch still
-// waiting at that level (DESIGN.md, "Solve on pop"). Other backends emit
-// per their Ranked contract.
+// waiting at that level (DESIGN.md, "Solve on pop"). The branches at the
+// top are solved up to GOMAXPROCS at a time, so a call may solve a few
+// that no later call would have reached; the emitted stream is the same
+// at every GOMAXPROCS. Other backends emit per their Ranked contract.
 func (e *Enumerator) Next() (*Result, bool) { return e.m.Next() }
 
 // lmEnumerator is the monolithic machine — the RankedTriang algorithm of
@@ -60,7 +62,7 @@ type lmEnumerator struct {
 	queue   partitionQueue
 	pending *partition // emitted by the last Next, not yet split
 	seq     int
-	workers int // parallel branch solving when > 1
+	workers int // branch solves per batch: GOMAXPROCS when built
 }
 
 // partition is one part [I, X] of the unexplored space, as the list of
@@ -106,32 +108,27 @@ func (q *partitionQueue) Pop() any {
 }
 
 // EnumerateContext starts RankedTriang⟨κ⟩(G) over the solver's
-// precomputed structures, sequentially. The first result is a
-// minimum-cost minimal triangulation. Once ctx is cancelled, Next stops
-// solving Lawler–Murty branches and reports exhaustion, so an abandoned
-// enumeration (e.g. a disconnected service session) stops burning CPU.
-// Cancellation truncates the enumeration — results already queued are
-// discarded, not drained. A background context makes every check a no-op.
+// precomputed structures. The first result is a minimum-cost minimal
+// triangulation. Each Next solves the Lawler–Murty branches that reach
+// the top of the queue up to GOMAXPROCS at a time, one goroutine each —
+// the independent solves of one step the paper notes can run
+// concurrently (Section 7.1, footnote 3); on a decomposed solver, inside
+// each atom's machine. The emitted sequence is the same at every GOMAXPROCS, because
+// a solved branch re-enters the queue under the sequence number its
+// split gave it. The solver's static structures are read-only during
+// enumeration, so the cost function must merely be safe for concurrent
+// Eval calls (all built-ins are).
+//
+// Once ctx is cancelled, Next stops solving branches and reports
+// exhaustion, so an abandoned enumeration (e.g. a disconnected service
+// session) stops burning CPU. Cancellation truncates the enumeration —
+// results already queued are discarded, not drained. A background
+// context makes every check a no-op.
 func (s *Solver) EnumerateContext(ctx context.Context) *Enumerator {
-	return s.EnumerateParallelContext(ctx, 1)
-}
-
-// EnumerateParallelContext is EnumerateContext with the Lawler–Murty
-// branch optimizations solved by a pool of workers — the delay-reduction
-// parallelization the paper sketches in Section 7.1 (footnote 3). A
-// worker count of 1 means sequential; zero or negative means GOMAXPROCS.
-// The emitted sequence is identical for every worker count: a solved
-// branch re-enters the queue under the sequence number its split gave
-// it. The solver's static structures are read-only during enumeration,
-// so the cost function must merely be safe for concurrent Eval calls
-// (all built-ins are). On a decomposed solver the workers apply inside
-// each atom's Lawler–Murty branch solving.
-func (s *Solver) EnumerateParallelContext(ctx context.Context, workers int) *Enumerator {
-	workers = effectiveWorkers(workers)
 	if s.dec != nil {
-		return &Enumerator{m: s.newProductEnumerator(ctx, workers)}
+		return &Enumerator{m: s.newProductEnumerator(ctx)}
 	}
-	lm := &lmEnumerator{s: s, ctx: ctx, workers: workers}
+	lm := &lmEnumerator{s: s, ctx: ctx, workers: runtime.GOMAXPROCS(0)}
 	if ctx.Err() == nil {
 		if r, err := s.MinTriang(nil); err == nil {
 			lm.push(&partition{res: r, cost: r.Cost})
@@ -169,11 +166,10 @@ func (e *lmEnumerator) Next() (*Result, bool) {
 }
 
 // solveTop takes up to workers unsolved partitions off the top of the
-// queue, solves them (concurrently when workers > 1), drops the empty
-// ones and re-queues the rest under their own cost and their split-time
-// sequence numbers. Solving only raises a key, so the queue orders the
-// solved partitions as it would if every branch had been solved at its
-// split.
+// queue, solves them concurrently, drops the empty ones and re-queues
+// the rest under their own cost and their split-time sequence numbers.
+// Solving only raises a key, so the queue orders the solved partitions
+// as it would if every branch had been solved at its split.
 func (e *lmEnumerator) solveTop() {
 	var batch []*partition
 	for len(batch) < e.workers && len(e.queue) > 0 && e.queue[0].res == nil {
@@ -324,25 +320,10 @@ func escapes(row, blocked intern.Bitset, si int) bool {
 	return false
 }
 
-// effectiveWorkers normalizes a requested branch-solver worker count —
-// the one rule every entry point applies: positive counts are taken
-// as-is (1 = sequential), zero and negative default to GOMAXPROCS.
-// Callers passing "unset" get the parallel speed-up instead of silently
-// running serially.
-func effectiveWorkers(workers int) int {
-	if workers <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return workers
-}
-
 // TopK returns up to k minimal triangulations by increasing cost,
-// solving Lawler–Murty branches with the given worker count and stopping
-// early — possibly short of k results — once ctx is cancelled. A worker
-// count of 1 means sequential; zero or negative means GOMAXPROCS. The
-// emitted prefix is identical for every worker count.
-func (s *Solver) TopK(ctx context.Context, k, workers int) []*Result {
-	e := s.EnumerateParallelContext(ctx, workers)
+// stopping early — possibly short of k results — once ctx is cancelled.
+func (s *Solver) TopK(ctx context.Context, k int) []*Result {
+	e := s.EnumerateContext(ctx)
 	var out []*Result
 	for len(out) < k {
 		r, ok := e.Next()

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -16,8 +17,8 @@ func TestParallelMatchesSequential(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		g := gen.GNP(rng, 3+rng.Intn(6), 0.4)
 		c := cost.FillIn{}
-		seq := mustNew(g, c).EnumerateContext(context.Background())
-		par := mustNew(g, c).EnumerateParallelContext(context.Background(), 4)
+		seq := withWorkers(mustNew(g, c).EnumerateContext(context.Background()), 1)
+		par := withWorkers(mustNew(g, c).EnumerateContext(context.Background()), 4)
 		for step := 0; ; step++ {
 			rs, okS := seq.Next()
 			rp, okP := par.Next()
@@ -37,69 +38,71 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// workersOf reports the branch-solver worker count of every Lawler–Murty
-// machine behind e: the single machine of a monolithic enumeration, or
-// each atom's on a decomposed one.
-func workersOf(e *Enumerator) []int {
+// withWorkers sets the batch size of every Lawler–Murty machine behind
+// e — the monolithic machine, each atom's, or the one inside an orbit
+// filter — and returns e. EnumerateContext builds them at GOMAXPROCS;
+// tests pin a count to compare batch sizes or to make solve counts
+// independent of the host. No machine solves a branch before its second
+// Next, so a fresh enumerator takes the count from the start. n must be
+// positive: a machine with no workers pops nothing and its Next spins.
+func withWorkers(e *Enumerator, n int) *Enumerator {
+	if n < 1 {
+		panic(fmt.Sprintf("withWorkers(%d): want at least one worker", n))
+	}
+	for _, lm := range lmMachines(e) {
+		lm.workers = n
+	}
+	return e
+}
+
+// lmMachines returns every Lawler–Murty machine behind e.
+func lmMachines(e *Enumerator) []*lmEnumerator {
 	switch m := e.m.(type) {
 	case *lmEnumerator:
-		return []int{m.workers}
+		return []*lmEnumerator{m}
 	case *productEnumerator:
-		var out []int
+		var out []*lmEnumerator
 		for _, st := range m.streams {
-			out = append(out, workersOf(st.e)...)
+			out = append(out, lmMachines(st.e)...)
 		}
 		return out
+	case *orbitFilter:
+		return lmMachines(m.inner)
 	}
 	return nil
 }
 
-// TestParallelWorkerClamping pins the one worker-count rule on both
-// enumerator machines: EnumerateParallelContext takes positive counts
-// as-is and maps zero or negative to GOMAXPROCS, exactly like TopK and
-// the service's StreamStore.Tune, while EnumerateContext stays sequential.
-// The stream is complete for every count.
-func TestParallelWorkerClamping(t *testing.T) {
-	ctx := context.Background()
+// TestEnumerateWorkersFollowGOMAXPROCS pins where the batch size comes
+// from: every Lawler–Murty machine behind EnumerateContext — monolithic,
+// one per atom, or inside an orbit filter — solves up to GOMAXPROCS
+// branches at a time, and the stream is complete.
+func TestEnumerateWorkersFollowGOMAXPROCS(t *testing.T) {
 	procs := runtime.GOMAXPROCS(0)
 	for _, tc := range []struct {
-		name       string
-		s          *Solver
-		decomposed bool
-		results    int
+		name              string
+		b                 Backend
+		machines, results int
 	}{
-		{"C5", mustNew(gen.Cycle(5), cost.Width{}), false, 5},
-		{"paper example", mustNew(gen.PaperExample(), cost.Width{}), true, 2},
+		{"C5", mustNew(gen.Cycle(5), cost.Width{}), 1, 5},
+		{"paper example (two atoms)", mustNew(gen.PaperExample(), cost.Width{}), 2, 2},
+		{"orbit C6", NewOrbitBackend(mustNew(gen.Cycle(6), cost.FillIn{}), nil), 1, 3},
 	} {
-		if tc.s.Decomposed() != tc.decomposed {
-			t.Fatalf("%s: Decomposed() = %v, want %v", tc.name, tc.s.Decomposed(), tc.decomposed)
+		e := tc.b.EnumerateContext(context.Background())
+		machines := lmMachines(e)
+		if len(machines) != tc.machines {
+			t.Fatalf("%s: %d Lawler–Murty machines, want %d", tc.name, len(machines), tc.machines)
 		}
-		for _, w := range []struct {
-			req, want int
-			e         *Enumerator
-		}{
-			{0, procs, tc.s.EnumerateParallelContext(ctx, 0)},
-			{-2, procs, tc.s.EnumerateParallelContext(ctx, -2)},
-			{1, 1, tc.s.EnumerateParallelContext(ctx, 1)},
-			{3, 3, tc.s.EnumerateParallelContext(ctx, 3)},
-			{1, 1, tc.s.EnumerateContext(ctx)},
-		} {
-			got := workersOf(w.e)
-			if len(got) == 0 {
-				t.Fatalf("%s: enumerator has no Lawler–Murty machine", tc.name)
+		for _, lm := range machines {
+			if lm.workers != procs {
+				t.Fatalf("%s: a machine solves %d branches at a time, want GOMAXPROCS = %d", tc.name, lm.workers, procs)
 			}
-			for _, n := range got {
-				if n != w.want {
-					t.Fatalf("%s: workers %d ran %v, want %d", tc.name, w.req, got, w.want)
-				}
-			}
-			n := 0
-			for _, ok := w.e.Next(); ok; _, ok = w.e.Next() {
-				n++
-			}
-			if n != tc.results {
-				t.Fatalf("%s: workers %d emitted %d results, want %d", tc.name, w.req, n, tc.results)
-			}
+		}
+		n := 0
+		for _, ok := e.Next(); ok; _, ok = e.Next() {
+			n++
+		}
+		if n != tc.results {
+			t.Fatalf("%s: emitted %d results, want %d", tc.name, n, tc.results)
 		}
 	}
 }
@@ -107,7 +110,7 @@ func TestParallelWorkerClamping(t *testing.T) {
 func TestFillDistance(t *testing.T) {
 	g := gen.PaperExample()
 	s := mustNew(g, cost.FillIn{})
-	results := s.TopK(context.Background(), 2, 0)
+	results := s.TopK(context.Background(), 2)
 	if len(results) != 2 {
 		t.Fatalf("need both paper triangulations")
 	}
@@ -148,10 +151,21 @@ func TestDiverseTopK(t *testing.T) {
 	}
 	// Greedy max-min beats taking the ranked prefix: compare the minimum
 	// pairwise distance of the two sets.
-	prefix := s.TopK(context.Background(), 4, 0)
+	prefix := s.TopK(context.Background(), 4)
 	if minPairDist(g, div) < minPairDist(g, prefix) {
 		t.Fatalf("diverse selection worse than ranked prefix: %d < %d",
 			minPairDist(g, div), minPairDist(g, prefix))
+	}
+	// A window below k reads 4k ranks, as window 0 does: five picks from
+	// a window of 3 are the picks from 20.
+	short, wide := s.DiverseTopK(5, 3), s.DiverseTopK(5, 20)
+	if len(short) != 5 {
+		t.Fatalf("window 3 < k = 5 selected %d, want 5 from 4k = 20 ranks", len(short))
+	}
+	for i := range short {
+		if short[i].H.EdgeSetKey() != wide[i].H.EdgeSetKey() {
+			t.Fatalf("window 3 < k = 5: pick %d differs from window 4k = 20", i)
+		}
 	}
 	// Degenerate inputs.
 	if got := s.DiverseTopK(0, 10); got != nil {

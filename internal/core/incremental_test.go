@@ -165,7 +165,7 @@ func TestEnumerationOrderMatchesOracle(t *testing.T) {
 			oracle.setFullResolve(true)
 			const max = 300
 			want := collectEnumeration(oracle.EnumerateContext(context.Background()), max)
-			got := collectEnumeration(inc.EnumerateContext(context.Background()), max)
+			got := collectEnumeration(withWorkers(inc.EnumerateContext(context.Background()), 1), max)
 			if len(got) != len(want) {
 				t.Fatalf("seed %d cost %s: incremental emitted %d results, oracle %d",
 					seed, c.Name(), len(got), len(want))
@@ -176,7 +176,7 @@ func TestEnumerationOrderMatchesOracle(t *testing.T) {
 						seed, c.Name(), i, got[i], want[i])
 				}
 			}
-			par := collectEnumeration(inc.EnumerateParallelContext(context.Background(), 4), max)
+			par := collectEnumeration(withWorkers(inc.EnumerateContext(context.Background()), 4), max)
 			if len(par) != len(want) {
 				t.Fatalf("seed %d cost %s: parallel emitted %d results, oracle %d",
 					seed, c.Name(), len(par), len(want))

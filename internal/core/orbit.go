@@ -139,10 +139,6 @@ func (b *orbitBackend) Aut() *graph.AutGroup {
 }
 
 func (b *orbitBackend) EnumerateContext(ctx context.Context) *Enumerator {
-	return b.EnumerateParallelContext(ctx, 1)
-}
-
-func (b *orbitBackend) EnumerateParallelContext(ctx context.Context, workers int) *Enumerator {
 	aut := b.Aut()
 	b.counters.Enumerations.Add(1)
 	if o := aut.Order(); o.IsUint64() {
@@ -172,7 +168,7 @@ func (b *orbitBackend) EnumerateParallelContext(ctx context.Context, workers int
 		}
 		f.keys = newOrbitKeys(b.inner.Graph(), aut, budget)
 	}
-	f.inner = b.inner.EnumerateParallelContext(ctx, workers)
+	f.inner = b.inner.EnumerateContext(ctx)
 	return &Enumerator{m: f}
 }
 

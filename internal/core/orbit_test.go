@@ -108,8 +108,8 @@ func checkOrbitInvariant(t *testing.T, g *graph.Graph, label string) {
 		mode string
 		e    *Enumerator
 	}{
-		{"sequential", ob.EnumerateContext(context.Background())},
-		{"parallel", ob.EnumerateParallelContext(context.Background(), 0)},
+		{"sequential", withWorkers(ob.EnumerateContext(context.Background()), 1)},
+		{"parallel", ob.EnumerateContext(context.Background())},
 	} {
 		reduced := drainResults(t, drain.e)
 		if len(reduced) != len(firsts) {
@@ -269,7 +269,7 @@ func TestOrbitFirstOfOrbitNamedGraphs(t *testing.T) {
 		full := drainResults(t, s.EnumerateContext(context.Background()))
 		counters := &OrbitCounters{}
 		ob := NewOrbitBackend(s, counters)
-		seqEnum := ob.EnumerateContext(context.Background())
+		seqEnum := withWorkers(ob.EnumerateContext(context.Background()), 1)
 		if seqEnum.m.(*orbitFilter).keys == nil {
 			t.Fatalf("%s: orbit filter started without keys on a symmetric graph", tc.name)
 		}
@@ -277,7 +277,7 @@ func TestOrbitFirstOfOrbitNamedGraphs(t *testing.T) {
 		if seqEnum.m.(*orbitFilter).keys != nil {
 			t.Fatalf("%s: finished drain still holds the orbit filter's pending keys", tc.name)
 		}
-		par := drainResults(t, ob.EnumerateParallelContext(context.Background(), 4))
+		par := drainResults(t, withWorkers(ob.EnumerateContext(context.Background()), 4))
 
 		if len(seq) >= len(full) {
 			t.Fatalf("%s: orbit stream not reduced: %d of %d", tc.name, len(seq), len(full))

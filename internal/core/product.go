@@ -178,11 +178,11 @@ type productEnumerator struct {
 // seeded. A cancelled context or an infeasible atom (possible under a
 // width bound) yields an exhausted enumerator, mirroring the monolithic
 // constructor.
-func (s *Solver) newProductEnumerator(ctx context.Context, workers int) *productEnumerator {
+func (s *Solver) newProductEnumerator(ctx context.Context) *productEnumerator {
 	pe := &productEnumerator{s: s, ctx: ctx}
 	pe.streams = make([]*atomStream, len(s.subs))
 	for i, sub := range s.subs {
-		pe.streams[i] = &atomStream{e: sub.EnumerateParallelContext(ctx, workers)}
+		pe.streams[i] = &atomStream{e: sub.EnumerateContext(ctx)}
 	}
 	root := &combo{idx: make([]int, len(s.subs))}
 	for i := range pe.streams {

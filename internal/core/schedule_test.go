@@ -50,7 +50,7 @@ func TestEmitBeforeSplit(t *testing.T) {
 		if tc.s.Decomposed() != tc.decomposed {
 			t.Fatalf("%s: decomposed = %v, want %v", tc.name, tc.s.Decomposed(), tc.decomposed)
 		}
-		e := tc.s.EnumerateContext(context.Background())
+		e := withWorkers(tc.s.EnumerateContext(context.Background()), 1)
 		first, ok := e.Next()
 		if !ok {
 			t.Fatalf("%s: no first result", tc.name)
@@ -124,7 +124,7 @@ func TestSolveOnPopWorkers(t *testing.T) {
 		var want []string
 		for _, workers := range []int{1, 4} {
 			s := tc.s()
-			e := s.EnumerateParallelContext(context.Background(), workers)
+			e := withWorkers(s.EnumerateContext(context.Background()), workers)
 			var got []string
 			for {
 				r, ok := e.Next()
@@ -159,7 +159,7 @@ func TestColdPageSolvesPinned(t *testing.T) {
 	for _, g := range gen.ColdInitCorpus() {
 		for _, c := range []cost.Cost{cost.Width{}, cost.FillIn{}} {
 			s := mustNew(g, c)
-			e := s.EnumerateContext(context.Background())
+			e := withWorkers(s.EnumerateContext(context.Background()), 1)
 			for i := 0; i < 20; i++ {
 				if _, ok := e.Next(); !ok {
 					break

@@ -837,8 +837,8 @@ func (s *Solver) splitConstraints(cons *cost.Constraints) ([]*cost.Constraints, 
 }
 
 // minTriangCompiled is the internal entry point shared by MinTriang and
-// the enumerator's branch solving (which extends compiled constraints by
-// single-separator deltas instead of recompiling).
+// the enumerator's branch solving, which compiles each partition's
+// constraint list once, when it solves the partition (compileSeps).
 func (s *Solver) minTriangCompiled(cc *compiledConstraints) (*Result, error) {
 	top := len(s.blocks) - 1
 	if cc == nil {

@@ -535,7 +535,7 @@ func TestEnumerateBoundedWidth(t *testing.T) {
 func TestTopK(t *testing.T) {
 	g := gen.Cycle(6)
 	s := mustNew(g, cost.FillIn{})
-	top := s.TopK(context.Background(), 3, 0)
+	top := s.TopK(context.Background(), 3)
 	if len(top) != 3 {
 		t.Fatalf("TopK returned %d", len(top))
 	}
@@ -551,7 +551,7 @@ func TestTopK(t *testing.T) {
 		}
 	}
 	// Huge k just exhausts.
-	if n := len(s.TopK(context.Background(), 100000, 0)); n != 14 {
+	if n := len(s.TopK(context.Background(), 100000)); n != 14 {
 		// C6 has Catalan(4) = 14 minimal triangulations.
 		t.Fatalf("C6 has %d minimal triangulations, want 14", n)
 	}

@@ -26,7 +26,7 @@ func drainEnumerator(s *Solver) []*Result {
 }
 
 // enumerateFn is the factory a shared stream over s (re)builds its
-// sequential enumeration from.
+// enumeration from.
 func enumerateFn(s *Solver) func() *Enumerator {
 	return func() *Enumerator { return s.EnumerateContext(context.Background()) }
 }
@@ -358,8 +358,8 @@ func TestSharedStreamContextCancellation(t *testing.T) {
 // TestResultSizeEstimate sanity-checks the footprint estimator used by
 // the byte-budget stream cache: positive and monotone in result size.
 func TestResultSizeEstimate(t *testing.T) {
-	small := mustNew(gen.Cycle(5), cost.Width{}).TopK(context.Background(), 1, 0)[0]
-	large := mustNew(gen.Cycle(12), cost.Width{}).TopK(context.Background(), 1, 0)[0]
+	small := mustNew(gen.Cycle(5), cost.Width{}).TopK(context.Background(), 1)[0]
+	large := mustNew(gen.Cycle(12), cost.Width{}).TopK(context.Background(), 1)[0]
 	if small.SizeEstimate() <= 0 {
 		t.Fatal("size estimate must be positive")
 	}

@@ -9,6 +9,7 @@ package exp
 
 import (
 	"math/rand"
+	"strconv"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -51,7 +52,7 @@ func Datasets(seed int64) []Dataset {
 	var csp []NamedGraph
 	for i := 0; i < 4; i++ {
 		csp = append(csp, NamedGraph{
-			Name:  "csp-" + itoa(i),
+			Name:  "csp-" + strconv.Itoa(i),
 			Graph: gen.CSPGrid(rng, 4, 4, 4+i),
 		})
 	}
@@ -68,7 +69,7 @@ func Datasets(seed int64) []Dataset {
 	var dbn []NamedGraph
 	for i := 0; i < 4; i++ {
 		dbn = append(dbn, NamedGraph{
-			Name:  "dbn-" + itoa(i),
+			Name:  "dbn-" + strconv.Itoa(i),
 			Graph: gen.MoralizedDAG(rng, 18+4*i, 2),
 		})
 	}
@@ -79,7 +80,7 @@ func Datasets(seed int64) []Dataset {
 	var obj []NamedGraph
 	for i := 0; i < 5; i++ {
 		obj = append(obj, NamedGraph{
-			Name:  "objdet-" + itoa(i),
+			Name:  "objdet-" + strconv.Itoa(i),
 			Graph: gen.ConnectedGNP(rng, 11+i, 0.4),
 		})
 	}
@@ -89,7 +90,7 @@ func Datasets(seed int64) []Dataset {
 	var img []NamedGraph
 	for i := 0; i < 3; i++ {
 		img = append(img, NamedGraph{
-			Name:  "align-" + itoa(i),
+			Name:  "align-" + strconv.Itoa(i),
 			Graph: gen.ConnectedGNP(rng, 15+2*i, 0.3),
 		})
 	}
@@ -107,7 +108,7 @@ func Datasets(seed int64) []Dataset {
 	var pro []NamedGraph
 	for i := 0; i < 3; i++ {
 		pro = append(pro, NamedGraph{
-			Name:  "promedas-" + itoa(i),
+			Name:  "promedas-" + strconv.Itoa(i),
 			Graph: gen.MoralizedDAG(rng, 34+4*i, 2),
 		})
 	}
@@ -118,7 +119,7 @@ func Datasets(seed int64) []Dataset {
 	var ped []NamedGraph
 	for i := 0; i < 3; i++ {
 		ped = append(ped, NamedGraph{
-			Name:  "pedigree-" + itoa(i),
+			Name:  "pedigree-" + strconv.Itoa(i),
 			Graph: gen.MoralizedDAG(rng, 55+5*i, 3),
 		})
 	}
@@ -129,7 +130,7 @@ func Datasets(seed int64) []Dataset {
 	var alc []NamedGraph
 	for i := 0; i < 2; i++ {
 		alc = append(alc, NamedGraph{
-			Name:  "alchemy-" + itoa(i),
+			Name:  "alchemy-" + strconv.Itoa(i),
 			Graph: gen.ConnectedGNP(rng, 45+5*i, 0.3),
 		})
 	}
@@ -153,11 +154,4 @@ func Datasets(seed int64) []Dataset {
 	ds = append(ds, Dataset{Name: "PACE2016-1000s", Graphs: pace1000})
 
 	return ds
-}
-
-func itoa(i int) string {
-	if i < 0 || i > 9 {
-		return "x"
-	}
-	return string(rune('0' + i))
 }

@@ -36,7 +36,10 @@ type EnumRun struct {
 
 // RunRanked executes RankedTriang⟨κ⟩ on g until the budget elapses or the
 // enumeration completes. The budget covers initialization, matching the
-// paper's accounting ("this time is counted into the 30 minutes").
+// paper's accounting ("this time is counted into the 30 minutes"). The
+// enumeration solves its Lawler–Murty branches up to GOMAXPROCS at a
+// time while CKK walks sequentially; GOMAXPROCS=1 gives the single-core
+// comparison.
 func RunRanked(g *graph.Graph, c cost.Cost, budget time.Duration) EnumRun {
 	start := time.Now()
 	deadline := start.Add(budget)

@@ -209,10 +209,3 @@ func RenderFigure7(w io.Writer, pts []Figure7Point) {
 		fmt.Fprintf(w, "%4d %6.2f %12.1f %9d\n", k.n, k.p, avg, timeouts[k])
 	}
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

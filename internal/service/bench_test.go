@@ -149,9 +149,9 @@ func BenchmarkCanonFanout(b *testing.B) {
 		var solves uint64
 		for i := 0; i < b.N; i++ {
 			// A fresh server per iteration: every fan-out starts from a cold
-			// pool and stream store. Streams solve only on demand, and each
-			// Next solves the same branches at any worker count, so the work
-			// accounting is deterministic.
+			// pool and stream store. Streams solve only on demand, and at a
+			// given GOMAXPROCS each Next solves the same branches every run,
+			// so the work accounting is deterministic.
 			srv := New(Config{MaxConcurrent: clients * 2})
 			var wg sync.WaitGroup
 			for c := 0; c < nClients; c++ {

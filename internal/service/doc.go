@@ -17,7 +17,7 @@
 //     per-rank singleflight — the first cursor to need rank i drives the
 //     enumerator, later cursors read the buffer. Each Next fans its
 //     independent Lawler–Murty branch solves over GOMAXPROCS workers
-//     (the emitted sequence is identical at any worker count); nothing
+//     (the emitted sequence is identical at any GOMAXPROCS); nothing
 //     runs ahead of the cursors. Buffers live under an LRU byte budget
 //     (Config.StreamBudgetBytes, -stream-budget); an evicted buffer
 //     rebuilds lazily and, because the enumeration order is

@@ -348,7 +348,7 @@ func TestHypergraphEndpointOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		results := s.TopK(context.Background(), k, 0)
+		results := s.TopK(context.Background(), k)
 		costs := make([]float64, len(results))
 		for i, r := range results {
 			costs[i] = r.Cost
@@ -458,7 +458,7 @@ func TestCSPEndpointBayesOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := s.TopK(context.Background(), 5, 0)
+	want := s.TopK(context.Background(), 5)
 	if len(resp.Results) != len(want) {
 		t.Fatalf("%d results, want %d", len(resp.Results), len(want))
 	}

@@ -76,9 +76,6 @@ type StreamStore struct {
 	misses     uint64
 	evictions  uint64
 
-	// solveWorkers is the branch-solving pool size of streams created
-	// after Tune (see Tune).
-	solveWorkers int
 	// Dropped entries' read/solve and rebuild counts fold in here, so the
 	// /v1/stats counters are monotone across entry churn; live-stream
 	// counters are aggregated from the entries.
@@ -105,18 +102,10 @@ func NewStreamStore(budgetBytes int64, maxStreams int) *StreamStore {
 	}
 }
 
-// Tune sets how many goroutines each Next of a stream created after Tune
-// fans its independent branch solves over (1 means sequential, zero or
-// negative GOMAXPROCS; the emitted sequence is identical either way). A
-// store that was never tuned solves over GOMAXPROCS workers. The server
-// never tunes its store; Tune stays for the benchrun module's sequential
-// replay stack, and its last two arguments, ignored, go when benchrun
-// stops passing them.
-func (st *StreamStore) Tune(solveWorkers, _ int, _ int64) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.solveWorkers = solveWorkers
-}
+// Tune does nothing: every stream solves each Next's Lawler–Murty
+// branches over GOMAXPROCS goroutines (core.Solver.EnumerateContext). It
+// exists only because the benchrun module calls it.
+func (st *StreamStore) Tune(_, _ int, _ int64) {}
 
 // dropEntryLocked detaches e from the table and LRU, reclaims its byte
 // accounting and folds its counters into the retired aggregates. The
@@ -181,15 +170,12 @@ func (st *StreamStore) Acquire(key SolverKey, backend core.Backend) *StreamHandl
 		st.hits++
 	} else {
 		st.misses++
-		workers := st.solveWorkers
 		e = &streamEntry{
 			key: key,
 			// Background context: the producer must outlive any single
-			// consumer, and consumer cancellation is observed in At. Each
-			// Next fans its independent branch solves over the store's
-			// worker pool size.
+			// consumer, and consumer cancellation is observed in At.
 			stream: core.NewSharedStream(func() *core.Enumerator {
-				return backend.EnumerateParallelContext(context.Background(), workers)
+				return backend.EnumerateContext(context.Background())
 			}),
 			handles: make(map[*StreamHandle]struct{}),
 		}

@@ -101,7 +101,7 @@ func TestStreamStoreEvictionAndRebuild(t *testing.T) {
 	// Reads run past a touchStride multiple so the batched accounting has
 	// registered the growth by the end of each phase.
 	const reads = 2*touchStride + 8
-	perResult := solverA.TopK(context.Background(), 1, 0)[0].SizeEstimate()
+	perResult := solverA.TopK(context.Background(), 1)[0].SizeEstimate()
 	store := NewStreamStore(int64(reads)*perResult*4/3, 0)
 
 	hA := store.Acquire(keyA, solverA)
@@ -155,7 +155,7 @@ func TestStreamStoreEvictionAndRebuild(t *testing.T) {
 func TestStreamStoreSelfTrimBounded(t *testing.T) {
 	ctx := context.Background()
 	solver := mustSolver(gen.Cycle(9), cost.FillIn{}) // 429 results
-	perResult := solver.TopK(context.Background(), 1, 0)[0].SizeEstimate()
+	perResult := solver.TopK(context.Background(), 1)[0].SizeEstimate()
 	budget := 10 * perResult
 	store := NewStreamStore(budget, 0)
 	h := store.Acquire(SolverKey{Fingerprint: "c9"}, solver)
@@ -186,7 +186,7 @@ func TestStreamStoreSelfTrimBounded(t *testing.T) {
 func TestStreamStoreTrimRespectsSlowCursor(t *testing.T) {
 	ctx := context.Background()
 	solver := mustSolver(gen.Cycle(9), cost.FillIn{}) // 429 results
-	perResult := solver.TopK(context.Background(), 1, 0)[0].SizeEstimate()
+	perResult := solver.TopK(context.Background(), 1)[0].SizeEstimate()
 	store := NewStreamStore(10*perResult, 0)
 	slow := store.Acquire(SolverKey{Fingerprint: "c9"}, solver)
 	fast := store.Acquire(SolverKey{Fingerprint: "c9"}, solver)
@@ -389,7 +389,7 @@ func TestSharedStreamFanoutOracle(t *testing.T) {
 
 	// A budget of ~25 results over a 132-result stream forces repeated
 	// eviction/rebuild while the fan-out is mid-flight.
-	budget := 25 * oracleSolver.TopK(context.Background(), 1, 0)[0].SizeEstimate()
+	budget := 25 * oracleSolver.TopK(context.Background(), 1)[0].SizeEstimate()
 	_, ts := newTestServer(t, Config{StreamBudgetBytes: budget, MaxConcurrent: 16, MaxSessions: 64})
 	g6 := cycleGraph6(t, 8)
 
@@ -537,9 +537,9 @@ func appendResultLines(lines []string, results []TriangulationJSON) ([]string, e
 }
 
 // TestStreamStoreOracleUnderEviction drives concurrent cursors on two
-// keys, over two branch-solving workers each, under a byte budget tight
-// enough to evict and rebuild streams while cursors are mid-read and
-// references churn. Oracle: every cursor sees the byte-identical rank
+// keys, whose streams solve branches over GOMAXPROCS goroutines, under a
+// byte budget tight enough to evict and rebuild streams while cursors
+// are mid-read and references churn. Oracle: every cursor sees the byte-identical rank
 // order of a solo enumerator. Run with -race in CI.
 func TestStreamStoreOracleUnderEviction(t *testing.T) {
 	graphs := []struct {
@@ -567,9 +567,8 @@ func TestStreamStoreOracleUnderEviction(t *testing.T) {
 
 	// ~20 results of budget across two streams of 132 and 429 results
 	// forces repeated eviction/rebuild mid-read.
-	budget := 20 * solvers[0].TopK(context.Background(), 1, 0)[0].SizeEstimate()
+	budget := 20 * solvers[0].TopK(context.Background(), 1)[0].SizeEstimate()
 	store := NewStreamStore(budget, 0)
-	store.Tune(2, 0, 0)
 
 	const cursorsPerKey = 3
 	var wg sync.WaitGroup
