@@ -1,12 +1,14 @@
 // Package bruteforce holds exponential-time reference implementations used
 // as ground truth by the test suite: all minimal separators by subset
 // enumeration, all minimal triangulations by exhausting elimination
-// orderings, and all potential maximal cliques via the triangulations.
+// orderings, maximal cliques by subset enumeration, and all potential
+// maximal cliques via the triangulations.
 //
 // None of these depend on the polynomial machinery they are used to verify:
-// separators come straight from the definition, and triangulations come
-// from the classical elimination-game fact that every minimal triangulation
-// is the fill graph of each of its perfect elimination orderings.
+// separators and cliques come straight from the definitions, and
+// triangulations come from the classical elimination-game fact that every
+// minimal triangulation is the fill graph of each of its perfect
+// elimination orderings.
 package bruteforce
 
 import (
@@ -129,17 +131,45 @@ func AllMinimalTriangulations(g *graph.Graph) []*graph.Graph {
 	return out
 }
 
+// MaximalCliques returns the maximal cliques of g straight from the
+// definition: the vertex subsets that are cliques and lose that property
+// when any other active vertex joins, sorted canonically. Exponential in
+// |V|; intended for graphs with at most ~8 active vertices.
+func MaximalCliques(g *graph.Graph) []vset.Set {
+	verts := g.Vertices().Slice()
+	var out []vset.Set
+	for mask := 1; mask < 1<<uint(len(verts)); mask++ {
+		c := vset.New(g.Universe())
+		for i, v := range verts {
+			if mask&(1<<uint(i)) != 0 {
+				c.AddInPlace(v)
+			}
+		}
+		if !g.IsClique(c) {
+			continue
+		}
+		maximal := true
+		for _, v := range verts {
+			if !c.Contains(v) && g.IsClique(c.Add(v)) {
+				maximal = false
+				break
+			}
+		}
+		if maximal {
+			out = append(out, c)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
+	return out
+}
+
 // AllPMCs enumerates the potential maximal cliques of g straight from the
 // definition: the union of maximal-clique sets over all minimal
 // triangulations.
 func AllPMCs(g *graph.Graph) []vset.Set {
 	seen := map[string]vset.Set{}
 	for _, h := range AllMinimalTriangulations(g) {
-		cliques, err := chordal.MaximalCliques(h)
-		if err != nil {
-			panic("bruteforce: minimal triangulation not chordal: " + err.Error())
-		}
-		for _, c := range cliques {
+		for _, c := range MaximalCliques(h) {
 			seen[c.Key()] = c
 		}
 	}

@@ -66,6 +66,30 @@ func TestAllPMCsPaper(t *testing.T) {
 	}
 }
 
+func TestMaximalCliquesFamilies(t *testing.T) {
+	if got := MaximalCliques(gen.Cycle(5)); len(got) != 5 {
+		t.Fatalf("C5: %d maximal cliques, want its 5 edges", len(got))
+	}
+	if got := MaximalCliques(gen.Complete(4)); len(got) != 1 || got[0].Len() != 4 {
+		t.Fatalf("K4: maximal cliques %v", got)
+	}
+	g := graph.New(3) // edgeless: every vertex alone
+	if got := MaximalCliques(g); len(got) != 3 {
+		t.Fatalf("edgeless: maximal cliques %v", got)
+	}
+	h1 := gen.PaperExample().Saturate(vset.Of(6, 3, 4, 5))
+	want := []vset.Set{vset.Of(6, 1, 2), vset.Of(6, 0, 3, 4, 5), vset.Of(6, 1, 3, 4, 5)}
+	got := MaximalCliques(h1)
+	if len(got) != len(want) {
+		t.Fatalf("paper H1: maximal cliques %v", got)
+	}
+	for i := range want {
+		if !got[i].Equal(want[i]) {
+			t.Fatalf("paper H1: maximal cliques %v, want %v", got, want)
+		}
+	}
+}
+
 func TestIsMinimalTriangulation(t *testing.T) {
 	g := gen.PaperExample()
 	h2 := g.Saturate(vset.Of(6, 0, 1))

@@ -1,189 +1,171 @@
 // Package chordal implements the chordal-graph toolkit the paper relies on:
-// maximum cardinality search, perfect elimination orderings, a chordality
-// test, maximal cliques of chordal graphs, clique trees (via maximum-weight
-// spanning trees of the clique graph, per Jordan), and the minimal
-// separators of a chordal graph (clique-tree adhesions).
+// one maximum cardinality search that tests chordality and finds the
+// maximal cliques and minimal separators of a chordal graph, clique trees
+// (via maximum-weight spanning trees of the clique graph, per Jordan), and
+// the enumeration of all clique trees.
 package chordal
 
 import (
 	"errors"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/td"
 	"repro/internal/vset"
 )
 
-// MCSOrder runs maximum cardinality search on the active vertices of g and
-// returns the vertices in *elimination order*: the reverse of the visit
-// order, so that for chordal graphs the result is a perfect elimination
-// ordering.
-func MCSOrder(g *graph.Graph) []int {
-	n := g.Universe()
-	weight := make([]int, n)
-	visited := vset.New(n)
-	remaining := g.NumVertices()
-	visit := make([]int, 0, remaining)
-	for len(visit) < remaining {
-		best, bestW := -1, -1
-		g.Vertices().ForEach(func(v int) bool {
-			if !visited.Contains(v) && weight[v] > bestW {
-				best, bestW = v, weight[v]
-			}
-			return true
-		})
-		visited.AddInPlace(best)
-		visit = append(visit, best)
-		g.Neighbors(best).ForEach(func(w int) bool {
-			if !visited.Contains(w) {
-				weight[w]++
-			}
-			return true
-		})
-	}
-	// Reverse: last visited is eliminated first.
-	for i, j := 0, len(visit)-1; i < j; i, j = i+1, j-1 {
-		visit[i], visit[j] = visit[j], visit[i]
-	}
-	return visit
-}
-
-// IsPerfectEliminationOrder reports whether order (covering exactly the
-// active vertices of g) is a perfect elimination ordering: for every vertex
-// v, the neighbors of v that come later in the order form a clique.
-func IsPerfectEliminationOrder(g *graph.Graph, order []int) bool {
-	n := g.Universe()
-	pos := make([]int, n)
-	for i := range pos {
-		pos[i] = -1
-	}
-	for i, v := range order {
-		pos[v] = i
-	}
-	later := make([]vset.Set, len(order))
-	for i, v := range order {
-		lv := vset.New(n)
-		g.Neighbors(v).ForEach(func(w int) bool {
-			if pos[w] > i {
-				lv.AddInPlace(w)
-			}
-			return true
-		})
-		later[i] = lv
-	}
-	// Tarjan–Yannakakis check: it suffices to verify, for each v, that
-	// later(v) minus its earliest member u is contained in N(u).
-	for i, lv := range later {
-		if lv.IsEmpty() {
-			continue
-		}
-		u, uPos := -1, len(order)
-		lv.ForEach(func(w int) bool {
-			if pos[w] < uPos {
-				u, uPos = w, pos[w]
-			}
-			return true
-		})
-		rest := lv.Remove(u)
-		if !rest.SubsetOf(g.Neighbors(u)) {
-			return false
-		}
-		_ = i
-	}
-	return true
-}
-
-// IsChordal reports whether g is chordal, in near-linear time via MCS plus
-// the perfect-elimination check.
-func IsChordal(g *graph.Graph) bool {
-	return IsPerfectEliminationOrder(g, MCSOrder(g))
+// Structure is what one maximum cardinality search finds in a chordal
+// graph: its maximal cliques and its nonempty minimal separators, each
+// sorted by vset.Compare. Both are sets of the graph alone, so neither
+// depends on how the search breaks ties.
+type Structure struct {
+	Cliques []vset.Set
+	Seps    []vset.Set
 }
 
 // ErrNotChordal is returned by operations that require a chordal input.
 var ErrNotChordal = errors.New("chordal: graph is not chordal")
 
+// Analyze runs one maximum cardinality search over the active vertices of
+// g, on bit rows. Let P(v) be the neighbours of v visited before v, so
+// |P(v)| is v's weight when it is visited, and let u be the member of
+// P(v) visited last.
+//   - g is chordal iff P(v) \ {u} ⊆ N(u) for every v (Tarjan–Yannakakis:
+//     the reverse visit order is then a perfect elimination order);
+//   - {v} ∪ P(v) is a maximal clique iff v is the last vertex visited or
+//     the next visit's weight does not rise above v's (Blair–Peyton);
+//   - the vertex after such a v opens the next clique, and its P is a
+//     minimal separator unless it is empty (a new component). Every
+//     minimal separator of a chordal graph arises this way.
+//
+// Analyze returns ErrNotChordal on non-chordal input.
+func Analyze(g *graph.Graph) (Structure, error) {
+	n := g.Universe()
+	words := (n + 63) / 64
+	unvisited := g.Vertices().Slice()
+	weight := make([]int, n)
+	at := make([]int, n) // visit step of each visited vertex
+	buf := make([]uint64, 3*words)
+	visited, cur, prev := buf[:words], buf[words:2*words], buf[2*words:]
+	var st Structure
+	last, lastW := -1, -1
+	for step := 0; len(unvisited) > 0; step++ {
+		j, w := 0, -1
+		for i, x := range unvisited {
+			if weight[x] > w {
+				j, w = i, weight[x]
+			}
+		}
+		v := unvisited[j]
+		unvisited[j] = unvisited[len(unvisited)-1]
+		unvisited = unvisited[:len(unvisited)-1]
+		adj := g.Neighbors(v).Words()
+		u, uAt := -1, -1
+		for i := range cur {
+			cur[i] = adj[i] & visited[i]
+			for m := cur[i]; m != 0; m &= m - 1 {
+				if x := i*64 + bits.TrailingZeros64(m); at[x] > uAt {
+					u, uAt = x, at[x]
+				}
+			}
+		}
+		if u >= 0 {
+			nu := g.Neighbors(u).Words()
+			for i := range cur {
+				rest := cur[i] &^ nu[i]
+				if i == u/64 {
+					rest &^= 1 << (u % 64)
+				}
+				if rest != 0 {
+					return Structure{}, ErrNotChordal
+				}
+			}
+		}
+		if last >= 0 && w <= lastW {
+			st.Cliques = append(st.Cliques, setOf(n, prev, last))
+			if w > 0 {
+				st.Seps = append(st.Seps, setOf(n, cur, -1))
+			}
+		}
+		visited[v/64] |= 1 << (v % 64)
+		at[v] = step
+		for i := range adj {
+			for m := adj[i] &^ visited[i]; m != 0; m &= m - 1 {
+				weight[i*64+bits.TrailingZeros64(m)]++
+			}
+		}
+		cur, prev = prev, cur
+		last, lastW = v, w
+	}
+	if last >= 0 {
+		st.Cliques = append(st.Cliques, setOf(n, prev, last))
+	}
+	sortSets(st.Cliques)
+	sortSets(st.Seps)
+	// A separator opens one clique per tree edge it labels; keep it once.
+	k := 0
+	for i, s := range st.Seps {
+		if i == 0 || !s.Equal(st.Seps[k-1]) {
+			st.Seps[k] = s
+			k++
+		}
+	}
+	st.Seps = st.Seps[:k]
+	return st, nil
+}
+
+// setOf returns the set over {0..n-1} whose words are ws, plus v when
+// v >= 0.
+func setOf(n int, ws []uint64, v int) vset.Set {
+	s := vset.New(n)
+	copy(s.Words(), ws)
+	if v >= 0 {
+		s.AddInPlace(v)
+	}
+	return s
+}
+
+func sortSets(ss []vset.Set) { slices.SortFunc(ss, vset.Set.Compare) }
+
+// IsChordal reports whether g is chordal.
+func IsChordal(g *graph.Graph) bool {
+	_, err := Analyze(g)
+	return err == nil
+}
+
 // MaximalCliques returns the maximal cliques of a chordal graph g, sorted
 // canonically. A chordal graph has fewer maximal cliques than vertices
 // (Theorem 2.2), so the result is small.
 func MaximalCliques(g *graph.Graph) ([]vset.Set, error) {
-	order := MCSOrder(g)
-	if !IsPerfectEliminationOrder(g, order) {
-		return nil, ErrNotChordal
-	}
-	n := g.Universe()
-	pos := make([]int, n)
-	for i := range pos {
-		pos[i] = -1
-	}
-	for i, v := range order {
-		pos[v] = i
-	}
-	// Candidate cliques: {v} ∪ later-neighbors(v) for each v.
-	candidates := make([]vset.Set, 0, len(order))
-	seen := map[string]bool{}
-	for i, v := range order {
-		c := vset.New(n)
-		c.AddInPlace(v)
-		g.Neighbors(v).ForEach(func(w int) bool {
-			if pos[w] > i {
-				c.AddInPlace(w)
-			}
-			return true
-		})
-		if !seen[c.Key()] {
-			seen[c.Key()] = true
-			candidates = append(candidates, c)
-		}
-	}
-	// Keep only the maximal ones.
-	var out []vset.Set
-	for i, c := range candidates {
-		maximal := true
-		for j, d := range candidates {
-			if i != j && c.ProperSubsetOf(d) {
-				maximal = false
-				break
-			}
-		}
-		if maximal {
-			out = append(out, c)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
-	return out, nil
+	st, err := Analyze(g)
+	return st.Cliques, err
 }
 
-// CliqueTree returns a clique tree of the chordal graph g: a tree
-// decomposition whose bags are exactly the maximal cliques of g. It is
-// computed as a maximum-weight spanning tree of the clique graph with
-// weights |Ci ∩ Cj| (Jordan's characterization). Disconnected graphs are
-// supported: zero-weight tree edges stitch the forest together, which
-// preserves the junction property because the joined cliques are disjoint.
-func CliqueTree(g *graph.Graph) (*td.Decomposition, error) {
-	cliques, err := MaximalCliques(g)
-	if err != nil {
-		return nil, err
-	}
+// CliqueTree returns a clique tree of the analyzed graph: a tree
+// decomposition whose bags are exactly its maximal cliques, in their
+// sorted order. It is computed as a maximum-weight spanning tree of the
+// clique graph with weights |Ci ∩ Cj| (Jordan's characterization).
+// Disconnected graphs are supported: zero-weight tree edges stitch the
+// forest together, which preserves the junction property because the
+// joined cliques are disjoint.
+func (st Structure) CliqueTree() *td.Decomposition {
+	cliques := st.Cliques
 	d := td.New()
 	for _, c := range cliques {
 		d.AddNode(c)
 	}
 	k := len(cliques)
 	if k <= 1 {
-		return d, nil
+		return d
 	}
 	// Prim's algorithm on the complete clique graph.
 	inTree := make([]bool, k)
 	bestW := make([]int, k)
 	bestTo := make([]int, k)
-	for i := range bestW {
-		bestW[i] = -1
-		bestTo[i] = -1
-	}
 	inTree[0] = true
 	for j := 1; j < k; j++ {
 		bestW[j] = cliques[0].IntersectionLen(cliques[j])
-		bestTo[j] = 0
 	}
 	for added := 1; added < k; added++ {
 		pick, w := -1, -2
@@ -203,23 +185,7 @@ func CliqueTree(g *graph.Graph) (*td.Decomposition, error) {
 			}
 		}
 	}
-	return d, nil
-}
-
-// MinimalSeparators returns the minimal separators of the chordal graph g:
-// the distinct nonempty adhesions of any clique tree.
-func MinimalSeparators(g *graph.Graph) ([]vset.Set, error) {
-	ct, err := CliqueTree(g)
-	if err != nil {
-		return nil, err
-	}
-	var out []vset.Set
-	for _, s := range ct.Adhesions(g.Universe()) {
-		if !s.IsEmpty() {
-			out = append(out, s)
-		}
-	}
-	return out, nil
+	return d
 }
 
 // FillEdges returns E(h) \ E(g): the fill set of a triangulation h of g.

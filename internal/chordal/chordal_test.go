@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/triang"
 	"repro/internal/vset"
 )
 
@@ -88,15 +89,15 @@ func TestMaximalCliquesRejectsNonChordal(t *testing.T) {
 func TestCliqueTreePaperH2(t *testing.T) {
 	g := gen.PaperExample()
 	h2 := g.Saturate(vset.Of(6, 0, 1)) // T2's triangulation
-	ct, err := CliqueTree(h2)
+	st, err := Analyze(h2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ct := st.CliqueTree()
 	if err := ct.Validate(h2); err != nil {
 		t.Fatalf("clique tree invalid: %v", err)
 	}
-	cliques, _ := MaximalCliques(h2)
-	if !ct.IsCliqueTreeOf(h2, cliques) {
+	if !ct.IsCliqueTreeOf(h2, st.Cliques) {
 		t.Fatalf("not a clique tree")
 	}
 	// H2's maximal cliques: {u,v,w1}, {u,v,w2}, {u,v,w3}, {v,v'}.
@@ -108,10 +109,11 @@ func TestCliqueTreePaperH2(t *testing.T) {
 func TestMinimalSeparatorsOfChordal(t *testing.T) {
 	g := gen.PaperExample()
 	h2 := g.Saturate(vset.Of(6, 0, 1))
-	seps, err := MinimalSeparators(h2)
+	st, err := Analyze(h2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	seps := st.Seps
 	// MinSep(H2) = {{u,v}, {v}} per Parra–Scheffler (M2 = {S2, S3}).
 	want := map[string]bool{vset.Of(6, 0, 1).Key(): true, vset.Of(6, 1).Key(): true}
 	if len(seps) != 2 {
@@ -122,6 +124,11 @@ func TestMinimalSeparatorsOfChordal(t *testing.T) {
 			t.Errorf("unexpected separator %v", s)
 		}
 	}
+	// The clique tree's edges carry {u,v}, {u,v} and {v}: its distinct
+	// adhesions are the same two sets.
+	if adh := referenceSeps(st.CliqueTree()); !sameSets(adh, seps) {
+		t.Errorf("clique tree adhesions %v, separators %v", adh, seps)
+	}
 }
 
 func TestCliqueTreeDisconnected(t *testing.T) {
@@ -129,32 +136,16 @@ func TestCliqueTreeDisconnected(t *testing.T) {
 	g.AddEdge(0, 1)
 	g.AddEdge(2, 3)
 	// vertex 4 isolated
-	ct, err := CliqueTree(g)
+	st, err := Analyze(g)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ct := st.CliqueTree()
 	if err := ct.Validate(g); err != nil {
 		t.Fatalf("disconnected clique tree invalid: %v", err)
 	}
 	if len(ct.Bags) != 3 {
 		t.Fatalf("bags = %d, want 3", len(ct.Bags))
-	}
-}
-
-func TestPEOExplicit(t *testing.T) {
-	// A path 0-1-2: order [0,1,2] is a PEO, order [1,0,2] is too
-	// (every vertex has at most one later neighbor).
-	g := gen.Path(3)
-	if !IsPerfectEliminationOrder(g, []int{0, 1, 2}) {
-		t.Errorf("[0 1 2] should be a PEO of a path")
-	}
-	// C4 has no PEO at all.
-	c4 := gen.Cycle(4)
-	perms := [][]int{{0, 1, 2, 3}, {0, 2, 1, 3}, {1, 3, 0, 2}, {3, 2, 1, 0}}
-	for _, p := range perms {
-		if IsPerfectEliminationOrder(c4, p) {
-			t.Errorf("order %v accepted as PEO of C4", p)
-		}
 	}
 }
 
@@ -180,10 +171,11 @@ func TestRandomChordalInvariants(t *testing.T) {
 				t.Fatalf("reported clique is not a clique: %v", c)
 			}
 		}
-		ct, err := CliqueTree(g)
+		st, err := Analyze(g)
 		if err != nil {
 			t.Fatal(err)
 		}
+		ct := st.CliqueTree()
 		if err := ct.Validate(g); err != nil {
 			t.Fatalf("clique tree invalid: %v", err)
 		}
@@ -193,20 +185,31 @@ func TestRandomChordalInvariants(t *testing.T) {
 	}
 }
 
-func TestMCSOrderIsPermutation(t *testing.T) {
+// TestAnalyzeCoversActiveVertices checks that the search visits the
+// active vertices and only them: on triangulations of graphs with some
+// vertices deactivated, the cliques cover exactly the active set.
+func TestAnalyzeCoversActiveVertices(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 40; trial++ {
-		g := gen.GNP(rng, 1+rng.Intn(20), 0.3)
-		order := MCSOrder(g)
-		if len(order) != g.NumVertices() {
-			t.Fatalf("order length %d != %d", len(order), g.NumVertices())
-		}
-		seen := map[int]bool{}
-		for _, v := range order {
-			if seen[v] {
-				t.Fatalf("duplicate vertex %d in MCS order", v)
+		n := 1 + rng.Intn(20)
+		g := gen.GNP(rng, n, 0.3)
+		keep := vset.New(n)
+		for v := 0; v < n; v++ {
+			if rng.Intn(4) != 0 {
+				keep.AddInPlace(v)
 			}
-			seen[v] = true
+		}
+		h := triang.Minimal(g.InducedSubgraph(keep))
+		st, err := Analyze(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		covered := vset.New(n)
+		for _, c := range st.Cliques {
+			covered.UnionInPlace(c)
+		}
+		if !covered.Equal(keep) {
+			t.Fatalf("trial %d: cliques cover %v, active %v", trial, covered, keep)
 		}
 	}
 }
@@ -215,10 +218,11 @@ func TestMinimalSeparatorsAreSeparators(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 40; trial++ {
 		g := gen.KTree(rng, 4+rng.Intn(10), 2, 0)
-		seps, err := MinimalSeparators(g)
+		st, err := Analyze(g)
 		if err != nil {
 			t.Fatal(err)
 		}
+		seps := st.Seps
 		for _, s := range seps {
 			comps := g.ComponentsAvoiding(s)
 			full := 0

@@ -20,7 +20,9 @@
 // triangulation's minimal separators (Parra–Scheffler — the family
 // determines H), and repeated move families are skipped before the
 // triangulator ever runs, so the per-move cost carries no O(n²) edge-set
-// key hashing.
+// key hashing. One maximum cardinality search gives each triangulation's
+// separators and maximal cliques, and only a new triangulation gets a
+// clique tree.
 package ckk
 
 import (
@@ -32,14 +34,17 @@ import (
 	"repro/internal/graph"
 	"repro/internal/intern"
 	"repro/internal/minsep"
+	"repro/internal/td"
 	"repro/internal/triang"
 	"repro/internal/vset"
 )
 
-// Result is one enumerated minimal triangulation.
+// Result is one enumerated minimal triangulation: H, its minimal
+// separators and a clique tree of H.
 type Result struct {
 	H    *graph.Graph
 	Seps []vset.Set
+	Tree *td.Decomposition
 
 	ids []int // enumerator-interned IDs aligned with Seps
 }
@@ -99,12 +104,12 @@ func idKey(buf []byte, sorted []int) []byte {
 // of their interned IDs is the dedup key.
 func (e *Enumerator) produce(p []vset.Set) {
 	h := triang.Minimal(minsep.Saturate(e.g, p))
-	seps, err := chordal.MinimalSeparators(h)
+	st, err := chordal.Analyze(h)
 	if err != nil {
 		panic("ckk: LB-Triang returned a non-chordal graph: " + err.Error())
 	}
-	ids := make([]int, len(seps))
-	for i, s := range seps {
+	ids := make([]int, len(st.Seps))
+	for i, s := range st.Seps {
 		ids[i], _ = e.tab.Intern(s)
 	}
 	sorted := append([]int(nil), ids...)
@@ -115,7 +120,7 @@ func (e *Enumerator) produce(p []vset.Set) {
 		return
 	}
 	e.seen[key] = true
-	r := &Result{H: h, Seps: seps, ids: ids}
+	r := &Result{H: h, Seps: st.Seps, Tree: st.CliqueTree(), ids: ids}
 	e.out = append(e.out, r)
 	e.results = append(e.results, r)
 	e.cursor = append(e.cursor, 0)

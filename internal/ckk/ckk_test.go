@@ -58,12 +58,15 @@ func TestResultsAreMinimal(t *testing.T) {
 			if !bruteforce.IsMinimalTriangulation(r.H, g) {
 				t.Fatalf("non-minimal triangulation emitted")
 			}
-			seps, err := chordal.MinimalSeparators(r.H)
+			st, err := chordal.Analyze(r.H)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(seps) != len(r.Seps) {
+			if len(st.Seps) != len(r.Seps) {
 				t.Fatalf("Seps field inconsistent")
+			}
+			if !r.Tree.IsCliqueTreeOf(r.H, st.Cliques) {
+				t.Fatalf("Tree is not a clique tree of H")
 			}
 		}
 	}
@@ -111,5 +114,28 @@ func TestDisconnected(t *testing.T) {
 	got := New(g).All()
 	if len(got) != len(want) {
 		t.Fatalf("disconnected: %d vs oracle %d", len(got), len(want))
+	}
+}
+
+// TestTwentyResultWalkDrawsFewSeparators pins how many separators a
+// 20-result walk draws from the stream on 20 fixed graphs shaped like
+// the service's auto-routed MIS requests (connected G(n, p), n = 28–36,
+// p = 0.25–0.35): 4 to 9 each, 137 in all. Handing the routing probe's
+// separators to the walk would therefore save it little more than the
+// stream's n seed walks in NewStream.
+func TestTwentyResultWalkDrawsFewSeparators(t *testing.T) {
+	want := []int{6, 8, 6, 6, 8, 8, 6, 6, 4, 6, 9, 7, 8, 6, 8, 9, 7, 7, 7, 5}
+	rng := rand.New(rand.NewSource(29))
+	for k, w := range want {
+		g := gen.ConnectedGNP(rng, 28+k%9, 0.25+0.1*float64(k%4)/3)
+		e := New(g)
+		for i := 0; i < 20; i++ {
+			if _, ok := e.Next(); !ok {
+				t.Fatalf("graph %d: only %d results", k, i)
+			}
+		}
+		if len(e.seps) != w {
+			t.Errorf("graph %d: the walk drew %d separators, pinned %d", k, len(e.seps), w)
+		}
 	}
 }

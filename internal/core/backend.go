@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/chordal"
 	"repro/internal/ckk"
 	"repro/internal/cost"
 	"repro/internal/graph"
@@ -75,11 +74,11 @@ func (s *Solver) BackendKind() BackendKind { return BackendDP }
 func (s *Solver) Ranked() bool { return true }
 
 // misBackend adapts the internal/ckk enumeration to the Backend contract:
-// each CKK result (a chordal graph plus its minimal separators) is lifted
-// to a full Result by building its clique tree and evaluating the cost on
-// the tree's bags. Construction is O(1) — the separator stream and MIS
-// machine start lazily on the first Next — which is exactly the property
-// the serving tier buys when the DP's init budget is blown.
+// each CKK result (a chordal graph, its minimal separators and its clique
+// tree) is lifted to a full Result by evaluating the cost on the tree's
+// bags. Construction is O(1) — the separator stream and MIS machine start
+// lazily on the first Next — which is exactly the property the serving
+// tier buys when the DP's init budget is blown.
 type misBackend struct {
 	g     *graph.Graph
 	c     cost.Cost
@@ -145,17 +144,13 @@ func (m *misEnumerator) Next() (*Result, bool) {
 			m.done = true
 			return nil, false
 		}
-		tree, err := chordal.CliqueTree(r.H)
-		if err != nil {
-			panic("core: ckk emitted a non-chordal triangulation: " + err.Error())
-		}
-		if m.b.bound >= 0 && tree.Width() > m.b.bound {
+		if m.b.bound >= 0 && r.Tree.Width() > m.b.bound {
 			continue
 		}
-		bags := append([]vset.Set(nil), tree.Bags...)
+		bags := append([]vset.Set(nil), r.Tree.Bags...)
 		return &Result{
 			H:    r.H,
-			Tree: tree,
+			Tree: r.Tree,
 			Bags: bags,
 			Seps: r.Seps,
 			Cost: m.b.c.Eval(m.b.g, bags),

@@ -2,10 +2,12 @@ package core
 
 import (
 	"context"
+	"math/rand"
 	"testing"
 
 	"repro/internal/cost"
 	"repro/internal/gen"
+	"repro/internal/graph"
 )
 
 // BenchmarkColdInit measures solver initialization — MinSep(G), PMC(G),
@@ -29,6 +31,13 @@ func BenchmarkColdFirstPage(b *testing.B) { benchCold(b, 20) }
 
 // benchCold initializes every (graph, cost) pair once per op and draws
 // up to results results from each solver at GOMAXPROCS branch workers.
+//
+// solves/op depends on GOMAXPROCS through the branch batch, and under a
+// -cpu list with -benchtime 1x every entry prints the figure of Go's
+// first probe run, which runs at the ambient GOMAXPROCS: on a 2-vCPU
+// host `go test ./internal/core -run '^$' -bench BenchmarkColdFirstPage
+// -benchtime 1x -cpu 1,2` prints 450 solves/op under both names, and
+// -benchtime 2x prints 441 and 450.
 func benchCold(b *testing.B, results int) {
 	graphs := gen.ColdInitCorpus()
 	costs := []cost.Cost{cost.Width{}, cost.FillIn{}}
@@ -65,4 +74,44 @@ func benchCold(b *testing.B, results int) {
 		b.ReportMetric(float64(solves)/float64(b.N), "solves/op")
 	}
 	b.ReportMetric(float64(len(graphs)*len(costs)), "inits/op")
+}
+
+// BenchmarkMISColdPage measures a cold bounded read on the MIS route, the
+// shape of cold-solve's auto-routed MIS requests: NewMISBackend plus 20
+// Next calls under width and fill over misColdCorpus. Each result runs
+// LB-Triang, one chordal search and, when new, a clique tree; the
+// routing probe runs while the corpus is built and is not timed.
+func BenchmarkMISColdPage(b *testing.B) {
+	graphs := misColdCorpus(30)
+	costs := []cost.Cost{cost.Width{}, cost.FillIn{}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for gi, g := range graphs {
+			for _, c := range costs {
+				e := NewMISBackend(g, c, MISOptions{}).EnumerateContext(context.Background())
+				for k := 0; k < 20; k++ {
+					if _, ok := e.Next(); !ok {
+						b.Fatalf("graph %d %s: only %d results", gi, c.Name(), k)
+					}
+				}
+			}
+		}
+	}
+	b.ReportMetric(float64(len(graphs)*len(costs)), "pages/op")
+}
+
+// misColdCorpus draws connected G(n, p), n = 28–36 and p = 0.25–0.35,
+// from a fixed seed and keeps the first count graphs SelectBackend routes
+// to MIS.
+func misColdCorpus(count int) []*graph.Graph {
+	rng := rand.New(rand.NewSource(2531))
+	var out []*graph.Graph
+	for k := 0; len(out) < count; k++ {
+		g := gen.ConnectedGNP(rng, 28+k%9, 0.25+0.1*float64(k%4)/3)
+		if SelectBackend(context.Background(), g, BackendAuto, 0) == BackendMIS {
+			out = append(out, g)
+		}
+	}
+	return out
 }

@@ -71,10 +71,11 @@ func checkResult(t *testing.T, g *graph.Graph, r *Result) {
 		t.Fatalf("result tree is not a clique tree of H (bags=%v cliques=%v)", r.Bags, cliques)
 	}
 	// Seps must be MinSep(H).
-	want, err := chordal.MinimalSeparators(r.H)
+	st, err := chordal.Analyze(r.H)
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := st.Seps
 	if len(want) != len(r.Seps) {
 		t.Fatalf("Seps = %v, want %v", r.Seps, want)
 	}

@@ -11,6 +11,7 @@ package cost
 
 import (
 	"math"
+	"math/bits"
 
 	"repro/internal/graph"
 	"repro/internal/vset"
@@ -78,45 +79,64 @@ type Mergeable interface {
 }
 
 // missingPairs counts pairs within omega that are non-adjacent in g and
-// not both inside sep.
+// not both inside sep, on bit rows: each such pair is counted from both
+// ends, from a vertex outside sep against the rest of omega, from one
+// inside sep against omega minus sep.
 func missingPairs(g *graph.Graph, omega, sep vset.Set) int {
-	vs := omega.Slice()
+	ow, sw := omega.Words(), sep.Words()
 	count := 0
-	for i := 0; i < len(vs); i++ {
-		for j := i + 1; j < len(vs); j++ {
-			if g.HasEdge(vs[i], vs[j]) {
-				continue
+	for wi, o := range ow {
+		for x := o; x != 0; x &= x - 1 {
+			u := wi*64 + bits.TrailingZeros64(x)
+			adj := g.Neighbors(u).Words()
+			inSep := wi < len(sw) && sw[wi]&(1<<(u%64)) != 0
+			for i, m := range ow {
+				m &^= adj[i]
+				if inSep {
+					m &^= sw[i]
+				}
+				if i == wi {
+					m &^= 1 << (u % 64)
+				}
+				count += bits.OnesCount64(m)
 			}
-			if sep.Contains(vs[i]) && sep.Contains(vs[j]) {
-				continue
-			}
-			count++
 		}
 	}
-	return count
+	return count / 2
 }
 
 // distinctMissingPairs counts the pairs that co-occur in some bag and are
-// missing from g, each counted once.
+// missing from g, each counted once, on bit rows: row u is the union of
+// the bags that hold u, and each pair is seen from both of its ends.
 func distinctMissingPairs(g *graph.Graph, bags []vset.Set) int {
-	seen := map[[2]int]bool{}
-	fill := 0
+	n := g.Universe()
+	words := (n + 63) / 64
+	rows := make([]uint64, n*words)
 	for _, b := range bags {
-		vs := b.Slice()
-		for i := 0; i < len(vs); i++ {
-			for j := i + 1; j < len(vs); j++ {
-				p := [2]int{vs[i], vs[j]}
-				if seen[p] {
-					continue
-				}
-				seen[p] = true
-				if !g.HasEdge(vs[i], vs[j]) {
-					fill++
+		bw := b.Words()
+		for wi, x := range bw {
+			for ; x != 0; x &= x - 1 {
+				u := wi*64 + bits.TrailingZeros64(x)
+				row := rows[u*words : (u+1)*words]
+				for i, y := range bw {
+					row[i] |= y
 				}
 			}
 		}
 	}
-	return fill
+	fill := 0
+	for u := 0; u < n; u++ {
+		row := rows[u*words : (u+1)*words]
+		if row[u/64]&(1<<(u%64)) == 0 {
+			continue // in no bag
+		}
+		adj := g.Neighbors(u).Words()
+		for i, x := range row {
+			fill += bits.OnesCount64(x &^ adj[i])
+		}
+		fill-- // u itself
+	}
+	return fill / 2
 }
 
 // Width is the classic width cost: the maximum bag cardinality minus one.

@@ -9,7 +9,6 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/chordal"
 	"repro/internal/ckk"
 	"repro/internal/core"
 	"repro/internal/cost"
@@ -80,17 +79,9 @@ func RunCKK(g *graph.Graph, budget time.Duration) EnumRun {
 			run.Exhausted = true
 			break
 		}
-		w := -1
-		if cliques, err := chordal.MaximalCliques(r.H); err == nil {
-			for _, c := range cliques {
-				if c.Len()-1 > w {
-					w = c.Len() - 1
-				}
-			}
-		}
 		run.Records = append(run.Records, RunRecord{
 			When:  time.Since(start),
-			Width: w,
+			Width: r.Tree.Width(),
 			Fill:  r.H.NumEdges() - g.NumEdges(),
 		})
 	}

@@ -2,10 +2,13 @@ package exp
 
 import (
 	"bytes"
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/bruteforce"
+	"repro/internal/ckk"
 	"repro/internal/cost"
 	"repro/internal/gen"
 )
@@ -146,6 +149,30 @@ func TestRunCKKMatchesCount(t *testing.T) {
 	m := ComputeMetrics(run)
 	if m.MinWidth != 2 || m.MinFill != 3 {
 		t.Fatalf("CKK metrics: %+v", m)
+	}
+}
+
+// TestRunCKKWidthsUnchanged pins the widths RunCKK records on a fixed
+// graph, now read from each result's clique tree, to the values the
+// timed loop computed from H's maximal cliques, and checks each against
+// the maximal cliques of H by definition.
+func TestRunCKKWidthsUnchanged(t *testing.T) {
+	g := gen.ConnectedGNP(rand.New(rand.NewSource(7)), 10, 0.35)
+	run := RunCKK(g, time.Minute)
+	want := []int{3, 4, 3, 3, 3, 3, 3, 4, 3, 3, 3}
+	if !run.Exhausted || len(run.Records) != len(want) {
+		t.Fatalf("exhausted %v after %d records, want %d", run.Exhausted, len(run.Records), len(want))
+	}
+	for i, r := range ckk.New(g).All() {
+		w := -1
+		for _, c := range bruteforce.MaximalCliques(r.H) {
+			if c.Len()-1 > w {
+				w = c.Len() - 1
+			}
+		}
+		if got := run.Records[i].Width; got != want[i] || got != w {
+			t.Fatalf("record %d: width %d, pinned %d, maximal cliques of H give %d", i, got, want[i], w)
+		}
 	}
 }
 

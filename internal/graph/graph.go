@@ -148,14 +148,23 @@ func (g *Graph) Saturate(u vset.Set) *Graph {
 	return c
 }
 
-// SaturateInPlace makes U a clique of g.
+// SaturateInPlace makes U a clique of g. It works on the adjacency words
+// and allocates nothing.
 func (g *Graph) SaturateInPlace(u vset.Set) {
-	members := u.Intersect(g.verts)
-	members.ForEach(func(v int) bool {
-		g.adj[v].UnionInPlace(members)
-		g.adj[v].RemoveInPlace(v)
-		return true
-	})
+	if u.Universe() != g.n {
+		panic("graph: saturating a set over another universe")
+	}
+	uw, vw := u.Words(), g.verts.Words()
+	for wi := range uw {
+		for x := uw[wi] & vw[wi]; x != 0; x &= x - 1 {
+			v := wi*64 + bits.TrailingZeros64(x)
+			row := g.adj[v].Words()
+			for i := range row {
+				row[i] |= uw[i] & vw[i]
+			}
+			row[wi] &^= 1 << (v % 64)
+		}
+	}
 }
 
 // Realization returns R(S, C) = G[S ∪ C] ∪ K_S, the realization of the

@@ -157,10 +157,11 @@ func TestParraSchefflerRoundTrip(t *testing.T) {
 		if !bruteforce.IsMinimalTriangulation(h, g) {
 			t.Fatalf("saturated family not a *minimal* triangulation")
 		}
-		hseps, err := chordal.MinimalSeparators(h)
+		st, err := chordal.Analyze(h)
 		if err != nil {
 			t.Fatal(err)
 		}
+		hseps := st.Seps
 		wantKeys := map[string]bool{}
 		for _, s := range family {
 			wantKeys[s.Key()] = true

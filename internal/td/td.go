@@ -7,7 +7,6 @@ package td
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/graph"
@@ -216,27 +215,6 @@ func (d *Decomposition) IsCliqueTreeOf(h *graph.Graph, maxCliques []vset.Set) bo
 		seen[k] = true
 	}
 	return true
-}
-
-// Adhesions returns the multiset of edge labels β(x) ∩ β(y) over tree
-// edges, deduplicated — for a clique tree these are exactly the minimal
-// separators of the underlying chordal graph.
-func (d *Decomposition) Adhesions(universe int) []vset.Set {
-	seen := map[string]vset.Set{}
-	for x, nb := range d.Adj {
-		for _, y := range nb {
-			if x < y {
-				s := d.Bags[x].Intersect(d.Bags[y])
-				seen[s.Key()] = s
-			}
-		}
-	}
-	out := make([]vset.Set, 0, len(seen))
-	for _, s := range seen {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
-	return out
 }
 
 // Clone returns a deep copy of d.

@@ -131,22 +131,6 @@ func TestFillInAndSaturation(t *testing.T) {
 	}
 }
 
-func TestAdhesions(t *testing.T) {
-	d := paperT2()
-	adh := d.Adhesions(6)
-	// Edges: {u,v},{u,v},{v} → distinct adhesions {u,v} and {v}.
-	if len(adh) != 2 {
-		t.Fatalf("adhesions = %v", adh)
-	}
-	keys := map[string]bool{}
-	for _, a := range adh {
-		keys[a.Key()] = true
-	}
-	if !keys[vset.Of(6, 0, 1).Key()] || !keys[vset.Of(6, 1).Key()] {
-		t.Fatalf("wrong adhesions: %v", adh)
-	}
-}
-
 func TestCloneIndependence(t *testing.T) {
 	d := paperT2()
 	c := d.Clone()
