@@ -124,10 +124,34 @@ func TestMinimalSeparatorsOfChordal(t *testing.T) {
 			t.Errorf("unexpected separator %v", s)
 		}
 	}
-	// The clique tree's edges carry {u,v}, {u,v} and {v}: its distinct
-	// adhesions are the same two sets.
-	if adh := referenceSeps(st.CliqueTree()); !sameSets(adh, seps) {
-		t.Errorf("clique tree adhesions %v, separators %v", adh, seps)
+}
+
+// TestCliqueTreeAdhesionsPaperT2 reads the clique tree of H2 edge by
+// edge: like T2 of Figure 1(c), its three edges carry {u,v}, {u,v} and
+// {v}, and its distinct adhesions are the separators the search reports.
+func TestCliqueTreeAdhesionsPaperT2(t *testing.T) {
+	g := gen.PaperExample()
+	h2 := g.Saturate(vset.Of(6, 0, 1))
+	st, err := Analyze(h2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct := st.CliqueTree()
+	count := map[string]int{}
+	edges := 0
+	for x, nb := range ct.Adj {
+		for _, y := range nb {
+			if x < y {
+				count[ct.Bags[x].Intersect(ct.Bags[y]).Key()]++
+				edges++
+			}
+		}
+	}
+	if edges != 3 || count[vset.Of(6, 0, 1).Key()] != 2 || count[vset.Of(6, 1).Key()] != 1 {
+		t.Fatalf("edge labels %v over %d edges, want {u,v} twice and {v} once", count, edges)
+	}
+	if adh := referenceSeps(ct); !sameSets(adh, st.Seps) {
+		t.Errorf("clique tree adhesions %v, separators %v", adh, st.Seps)
 	}
 }
 
